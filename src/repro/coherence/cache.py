@@ -49,9 +49,6 @@ class SetAssocCache:
     def capacity_lines(self) -> int:
         return self.n_sets * self.associativity
 
-    def _set_of(self, line: int) -> OrderedDict[int, CacheState]:
-        return self._sets[line % self.n_sets]
-
     # ------------------------------------------------------------------
     def lookup(self, line: int, touch: bool = True) -> CacheState:
         """State of a line (``INVALID`` if absent); updates LRU on hit."""

@@ -172,11 +172,6 @@ class L2Controller:
         )
         return None
 
-    def fetch_instruction(self) -> None:
-        """Account one L1-I access (instruction fetches always hit; the
-        SPLASH kernels fit in the 32 KB L1-I, see DESIGN.md)."""
-        self.counters.l1i_accesses += 1
-
     def _l1_fill(self, address: int, state: CacheState) -> None:
         victim = self.l1d.install(address, state)
         # L1 is write-through into L2, so L1 victims drop silently.

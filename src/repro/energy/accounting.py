@@ -34,7 +34,7 @@ from repro.sim.results import RunResult
 from repro.tech.caches import CacheModel, directory_cache, l1d_cache, l1i_cache, l2_cache
 from repro.tech.core import CorePowerModel
 from repro.tech.dsent import HubModel, LinkModel, ReceiveNetModel, RouterModel
-from repro.tech.photonics import OnetGeometry, PhotonicParams
+from repro.tech.photonics import PhotonicParams
 from repro.tech.scenarios import SCENARIO_ATACP, TechScenario
 
 #: Component keys in presentation order (Fig 7 wedges, then core, dram).
@@ -145,15 +145,6 @@ class EnergyModel:
             n_cores=topo.n_cores,
         )
         self.n_compute = len(topo.compute_cores())
-
-    # ------------------------------------------------------------------
-    def onet_geometry(self, photonics: PhotonicParams) -> OnetGeometry:
-        """The ONet photonic inventory for this chip configuration."""
-        return OnetGeometry(
-            n_hubs=self.n_hubs,
-            data_width_bits=self.config.flit_bits,
-            params=photonics,
-        )
 
     # ------------------------------------------------------------------
     def evaluate(

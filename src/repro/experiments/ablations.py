@@ -15,7 +15,7 @@ These go beyond the paper's figures:
 
 from __future__ import annotations
 
-from repro.experiments.common import LoadPointSpec, run_batch, spec_for
+from repro.experiments.common import LoadPointSpec, run_specs, spec_for
 from repro.network.analytic import AnalyticModel
 from repro.network.atac import AtacNetwork
 from repro.network.routing import AdaptiveDistanceRouting, DistanceRouting
@@ -90,7 +90,7 @@ def run_sequencing_cost(
         for app in apps
     ]
     rows = []
-    for app, on in zip(apps, run_batch(specs)):
+    for app, on in zip(apps, run_specs(specs)):
         rows.append(
             {
                 "app": app,
@@ -139,7 +139,7 @@ def run_analytic_accuracy(
         for load in loads
     ]
     rows = []
-    for load, pt in zip(loads, run_batch(specs)):
+    for load, pt in zip(loads, run_specs(specs)):
         rows.append(
             {
                 "load": load,

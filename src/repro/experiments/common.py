@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 
-from repro.coherence.directory import Protocol
 from repro.experiments.runner import Runner, default_jobs, run_specs
 from repro.experiments.runspec import CACHE_SCHEMA_VERSION, LoadPointSpec, RunSpec
 from repro.experiments.store import ResultStore, cache_enabled
@@ -36,7 +35,6 @@ __all__ = [
     "format_table",
     "make_config",
     "run_app",
-    "run_batch",
     "run_specs",
     "spec_for",
 ]
@@ -53,86 +51,35 @@ def default_scale() -> float:
     return float(os.environ.get("REPRO_SCALE", "0.6"))
 
 
-def make_config(
-    network: str = "atac+",
+def spec_for(
+    app: str,
     mesh_width: int | None = None,
-    protocol: Protocol = Protocol.ACKWISE,
-    hardware_sharers: int = 4,
-    rthres: int = 15,
-    flit_bits: int = 64,
-    receive_net: str = "starnet",
+    scale: float | None = None,
+    **overrides,
+) -> RunSpec:
+    """Build a :class:`RunSpec` from its own defaults plus ``overrides``,
+    resolving ``None`` size knobs from the environment at call time."""
+    return RunSpec(
+        app=app,
+        mesh_width=mesh_width if mesh_width is not None else default_mesh_width(),
+        scale=scale if scale is not None else default_scale(),
+        **overrides,
+    )
+
+
+def make_config(
+    network: str = "atac+", mesh_width: int | None = None, **overrides
 ) -> SystemConfig:
     """A paper-default config scaled to the requested mesh width."""
+    # any valid app: only architecture fields are used
     return spec_for(
-        "lu_contig",  # any valid app: only architecture fields are used
-        network=network,
-        mesh_width=mesh_width,
-        protocol=protocol,
-        hardware_sharers=hardware_sharers,
-        rthres=rthres,
-        flit_bits=flit_bits,
-        receive_net=receive_net,
+        "lu_contig", mesh_width, network=network, **overrides
     ).config()
 
 
-def spec_for(
-    app: str,
-    network: str = "atac+",
-    mesh_width: int | None = None,
-    scale: float | None = None,
-    protocol: Protocol = Protocol.ACKWISE,
-    hardware_sharers: int = 4,
-    rthres: int = 15,
-    flit_bits: int = 64,
-    receive_net: str = "starnet",
-    seed: int = 42,
-    sanitize: bool = False,
-    telemetry: bool = False,
-) -> RunSpec:
-    """Build a :class:`RunSpec`, resolving ``None`` size knobs from the
-    environment at call time."""
-    return RunSpec(
-        app=app,
-        network=network,
-        mesh_width=mesh_width if mesh_width is not None else default_mesh_width(),
-        scale=scale if scale is not None else default_scale(),
-        protocol=protocol,
-        hardware_sharers=hardware_sharers,
-        rthres=rthres,
-        flit_bits=flit_bits,
-        receive_net=receive_net,
-        seed=seed,
-        sanitize=sanitize,
-        telemetry=telemetry,
-    )
-
-
-def run_batch(specs, jobs: int | None = None, progress: bool = True) -> list:
-    """Execute a batch of specs through the shared runner.
-
-    Returns results aligned with ``specs``; duplicates execute once.
-    """
-    return run_specs(specs, jobs=jobs, progress=progress)
-
-
-def run_app(
-    app: str,
-    network: str = "atac+",
-    mesh_width: int | None = None,
-    scale: float | None = None,
-    protocol: Protocol = Protocol.ACKWISE,
-    hardware_sharers: int = 4,
-    rthres: int = 15,
-    flit_bits: int = 64,
-    receive_net: str = "starnet",
-    seed: int = 42,
-) -> RunResult:
+def run_app(app: str, **overrides) -> RunResult:
     """Simulate one application on one architecture (store-cached)."""
-    spec = spec_for(
-        app, network, mesh_width, scale, protocol,
-        hardware_sharers, rthres, flit_bits, receive_net, seed,
-    )
-    return Runner(jobs=1, progress=False).run_one(spec)
+    return Runner(jobs=1, progress=False).run_one(spec_for(app, **overrides))
 
 
 def format_table(rows: list[dict], columns: list[str]) -> str:

@@ -17,7 +17,7 @@ and fanned out through the runner.
 
 from __future__ import annotations
 
-from repro.experiments.common import LoadPointSpec, run_batch
+from repro.experiments.common import LoadPointSpec, run_specs
 from repro.network.routing import ClusterRouting, DistanceRouting, distance_all
 from repro.network.topology import MeshTopology
 
@@ -72,7 +72,7 @@ def run(
         )
         for routing, _ in ids for load in loads
     ]
-    points = iter(run_batch(specs, jobs=jobs))
+    points = iter(run_specs(specs, jobs=jobs))
     curves: dict[str, list[dict]] = {}
     for _, name in ids:
         curves[name] = []

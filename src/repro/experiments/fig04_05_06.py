@@ -14,7 +14,7 @@ runner, so a cold cache fans out across worker processes.
 
 from __future__ import annotations
 
-from repro.experiments.common import format_table, run_batch, spec_for
+from repro.experiments.common import format_table, run_specs, spec_for
 from repro.network.registry import experiment_axis
 from repro.workloads.splash import APP_ORDER
 
@@ -33,7 +33,7 @@ def run_fig4(
         spec_for(app, network=net, mesh_width=mesh_width, scale=scale)
         for app in apps for net in NETWORKS
     ]
-    results = iter(run_batch(specs, jobs=jobs))
+    results = iter(run_specs(specs, jobs=jobs))
     rows = []
     for app in apps:
         row: dict = {"app": app}
@@ -57,7 +57,7 @@ def run_fig5(
         for app in apps
     ]
     rows = []
-    for app, res in zip(apps, run_batch(specs, jobs=jobs)):
+    for app, res in zip(apps, run_specs(specs, jobs=jobs)):
         frac = res.receiver_broadcast_fraction
         rows.append(
             {
@@ -82,7 +82,7 @@ def run_fig6(
     ]
     return [
         {"app": app, "offered_load": round(res.offered_load, 5)}
-        for app, res in zip(apps, run_batch(specs, jobs=jobs))
+        for app, res in zip(apps, run_specs(specs, jobs=jobs))
     ]
 
 

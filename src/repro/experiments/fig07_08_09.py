@@ -20,7 +20,7 @@ to the same event counters), so each figure simulates only its unique
 from __future__ import annotations
 
 from repro.energy.accounting import ALL_KEYS, EnergyModel
-from repro.experiments.common import format_table, make_config, run_batch, spec_for
+from repro.experiments.common import format_table, make_config, run_specs, spec_for
 from repro.network.registry import experiment_axis, get_network
 from repro.tech.photonics import PhotonicParams
 from repro.tech.scenarios import (
@@ -51,7 +51,7 @@ def _grid(apps, networks, mesh_width, scale, jobs):
         spec_for(app, network=net, mesh_width=mesh_width, scale=scale)
         for app, net in keys
     ]
-    return dict(zip(keys, run_batch(specs, jobs=jobs)))
+    return dict(zip(keys, run_specs(specs, jobs=jobs)))
 
 
 def run_fig7(

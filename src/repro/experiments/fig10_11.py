@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 from repro.energy.area import AreaModel
-from repro.experiments.common import format_table, make_config, run_batch, spec_for
+from repro.experiments.common import format_table, make_config, run_specs, spec_for
 from repro.network.registry import experiment_axis, get_network
 from repro.tech.photonics import OnetGeometry
 
@@ -48,7 +48,7 @@ def run_fig11(
                  mesh_width=mesh_width, scale=scale)
         for app, w in keys
     ]
-    results = dict(zip(keys, run_batch(specs, jobs=jobs)))
+    results = dict(zip(keys, run_specs(specs, jobs=jobs)))
     rows = []
     for app in apps:
         ref = results[app, 64].completion_cycles

@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 from repro.energy.accounting import EnergyModel
-from repro.experiments.common import format_table, make_config, run_batch, spec_for
+from repro.experiments.common import format_table, make_config, run_specs, spec_for
 from repro.workloads.splash import APP_ORDER
 
 #: the four applications Figure 13 sweeps
@@ -37,7 +37,7 @@ def run_fig12(
                  mesh_width=mesh_width, scale=scale)
         for app, rn in keys
     ]
-    results = dict(zip(keys, run_batch(specs, jobs=jobs)))
+    results = dict(zip(keys, run_specs(specs, jobs=jobs)))
     rows = []
     for app in apps:
         row = {"app": app}
@@ -76,7 +76,7 @@ def run_fig13(
                  mesh_width=mesh_width, scale=scale)
         for app, t in keys
     ]
-    results = dict(zip(keys, run_batch(specs, jobs=jobs)))
+    results = dict(zip(keys, run_specs(specs, jobs=jobs)))
     rows = []
     model = EnergyModel(make_config("atac+", mesh_width))
     for app in apps:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.coherence.directory import Protocol
 from repro.energy.accounting import ALL_KEYS, EnergyModel
-from repro.experiments.common import format_table, make_config, run_batch, spec_for
+from repro.experiments.common import format_table, make_config, run_specs, spec_for
 from repro.network.registry import experiment_axis, get_network
 from repro.workloads.splash import APP_ORDER
 
@@ -46,7 +46,7 @@ def run_fig14(
                  mesh_width=mesh_width, scale=scale)
         for app, net, proto in keys
     ]
-    results = dict(zip(keys, run_batch(specs, jobs=jobs)))
+    results = dict(zip(keys, run_specs(specs, jobs=jobs)))
     rows = []
     for app in apps:
         row = {"app": app}
@@ -78,7 +78,7 @@ def run_fig15(
                  mesh_width=mesh_width, scale=scale)
         for app, k in keys
     ]
-    results = dict(zip(keys, run_batch(specs, jobs=jobs)))
+    results = dict(zip(keys, run_specs(specs, jobs=jobs)))
     rows = []
     for app in apps:
         ref = results[app, 4].completion_cycles
@@ -105,7 +105,7 @@ def run_fig16(
                  mesh_width=mesh_width, scale=scale)
         for app, k in keys
     ]
-    results = dict(zip(keys, run_batch(specs, jobs=jobs)))
+    results = dict(zip(keys, run_specs(specs, jobs=jobs)))
     per_k: dict[int, dict[str, float]] = {}
     for k in sharers:
         model = EnergyModel(make_config("atac+", mesh_width, hardware_sharers=k))

@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 from repro.energy.accounting import EnergyModel
-from repro.experiments.common import format_table, make_config, run_batch, spec_for
+from repro.experiments.common import format_table, make_config, run_specs, spec_for
 from repro.network.registry import experiment_axis
 from repro.tech.core import CorePowerModel
 from repro.workloads.splash import APP_ORDER
@@ -35,7 +35,7 @@ def run_fig17(
         spec_for(app, network=net, mesh_width=mesh_width, scale=scale)
         for app, net in keys
     ]
-    results = dict(zip(keys, run_batch(specs, jobs=jobs)))
+    results = dict(zip(keys, run_specs(specs, jobs=jobs)))
     rows = []
     for ndd in ndd_fractions:
         core_model = CorePowerModel(ndd_fraction=ndd)
@@ -72,7 +72,7 @@ def run_table5(
         for app in apps
     ]
     rows = []
-    for app, res in zip(apps, run_batch(specs, jobs=jobs)):
+    for app, res in zip(apps, run_specs(specs, jobs=jobs)):
         upb = res.unicasts_per_broadcast
         rows.append(
             {

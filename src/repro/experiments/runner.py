@@ -33,6 +33,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
+from repro import env_flag
 from repro.experiments.store import ResultStore, cache_enabled
 from repro.log import get_logger
 
@@ -54,40 +55,19 @@ def _timed_execute(spec):
     return result, time.perf_counter() - t0
 
 
-def _sanitize_requested(spec) -> bool:
-    """Whether executing ``spec`` would attach the runtime sanitizer.
-
-    Sanitized specs share the unsanitized content hash (results are
-    byte-identical), so the cache must be *bypassed on load* for them:
-    a hit would silently skip the invariant checking the caller asked
-    for.  Saving the result afterwards is still fine.
-    """
-    sanitize = getattr(spec, "sanitize", None)
-    if sanitize is None:
-        return False  # spec kind without a sanitizer (e.g. LoadPointSpec)
-    return bool(sanitize) or (
-        os.environ.get("REPRO_SANITIZE", "0").lower() in ("1", "true", "on")
-    )
-
-
-def _telemetry_requested(spec) -> bool:
-    """Whether executing ``spec`` would attach the telemetry collector.
-
-    Same cache rule as :func:`_sanitize_requested`: telemetry shares the
-    plain content hash (the simulation is byte-identical), so a cache
-    hit would skip producing the windows/trace artifacts the caller
-    asked for -- bypass on load, still save afterwards.
-    """
-    telemetry = getattr(spec, "telemetry", None)
-    if telemetry is None:
-        return False  # spec kind without telemetry (e.g. LoadPointSpec)
-    return bool(telemetry) or (
-        os.environ.get("REPRO_TELEMETRY", "0").lower() in ("1", "true", "on")
-    )
-
-
 def _bypass_cache_on_load(spec) -> bool:
-    return _sanitize_requested(spec) or _telemetry_requested(spec)
+    """Whether executing ``spec`` would attach the sanitizer or telemetry.
+
+    Both share the plain content hash (the simulation is
+    byte-identical), so the cache must be *bypassed on load* for them:
+    a hit would silently skip the invariant checking or the telemetry
+    artifacts the caller asked for.  Saving the result afterwards is
+    still fine.
+    """
+    if not hasattr(spec, "sanitize"):
+        return False  # spec kind without observers (e.g. LoadPointSpec)
+    return (spec.sanitize or spec.telemetry or env_flag("REPRO_SANITIZE")
+            or env_flag("REPRO_TELEMETRY"))
 
 
 @dataclass
@@ -230,5 +210,5 @@ class Runner:
 
 
 def run_specs(specs, jobs: int | None = None, progress: bool = True) -> list:
-    """Module-level convenience: run a batch with a fresh Runner."""
+    """Run a batch with a fresh Runner; results align with ``specs``."""
     return Runner(jobs=jobs, progress=progress).run(specs)

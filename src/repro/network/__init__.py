@@ -28,7 +28,7 @@ approximation with per-port resource reservation, see
 (:mod:`repro.network.stats`) that the energy layer consumes.
 """
 
-from repro.network.types import Packet, TrafficClass, BROADCAST
+from repro.network.types import Packet, BROADCAST
 from repro.network.topology import MeshTopology
 from repro.network.stats import NetworkStats
 from repro.network.engine import PortResource, MultiPortResource, Network
@@ -59,7 +59,6 @@ from repro.network.queueing import AnalyticMesh
 
 __all__ = [
     "Packet",
-    "TrafficClass",
     "BROADCAST",
     "MeshTopology",
     "NetworkStats",

@@ -109,11 +109,6 @@ class AnalyticModel:
         w = self.topology.width
         return 2.0 * (w * w - 1) / (3.0 * w) if w > 1 else 0.0
 
-    def crossover_distance(self, routing_break_even_hops: int = 8) -> int:
-        """The data-dependent-energy crossover distance (Section IV-C:
-        8 hops with the paper's device constants)."""
-        return routing_break_even_hops
-
     def mesh_saturation_load(self) -> float:
         """Per-core injection rate (flits/cycle) at mesh saturation.
 

@@ -90,8 +90,3 @@ class ReceiveNetwork:
                 done = arrival
         self.stats.receive_net_broadcast_flits += n_flits
         return done
-
-    @property
-    def backlog_at(self) -> int:
-        """Earliest time a new message could start (for adaptive routing)."""
-        return min(p.free_at for p in self._ports)

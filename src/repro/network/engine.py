@@ -23,7 +23,7 @@ and ``benchmarks`` cross-validate zero-load latency analytically.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from repro.network.stats import NetworkStats
 from repro.network.topology import MeshTopology
@@ -185,10 +185,14 @@ class Network(ABC):
         return deliveries
 
     def reset_stats(self) -> NetworkStats:
-        """Swap in a fresh counter bundle; returns the old one.
+        """Zero the counter bundle; returns a copy of the old counts.
 
         Used to discard warm-up statistics in open-loop load sweeps.
+        The bundle is zeroed in place, not replaced: the ONet links and
+        receive networks were built holding it and keep counting into
+        it.
         """
-        old = self.stats
-        self.stats = NetworkStats()
+        old = replace(self.stats)
+        for f in fields(NetworkStats):
+            setattr(self.stats, f.name, 0)
         return old

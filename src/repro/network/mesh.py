@@ -51,19 +51,10 @@ class _MeshBase(Network):
         # nothing reads it back for the mesh ports today).
         self._free_at: list[int] = [0] * (topology.n_cores * 4)
         self._busy: list[int] = [0] * (topology.n_cores * 4)
-        # Which port indices have been referenced by a route (the old
-        # lazily-created-port count, kept observable for tests).
-        self._port_seen = bytearray(topology.n_cores * 4)
         # (src, dst) -> tuple of port indices along the XY route, in hop
         # order.  Repeated sends between the same pair then reduce to a
         # walk over two flat arrays -- no coordinate math.
         self._route_ports: dict[int, tuple[int, ...]] = {}
-
-    def _port_at(self, u: int, d: int) -> int:
-        """Index of output port ``d`` of router ``u``."""
-        idx = u * 4 + d
-        self._port_seen[idx] = 1
-        return idx
 
     def _port(self, u: int, v: int) -> int:
         """Index of the output port of router ``u`` facing neighbour ``v``."""
@@ -78,7 +69,7 @@ class _MeshBase(Network):
             d = _NORTH
         else:
             raise ValueError(f"cores {u} and {v} are not mesh neighbours")
-        return self._port_at(u, d)
+        return u * 4 + d
 
     def _route_ports_for(self, src: int, dst: int) -> tuple[int, ...]:
         """Port indices along the XY route src -> dst, in hop order."""
@@ -90,7 +81,7 @@ class _MeshBase(Network):
         if x != dx:
             step, d = (1, _EAST) if dx > x else (-1, _WEST)
             while x != dx:
-                ports.append(self._port_at(u, d))
+                ports.append(u * 4 + d)
                 x += step
                 u += step
         if y != dy:
@@ -98,7 +89,7 @@ class _MeshBase(Network):
             step = 1 if dy > y else -1
             ustep = w if dy > y else -w
             while y != dy:
-                ports.append(self._port_at(u, d))
+                ports.append(u * 4 + d)
                 y += step
                 u += ustep
         return tuple(ports)
@@ -133,10 +124,6 @@ class _MeshBase(Network):
             head = start + hop_latency
         # head has arrived; the tail needs the serialization time.
         return head + n_flits
-
-    def mesh_port_count(self) -> int:
-        """Ports referenced by some route so far -- for tests."""
-        return sum(self._port_seen)
 
 
 class EMeshPure(_MeshBase):

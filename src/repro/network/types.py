@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 
 #: Destination sentinel meaning "every core on the chip".
@@ -23,13 +22,6 @@ BROADCAST = -1
 CONTROL_MSG_BITS = 88
 #: Bits in a data-carrying message (64 B cache line + header).
 DATA_MSG_BITS = 600
-
-
-class TrafficClass(Enum):
-    """Unicast vs broadcast; determines routing and energy treatment."""
-
-    UNICAST = "unicast"
-    BROADCAST = "broadcast"
 
 
 @dataclass(slots=True)
@@ -66,10 +58,6 @@ class Packet:
             raise ValueError(f"size_bits must be positive, got {self.size_bits}")
         if self.time < 0:
             raise ValueError(f"time must be non-negative, got {self.time}")
-
-    @property
-    def traffic_class(self) -> TrafficClass:
-        return TrafficClass.BROADCAST if self.dst == BROADCAST else TrafficClass.UNICAST
 
     def n_flits(self, flit_bits: int) -> int:
         """Number of flits at the given flit width."""

@@ -47,9 +47,10 @@ accounting``        per-component energies sum to each reported total
 ``livelock``        structured versions of the run-level failures
 ================== ====================================================
 
-The sanitizer costs roughly 2-3x simulation wall-clock when enabled
-and exactly nothing when disabled: an unsanitized system never
-constructs, calls, or branches on any of this (see hooks.py).
+The sanitizer is a probe (:mod:`repro.sim.probes`), the innermost
+one: it costs roughly 2-3x simulation wall-clock when enabled and
+exactly nothing when disabled -- an unsanitized system never imports,
+constructs, calls, or branches on any of this.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from repro.sanitizer.invariants import (
 )
 from repro.sanitizer.violations import InvariantViolation, describe_event
 from repro.sim.eventq import _NO_ARG
+from repro.sim.probes import Probe
 
 #: Shadow-counted NetworkStats fields compared at end of run.
 _SHADOW_KEYS = (
@@ -79,8 +81,10 @@ _SHADOW_KEYS = (
 _RING_DEPTH = 10
 
 
-class Sanitizer:
-    """Attached per-system invariant checker (see module docstring)."""
+class Sanitizer(Probe):
+    """Per-system invariant checker probe (see module docstring)."""
+
+    kind = "sanitizer"
 
     def __init__(self, system) -> None:
         self.system = system
@@ -105,33 +109,21 @@ class Sanitizer:
         self._n_cores = system.topology.n_cores
         self._all_cores = frozenset(range(self._n_cores))
         self._inject_func = type(system)._inject
-        self._deliver_func = type(system)._deliver_broadcast_group
-        self._orig_run = None
-        self._orig_send_msg = None
-        self._orig_net_send = None
-
-    # ------------------------------------------------------------------
-    def attach(self) -> None:
-        """Install every hook on the owning system (idempotence not
-        needed: called exactly once, from ``ManycoreSystem.__init__``)."""
-        system = self.system
-        self._orig_run = system.run
-        self._orig_send_msg = system.send_msg
-        self._orig_net_send = system.network.send
-        system.eventq = SanitizedEventQueue(self)
-        system.send_msg = self._send_msg
-        system.network.send = self._net_send
+        # The caches are not probe seams: their proxies go in here.
         for core, ctrl in system.caches.items():
             inner_l2 = ctrl.l2
             ctrl.l2 = L2CacheProxy(inner_l2, self, core)
             ctrl.l1d = L1CacheProxy(ctrl.l1d, self, core, inner_l2)
-        system.run = self._run
+
+    def event_queue(self) -> SanitizedEventQueue:
+        return SanitizedEventQueue(self)
 
     # ------------------------------------------------------------------
     # Violation plumbing
     # ------------------------------------------------------------------
     def violation(self, invariant: str, message: str,
-                  details: dict | None = None) -> None:
+                  details: dict | None = None,
+                  cause: Exception | None = None) -> None:
         raise InvariantViolation(
             invariant, message,
             time=self.system.eventq.now,
@@ -140,7 +132,7 @@ class Sanitizer:
                 describe_event(t, cb, a) for t, cb, a in self._ring
             ),
             telemetry=self._telemetry_context(),
-        )
+        ) from cause
 
     def _telemetry_context(self) -> dict | None:
         """The co-attached telemetry collector's window/trace tail, when
@@ -152,9 +144,6 @@ class Sanitizer:
             return collector.violation_context()
         except Exception:  # never mask the real violation
             return None
-
-    def record_event(self, time: int, callback, arg) -> None:
-        self._ring.append((time, callback, None if arg is _NO_ARG else arg))
 
     # ------------------------------------------------------------------
     # Event-queue hooks (SanitizedEventQueue)
@@ -168,7 +157,22 @@ class Sanitizer:
             addr = arg[0].address
             self._inflight[addr] = self._inflight.get(addr, 0) + 1
 
-    def on_dispatch(self, time: int, callback, arg) -> None:
+    def dispatch(self, event: tuple, time: int) -> None:
+        """Run one ``(callback, arg)`` event queued by
+        :class:`SanitizedEventQueue`, then audit what it touched."""
+        callback, arg = event
+        ring = self._ring
+        if ring and time < ring[-1][0]:
+            self.violation(
+                "time-travel",
+                f"event at t={time} dispatched after t={ring[-1][0]}",
+                details={"event_time": time, "now": ring[-1][0]},
+            )
+        ring.append((time, callback, None if arg is _NO_ARG else arg))
+        if arg is _NO_ARG:
+            callback(time)
+        else:
+            callback(arg, time)
         if arg.__class__ is CoherenceMsg:
             self._consume_inflight(arg.address)
             if getattr(callback, "__func__", None) is not self._inject_func:
@@ -214,9 +218,9 @@ class Sanitizer:
             table[addr] = n
 
     # ------------------------------------------------------------------
-    # send_msg hook (fabric level)
+    # Message-send seam
     # ------------------------------------------------------------------
-    def _send_msg(self, msg: CoherenceMsg, time: int) -> None:
+    def send_msg(self, inner, msg: CoherenceMsg, time: int) -> None:
         mt = msg.mtype
         if mt is MsgType.SH_REQ or mt is MsgType.EX_REQ:
             self._open_txn[msg.address] = self._open_txn.get(msg.address, 0) + 1
@@ -224,7 +228,7 @@ class Sanitizer:
             self._wb_open[msg.address] = self._wb_open.get(msg.address, 0) + 1
         elif mt is MsgType.INV_BCAST:
             self._check_broadcast_send(msg)
-        self._orig_send_msg(msg, time)
+        inner(msg, time)
 
     def _check_broadcast_send(self, msg: CoherenceMsg) -> None:
         system = self.system
@@ -275,13 +279,13 @@ class Sanitizer:
                 )
 
     # ------------------------------------------------------------------
-    # network.send hook
+    # Network-send seam
     # ------------------------------------------------------------------
-    def _net_send(self, pkt):
+    def net_send(self, inner, pkt):
         t = pkt.time
         src = pkt.src
         dst = pkt.dst
-        deliveries = self._orig_net_send(pkt)
+        deliveries = inner(pkt)
         n_flits = self.system.network._n_flits_cache[pkt.size_bits]
         sh = self._shadow
         sh["packets_sent"] += 1
@@ -411,12 +415,12 @@ class Sanitizer:
             )
 
     # ------------------------------------------------------------------
-    # Run wrapper + end-of-run checks
+    # Run seam + end-of-run checks
     # ------------------------------------------------------------------
-    def _run(self, traces, app: str = "workload",
-             max_events: int | None = None):
+    def run(self, inner, traces, app: str = "workload",
+            max_events: int | None = None):
         try:
-            result = self._orig_run(traces, app=app, max_events=max_events)
+            result = inner(traces, app=app, max_events=max_events)
         except InvariantViolation:
             raise
         except RuntimeError as exc:
@@ -427,15 +431,7 @@ class Sanitizer:
                 kind = "livelock"
             else:
                 raise
-            raise InvariantViolation(
-                kind, text,
-                time=self.system.eventq.now,
-                details=self._stuck_details(),
-                events=tuple(
-                    describe_event(t, cb, a) for t, cb, a in self._ring
-                ),
-                telemetry=self._telemetry_context(),
-            ) from exc
+            self.violation(kind, text, self._stuck_details(), cause=exc)
         self.check_end_of_run(result)
         return result
 

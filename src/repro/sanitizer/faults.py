@@ -10,12 +10,15 @@ real classes of bugs -- the fuzzer's ``--inject`` mode and
 Every injector returns a small state dict whose ``"fired"`` entry
 records whether the fault actually triggered during the run; a fuzz
 case where the fault never fires is simply uninteresting, not a miss.
+Injectors that corrupt a seam are ``fault`` probes
+(:mod:`repro.sim.probes`), stacked outside the sanitizer and telemetry.
 """
 
 from __future__ import annotations
 
 from repro.coherence.messages import CoherenceMsg, MsgType
 from repro.network.engine import PortResource
+from repro.sim.probes import Probe, install
 
 #: Injectable fault names (CLI vocabulary).
 FAULTS = ("drop-ack", "stale-sharer", "double-reserve")
@@ -24,14 +27,16 @@ FAULTS = ("drop-ack", "stale-sharer", "double-reserve")
 def inject_fault(system, fault: str, nth: int = 1) -> dict:
     """Arm ``fault`` on ``system``; returns its mutable state dict.
 
-    Must be called after construction (and after the sanitizer attach,
-    which happens inside ``ManycoreSystem.__init__``) and before
-    ``run()``.  ``nth`` selects which opportunity triggers (1-based).
+    Must be called after construction (which installs the sanitizer and
+    telemetry probes) and before ``run()``.  ``nth`` selects which
+    opportunity triggers (1-based).
     """
     if nth < 1:
         raise ValueError(f"nth must be >= 1, got {nth}")
     if fault == "drop-ack":
-        return _drop_ack(system, nth)
+        probe = _DropAck(nth)
+        install(system, probe)
+        return probe.state
     if fault == "stale-sharer":
         return _stale_sharer(system, nth)
     if fault == "double-reserve":
@@ -39,7 +44,7 @@ def inject_fault(system, fault: str, nth: int = 1) -> dict:
     raise ValueError(f"unknown fault {fault!r}; choose from {FAULTS}")
 
 
-def _drop_ack(system, nth: int) -> dict:
+class _DropAck(Probe):
     """Silently drop the nth INV_ACK at the fabric boundary.
 
     Models a lost acknowledgement: the home's transaction never
@@ -47,19 +52,21 @@ def _drop_ack(system, nth: int) -> dict:
     which the sanitizer reports as a structured ``deadlock`` violation
     with the stuck transaction's state attached.
     """
-    state = {"fault": "drop-ack", "seen": 0, "fired": False}
-    orig = system.send_msg
 
-    def send_msg(msg: CoherenceMsg, time: int) -> None:
+    kind = "fault"
+
+    def __init__(self, nth: int) -> None:
+        self.state = {"fault": "drop-ack", "seen": 0, "fired": False}
+        self.nth = nth
+
+    def send_msg(self, inner, msg: CoherenceMsg, time: int) -> None:
+        state = self.state
         if msg.mtype is MsgType.INV_ACK and not state["fired"]:
             state["seen"] += 1
-            if state["seen"] == nth:
+            if state["seen"] == self.nth:
                 state["fired"] = True
                 return  # dropped on the wire
-        orig(msg, time)
-
-    system.send_msg = send_msg
-    return state
+        inner(msg, time)
 
 
 def _stale_sharer(system, nth: int) -> dict:
@@ -114,6 +121,22 @@ class _DoubleReservedPort(PortResource):
         return start
 
 
+class _MeshDoubleReserve(Probe):
+    """Credit a mesh's port 0 with a phantom span on the first send."""
+
+    kind = "fault"
+
+    def __init__(self, state: dict, busy: list[int]) -> None:
+        self.state = state
+        self.busy = busy
+
+    def net_send(self, inner, pkt):
+        if not self.state["fired"]:
+            self.state["fired"] = True
+            self.busy[0] += 1_000_000
+        return inner(pkt)
+
+
 def _double_reserve(system) -> dict:
     """Break one network port's reservation discipline.
 
@@ -129,16 +152,5 @@ def _double_reserve(system) -> dict:
     if receive_nets:
         receive_nets[0]._ports[0] = _DoubleReservedPort(state)
     else:
-        # The meshes keep flat counter arrays, not port objects, so the
-        # equivalent corruption is applied at the send boundary: the
-        # first packet's span is credited to port 0 twice.
-        orig = network.send
-
-        def send(pkt):
-            if not state["fired"]:
-                state["fired"] = True
-                network._busy[0] += 1_000_000
-            return orig(pkt)
-
-        network.send = send
+        install(system, _MeshDoubleReserve(state, network._busy))
     return state

@@ -7,9 +7,9 @@ perf harness' ``--check`` gate holds this to <1.1x of the recorded
 baseline).
 
 * :class:`SanitizedEventQueue` -- drop-in :class:`EventQueue` that
+  routes every schedule and dispatch through the sanitizer, which
   keeps a ring buffer of dispatched events, enforces monotonic
-  simulation time, and calls back into the sanitizer around every
-  schedule/dispatch so messages can be tracked in flight.
+  simulation time and tracks messages in flight.
 * :class:`L2CacheProxy` / :class:`L1CacheProxy` -- transparent wrappers
   around :class:`~repro.coherence.cache.SetAssocCache` that report
   every state change, letting the sanitizer maintain a cross-cache
@@ -26,12 +26,14 @@ from repro.sim.eventq import _NO_ARG, EventQueue
 
 
 class SanitizedEventQueue(EventQueue):
-    """Event queue with dispatch tracing and in-flight accounting.
+    """Event queue that hands every event to the sanitizer.
 
-    Behaviourally identical to :class:`EventQueue` -- same
-    ``(time, seq)`` tie-breaking, same ``max_events`` semantics -- so a
-    sanitized run produces byte-identical results to an unsanitized
-    one (``tests/sanitizer`` locks this in).
+    Only ``schedule`` differs from :class:`EventQueue`: each event is
+    queued as ``(sanitizer.dispatch, (callback, arg))``, one heap entry
+    and one sequence number as before, so the inherited ``run`` drains
+    it with the same ``(time, seq)`` tie-breaking and ``max_events``
+    semantics and a sanitized run stays byte-identical to an
+    unsanitized one (``tests/sanitizer`` locks this in).
     """
 
     __slots__ = ("_san",)
@@ -43,43 +45,9 @@ class SanitizedEventQueue(EventQueue):
     def schedule(
         self, time: int, callback: Callable, arg: Any = _NO_ARG
     ) -> None:
-        super().schedule(time, callback, arg)
+        super().schedule(time, self._san.dispatch, (callback, arg))
         if arg is not _NO_ARG:
             self._san.on_schedule(time, callback, arg)
-
-    def run(self, max_events: int | None = None) -> int:
-        import heapq
-
-        san = self._san
-        heap = self._heap
-        no_arg = _NO_ARG
-        heappop = heapq.heappop
-        processed = 0
-        try:
-            while heap:
-                time, _, callback, arg = heappop(heap)
-                if time < self.now:
-                    san.violation(
-                        "time-travel",
-                        f"event at t={time} dispatched after t={self.now}",
-                        details={"event_time": time, "now": self.now},
-                    )
-                self.now = time
-                san.record_event(time, callback, arg)
-                if arg is no_arg:
-                    callback(time)
-                else:
-                    callback(arg, time)
-                san.on_dispatch(time, callback, arg)
-                processed += 1
-                if max_events is not None and processed > max_events:
-                    raise RuntimeError(
-                        f"event budget exceeded ({max_events}); "
-                        "possible protocol livelock"
-                    )
-        finally:
-            self.events_processed += processed
-        return self.now
 
 
 class _CacheProxy:

@@ -10,9 +10,9 @@ uses, with the network as the serialization point.
 
 from __future__ import annotations
 
-import os
 from dataclasses import fields
 
+from repro import env_flag
 from repro.coherence.directory import DirectoryController, Protocol
 from repro.coherence.l2controller import CacheCounters, L2Controller
 from repro.coherence.memory import MemoryController, MemoryTiming
@@ -24,6 +24,7 @@ from repro.sim.barrier import BarrierManager
 from repro.sim.config import SystemConfig, make_network
 from repro.sim.core_model import CoreModel
 from repro.sim.eventq import EventQueue
+from repro.sim.probes import end_run, install, start_run
 from repro.sim.results import RunResult
 from repro.workloads.trace import CoreTrace
 
@@ -62,8 +63,13 @@ class ManycoreSystem:
     Accepts ``True``/``False``, a
     :class:`~repro.telemetry.collector.TelemetryConfig` (to control the
     window length and output directory), or ``None`` to defer to the
-    ``REPRO_TELEMETRY`` environment variable.  Like the sanitizer it
-    costs exactly nothing -- not even an import -- when off.
+    ``REPRO_TELEMETRY`` environment variable.
+
+    Both observers are probes (:mod:`repro.sim.probes`, DESIGN.md
+    section 13), installed in ``probes.ORDER``: sanitizer innermost,
+    telemetry around it; fault injectors armed after construction go
+    outermost.  With both off, nothing is imported or installed, and
+    every seam is this class's own method.
     """
 
     def __init__(self, config: SystemConfig, batch_broadcasts: bool = True,
@@ -140,40 +146,30 @@ class ManycoreSystem:
         # Reused injection packet (see _inject).
         self._pkt = Packet(src=0, dst=0, size_bits=1, time=0)
 
+        #: Installed observers, innermost first (see repro.sim.probes).
+        self.probes: tuple = ()
         if sanitize is None:
-            sanitize = os.environ.get(
-                "REPRO_SANITIZE", "0"
-            ).lower() in ("1", "true", "on")
-        self.sanitize = sanitize
-        self.sanitizer = None
+            sanitize = env_flag("REPRO_SANITIZE")
         if sanitize:
-            # Imported only when enabled: the sanitizer costs nothing --
-            # not even an import -- on unsanitized runs.
+            # Imported only when enabled: a plain run never imports
+            # the sanitizer or the telemetry package.
             from repro.sanitizer.core import Sanitizer
 
-            self.sanitizer = Sanitizer(self)
-            self.sanitizer.attach()
+            install(self, Sanitizer(self))
 
         if telemetry is None:
-            telemetry = os.environ.get(
-                "REPRO_TELEMETRY", "0"
-            ).lower() in ("1", "true", "on")
+            telemetry = env_flag("REPRO_TELEMETRY")
         self.telemetry = None
         if telemetry:
-            # Imported only when enabled (same zero-cost-off contract as
-            # the sanitizer).  Attached *after* the sanitizer so the
-            # telemetry hooks wrap -- and observe -- the sanitized
-            # fabric rather than being audited by it.
             from repro.telemetry.collector import (
                 TelemetryCollector, TelemetryConfig,
             )
 
-            cfg = (
-                telemetry if isinstance(telemetry, TelemetryConfig)
-                else TelemetryConfig()
+            self.telemetry = TelemetryCollector(
+                self, telemetry if isinstance(telemetry, TelemetryConfig)
+                else None,
             )
-            self.telemetry = TelemetryCollector(self, cfg)
-            self.telemetry.attach()
+            install(self, self.telemetry)
 
     # ------------------------------------------------------------------
     # Fabric interface used by the coherence controllers
@@ -302,11 +298,7 @@ class ManycoreSystem:
             )
             self.cores[core] = cm
             cm.start()
-        telemetry = self.telemetry
-        if telemetry is not None:
-            # Explicit notification (not a wrapper around run): the
-            # barrier manager and core models only exist from here on.
-            telemetry.on_run_start()
+        start_run(self)
         self.eventq.run(max_events=max_events)
         not_done = [c for c, cm in self.cores.items() if not cm.done]
         if not_done:
@@ -315,8 +307,7 @@ class ManycoreSystem:
                 f"(e.g. core {not_done[0]}); event queue drained"
             )
         result = self._collect(app)
-        if telemetry is not None:
-            telemetry.on_run_end(result)
+        end_run(self, result)
         return result
 
     def _collect(self, app: str) -> RunResult:

@@ -6,10 +6,11 @@ The observability layer of DESIGN.md section 12.  Three pieces:
   (every energy-priced counter, per fixed slice of simulated time);
 * :mod:`repro.telemetry.trace` -- a bounded ring-buffer event trace
   with Chrome/Perfetto trace-event export;
-* :mod:`repro.telemetry.collector` -- the attachment machinery,
-  mirroring the sanitizer's opt-in pattern: ``RunSpec(telemetry=True)``,
-  ``repro --telemetry``, or ``REPRO_TELEMETRY=1``; exactly zero cost
-  (not even an import) when off, byte-identical simulation when on.
+* :mod:`repro.telemetry.collector` -- the collector probe
+  (:mod:`repro.sim.probes`), opt-in like the sanitizer:
+  ``RunSpec(telemetry=True)``, ``repro --telemetry``, or
+  ``REPRO_TELEMETRY=1``; exactly zero cost (not even an import) when
+  off, byte-identical simulation when on.
 
 ``repro trace <run>`` and ``repro top <run>``
 (:mod:`repro.telemetry.inspect`) read the artifacts back.
@@ -34,15 +35,9 @@ __all__ = [
     "TelemetryConfig",
     "TraceBuffer",
     "WINDOW_SCHEMA",
-    "telemetry_requested",
     "telemetry_root",
     "to_perfetto",
 ]
-
-
-def telemetry_requested() -> bool:
-    """Whether ``REPRO_TELEMETRY`` asks for telemetry (call-time read)."""
-    return os.environ.get("REPRO_TELEMETRY", "0").lower() in ("1", "true", "on")
 
 
 def telemetry_root() -> Path:

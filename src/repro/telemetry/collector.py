@@ -1,27 +1,27 @@
 """The telemetry collector: opt-in, zero-cost-when-off instrumentation.
 
-Mirrors the sanitizer's activation pattern (DESIGN.md section 10): a
-collector is constructed only when telemetry is requested
+The collector is a probe (:mod:`repro.sim.probes`, DESIGN.md section
+13) constructed only when telemetry is requested
 (``ManycoreSystem(config, telemetry=...)``, ``RunSpec(telemetry=True)``,
 ``repro --telemetry`` or ``REPRO_TELEMETRY=1``), so a plain run never
-imports, branches on, or calls any of this.
+imports, branches on, or calls any of this.  It sits outside the
+sanitizer, so it records the sanitized fabric without being audited by
+it.  Its seams are observational only:
 
-Attachment is observational only:
-
-* ``system.send_msg`` is wrapped to assign coherence transaction ids
-  (stamped onto ``CoherenceMsg.txn``) and record begin/end trace events;
-* ``system.network.send`` is wrapped to record packet slices and ONet
-  laser mode transitions (derived by differencing the transition
-  counter around the wrapped call -- ``AdaptiveSWMRLink`` has
-  ``__slots__``, so its methods cannot be instance-patched);
-* ``BarrierManager.arrive`` is wrapped at run start (the manager is
-  created inside ``run()``) to record barrier slices;
-* windowed counter snapshots ride the event queue itself as periodic
-  *heartbeat* events that only read state and reschedule themselves
-  while the queue is non-empty -- no ``EventQueue`` subclass, so
-  telemetry composes with the sanitizer's queue wrapper and the
-  simulation stays byte-identical (heartbeats shift event sequence
-  numbers uniformly, preserving every tie-break between real events).
+* message send: assigns coherence transaction ids (stamped onto
+  ``CoherenceMsg.txn``) and records begin/end trace events;
+* network send: records packet slices and ONet laser mode transitions
+  (derived by differencing the transition counter around the inner
+  call -- ``AdaptiveSWMRLink`` has ``__slots__``, so its methods cannot
+  be instance-patched);
+* barrier arrive: records barrier slices;
+* run start/end: windowed counter snapshots ride the event queue
+  itself as periodic *heartbeat* events that only read state and
+  reschedule themselves while the queue is non-empty -- no
+  ``EventQueue`` subclass, so telemetry composes with the sanitizer's
+  queue and the simulation stays byte-identical (heartbeats shift
+  event sequence numbers uniformly, preserving every tie-break between
+  real events); run end closes the last window and persists.
 
 Byte-identity with telemetry on is pinned by
 ``tests/telemetry/test_telemetry.py`` and the golden-number suite.
@@ -36,6 +36,7 @@ from pathlib import Path
 
 from repro.coherence.messages import MsgType
 from repro.network.types import BROADCAST
+from repro.sim.probes import Probe
 from repro.telemetry.trace import (
     DEFAULT_TRACE_DEPTH,
     TRACE_SCHEMA_VERSION,
@@ -87,8 +88,10 @@ class TelemetryConfig:
     trace_depth: int | None = None
 
 
-class TelemetryCollector:
-    """Attached per-system metrics/trace recorder (see module docstring)."""
+class TelemetryCollector(Probe):
+    """Per-system metrics/trace recorder probe (see module docstring)."""
+
+    kind = "telemetry"
 
     def __init__(self, system, config: TelemetryConfig | None = None) -> None:
         self.system = system
@@ -110,9 +113,6 @@ class TelemetryCollector:
         #: closed window records, oldest first.
         self.windows: list[dict] = []
         self._prev_snapshot = None
-        self._orig_send_msg = None
-        self._orig_net_send = None
-        self._orig_arrive = None
         #: (requester core, address) -> open transaction id
         self._open_txns: dict[tuple[int, int], int] = {}
         self._next_txn = 1
@@ -122,20 +122,9 @@ class TelemetryCollector:
         self.out_path: Path | None = None
 
     # ------------------------------------------------------------------
-    # attachment (ManycoreSystem.__init__, after the sanitizer so the
-    # hooks wrap -- and therefore observe -- the sanitized fabric)
+    # fabric seams
     # ------------------------------------------------------------------
-    def attach(self) -> None:
-        system = self.system
-        self._orig_send_msg = system.send_msg
-        self._orig_net_send = system.network.send
-        system.send_msg = self._send_msg
-        system.network.send = self._net_send
-
-    # ------------------------------------------------------------------
-    # fabric hooks
-    # ------------------------------------------------------------------
-    def _send_msg(self, msg, time: int) -> None:
+    def send_msg(self, inner, msg, time: int) -> None:
         now = self.system.eventq.now
         ts = time if time > now else now
         mt = msg.mtype
@@ -156,15 +145,15 @@ class TelemetryCollector:
                     "txn_end", ts, 0, f"{mt.name} @{msg.address}", tid,
                     {"core": msg.dest, "address": msg.address},
                 )
-        self._orig_send_msg(msg, time)
+        inner(msg, time)
 
-    def _net_send(self, pkt):
+    def net_send(self, inner, pkt):
         # The injection packet is pooled (refilled per protocol message),
         # so its fields are read within this call and never retained.
         src, dst, ts = pkt.src, pkt.dst, pkt.time
         stats = self.system.network.stats
         transitions_before = stats.onet_mode_transitions
-        deliveries = self._orig_net_send(pkt)
+        deliveries = inner(pkt)
         transitions = stats.onet_mode_transitions - transitions_before
         if transitions:
             cluster_of = getattr(self.system.network, "_cluster_of_core", None)
@@ -191,7 +180,7 @@ class TelemetryCollector:
             )
         return deliveries
 
-    def _arrive(self, barrier_id: int, now: int, resume) -> None:
+    def arrive(self, inner, barrier_id: int, now: int, resume) -> None:
         barriers = self.system.barriers
         if barrier_id not in self._barrier_first:
             self._barrier_first[barrier_id] = now
@@ -199,7 +188,7 @@ class TelemetryCollector:
         elif now > self._barrier_latest[barrier_id]:
             self._barrier_latest[barrier_id] = now
         completed_before = barriers.barriers_completed
-        self._orig_arrive(barrier_id, now, resume)
+        inner(barrier_id, now, resume)
         if barriers.barriers_completed != completed_before:
             t0 = self._barrier_first.pop(barrier_id)
             t1 = self._barrier_latest.pop(barrier_id) + barriers.release_latency
@@ -209,15 +198,11 @@ class TelemetryCollector:
             )
 
     # ------------------------------------------------------------------
-    # run lifecycle (explicit notifications from ManycoreSystem.run --
-    # the barrier manager and core models only exist from run() on)
+    # run lifecycle
     # ------------------------------------------------------------------
-    def on_run_start(self) -> None:
-        system = self.system
-        self._orig_arrive = system.barriers.arrive
-        system.barriers.arrive = self._arrive
-        eventq = system.eventq
-        self._prev_snapshot = take_snapshot(system, eventq.now)
+    def run_start(self) -> None:
+        eventq = self.system.eventq
+        self._prev_snapshot = take_snapshot(self.system, eventq.now)
         eventq.schedule(eventq.now + self.window_cycles, self._heartbeat)
 
     def _heartbeat(self, now: int) -> None:
@@ -237,7 +222,7 @@ class TelemetryCollector:
         if len(system.eventq) > 0:
             system.eventq.schedule(now + self.window_cycles, self._heartbeat)
 
-    def on_run_end(self, result) -> None:
+    def run_end(self, result) -> None:
         """Close the final partial window, price windows, persist."""
         self.result = result
         system = self.system

@@ -13,16 +13,22 @@ simulations total).  It backs three of this package's contracts:
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from repro.network.registry import REGISTRY
 from repro.sim.system import ManycoreSystem
-from repro.telemetry.collector import TelemetryCollector, TelemetryConfig
+from repro.telemetry.collector import TelemetryConfig
 from repro.telemetry.trace import TraceBuffer, to_perfetto
 from repro.telemetry.windows import NET_FIELDS
 from repro.workloads.splash import APP_PROFILES, generate_traces
 
+SRC = Path(__file__).resolve().parents[2] / "src"
 APP = "radix"
 MESH_WIDTH = 8
 SCALE = 0.3
@@ -222,6 +228,26 @@ class TestViolationContext:
         assert "telemetry:" in str(violation)
         assert "telemetry" in violation.to_dict()
 
+    def test_probes_stack_sanitizer_telemetry_fault(self):
+        from repro.sanitizer.faults import inject_fault
+        from repro.sanitizer.fuzz import case_config
+        from repro.sim.probes import ORDER, install
+
+        system = ManycoreSystem(
+            case_config(_droppable_case()), sanitize=True,
+            telemetry=TelemetryConfig(),
+        )
+        inject_fault(system, "drop-ack")
+        assert tuple(p.kind for p in system.probes) == ORDER
+        # the outermost probe sees a message first
+        send = system.send_msg
+        for probe in reversed(system.probes):
+            assert send.func == probe.send_msg
+            send = send.args[0]
+        assert send.__func__ is ManycoreSystem.send_msg
+        with pytest.raises(ValueError, match="cannot go outside"):
+            install(system, system.telemetry)
+
     def test_violation_without_telemetry_has_none(self):
         from repro.sanitizer import InvariantViolation
         from repro.sanitizer.faults import inject_fault
@@ -266,10 +292,39 @@ class TestConfigKnobs:
         with pytest.raises(ValueError):
             default_window_cycles()
 
-    def test_off_by_default_and_costless(self):
-        system, _ = _run("emesh-pure")
-        assert system.telemetry is None
-        collector_hooks = (
-            TelemetryCollector._send_msg, TelemetryCollector._net_send,
+    def test_off_by_default_is_zero_cost(self):
+        """With no flag and no ``REPRO_*`` variable, a run imports no
+        observer package and every seam is the class's own."""
+        script = textwrap.dedent("""
+            import sys
+            from repro.experiments.common import make_config
+            from repro.sim.eventq import EventQueue
+            from repro.sim.system import ManycoreSystem
+            from repro.workloads.splash import APP_PROFILES, generate_traces
+
+            config = make_config("emesh-pure", 4)
+            system = ManycoreSystem(config)
+            traces = generate_traces(
+                APP_PROFILES["radix"], system.topology,
+                l2_lines=config.l2_sets * config.l2_ways, scale=0.1, seed=42,
+            )
+            assert system.run(traces, app="radix").total_instructions > 0
+            loaded = [m for m in sys.modules
+                      if m.startswith(("repro.sanitizer", "repro.telemetry"))]
+            assert not loaded, loaded
+            assert system.probes == ()
+            assert system.send_msg.__func__ is ManycoreSystem.send_msg
+            network = system.network
+            assert network.send.__func__ is type(network).send
+            assert type(system.eventq) is EventQueue
+        """)
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(SRC), env.get("PYTHONPATH")))
         )
-        assert system.send_msg.__func__ not in collector_hooks
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr

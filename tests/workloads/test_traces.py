@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.network.atac import AtacNetwork
 from repro.network.mesh import EMeshPure
+from repro.network.routing import DistanceRouting
 from repro.network.topology import MeshTopology
 from repro.network.types import BROADCAST
 from repro.workloads.synthetic import SyntheticTraffic, run_load_point
@@ -118,6 +120,17 @@ class TestRunLoadPoint:
             pt = run_load_point(net, traffic, cycles=700, warmup_cycles=100)
             latencies.append(pt.mean_latency)
         assert latencies == sorted(latencies)
+
+    def test_optical_counters_survive_warmup_reset(self):
+        """The ONet links and StarNets share the network's counter
+        bundle, so after the warm-up reset they keep counting into the
+        bundle ``network.stats`` reads."""
+        topo = MeshTopology(width=8, cluster_width=4)
+        net = AtacNetwork(topo, routing=DistanceRouting(0))
+        traffic = SyntheticTraffic(64, load=0.05, broadcast_fraction=0.0, seed=1)
+        run_load_point(net, traffic, cycles=600, warmup_cycles=100)
+        assert net.stats.onet_unicasts > 0
+        assert net.stats.receive_net_unicast_flits > 0
 
     def test_warmup_validation(self):
         topo = MeshTopology(width=8, cluster_width=4)
