@@ -12,7 +12,6 @@ Usage::
     python -m repro run --apps barnes --profile   # cProfile the simulator
     python -m repro run --apps barnes --sanitize  # runtime invariant checking
     python -m repro sweep --jobs 4       # (apps x networks) design sweep
-    python -m repro bench --check        # perf-regression harness
     python -m repro fuzz --budget 120s   # differential invariant fuzzer
     python -m repro run --apps radix --telemetry   # record windows + trace
     python -m repro top latest           # windowed time-series table
@@ -231,14 +230,9 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "bench":
-        # bench has its own flag set (reps/check/regression threshold),
-        # so it parses its own argv instead of sharing the main parser.
-        from repro.experiments.bench import main as bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "fuzz":
-        # fuzz likewise owns its flags (budget/seed/fault injection).
+        # fuzz owns its flags (budget/seed/fault injection), so it
+        # parses its own argv instead of sharing the main parser.
         from repro.sanitizer.fuzz import main as fuzz_main
 
         return fuzz_main(argv[1:])
@@ -293,7 +287,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {name}")
         print("  run    (explicit app/network batch through the runner)")
         print("  sweep  (apps x networks design sweep through the runner)")
-        print("  bench  (perf-regression harness; see 'bench --help')")
         print("  fuzz   (differential invariant fuzzer; see 'fuzz --help')")
         print("  top    (windowed telemetry time series; see 'top --help')")
         print("  trace  (export a recorded run as Perfetto JSON)")

@@ -12,7 +12,3 @@ Scale knobs (shared via :mod:`repro.experiments.common`):
 See DESIGN.md section 5 for the experiment index and EXPERIMENTS.md for
 recorded paper-vs-measured numbers.
 """
-
-from repro.experiments import common
-
-__all__ = ["common"]

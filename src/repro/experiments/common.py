@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 
+from repro.experiments.report import format_table
 from repro.experiments.runner import Runner, default_jobs, run_specs
 from repro.experiments.runspec import CACHE_SCHEMA_VERSION, LoadPointSpec, RunSpec
 from repro.experiments.store import ResultStore, cache_enabled
@@ -80,16 +81,3 @@ def make_config(
 def run_app(app: str, **overrides) -> RunResult:
     """Simulate one application on one architecture (store-cached)."""
     return Runner(jobs=1, progress=False).run_one(spec_for(app, **overrides))
-
-
-def format_table(rows: list[dict], columns: list[str]) -> str:
-    """Plain-text table used by every experiment's CLI output."""
-    widths = {
-        c: max(len(c), *(len(str(r.get(c, ""))) for r in rows)) if rows else len(c)
-        for c in columns
-    }
-    header = "  ".join(c.ljust(widths[c]) for c in columns)
-    lines = [header, "-" * len(header)]
-    for r in rows:
-        lines.append("  ".join(str(r.get(c, "")).ljust(widths[c]) for c in columns))
-    return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""Plain-text (ASCII) rendering of the paper's figures.
+"""Plain-text (ASCII) rendering of the paper's figures and tables.
 
 The environment has no plotting stack, so experiment drivers render
 bar charts and curves as text: good enough to eyeball every shape the
@@ -6,6 +6,19 @@ paper's figures show, and diff-able in EXPERIMENTS.md.
 """
 
 from __future__ import annotations
+
+
+def format_table(rows: list[dict], columns: list[str]) -> str:
+    """Plain-text table used by every experiment's CLI output."""
+    widths = {
+        c: max(len(c), *(len(str(r.get(c, ""))) for r in rows)) if rows else len(c)
+        for c in columns
+    }
+    header = "  ".join(c.ljust(widths[c]) for c in columns)
+    lines = [header, "-" * len(header)]
+    for r in rows:
+        lines.append("  ".join(str(r.get(c, "")).ljust(widths[c]) for c in columns))
+    return "\n".join(lines)
 
 
 def bar_chart(

@@ -7,9 +7,8 @@ logger so that
 
 * verbosity is controlled in exactly one place (``--quiet`` / ``-v`` on
   the CLI, or ``REPRO_LOG=debug|info|warning|error|silent``),
-* every line carries its subsystem (``[repro.runner] ...``) and any
-  ambient run context (run id, spec label) as ``key=value`` pairs that
-  are trivially greppable, and
+* every line carries its subsystem (``[repro.runner] ...``) and its
+  fields as ``key=value`` pairs that are trivially greppable, and
 * libraries stay import-light: no handlers, no configuration objects,
   no stdlib ``logging`` tree -- a logger is a name and four methods.
 
@@ -20,9 +19,6 @@ Usage::
     _LOG = log.get_logger("runner")
     _LOG.info("run complete", run=h[:10], elapsed_s=12.4)
 
-    with log.context(run=spec.content_hash()[:10]):
-        ...  # every line emitted in here carries run=...
-
 Levels resolve lazily at emit time, so a CLI flag parsed after import
 still takes effect.  Output goes to stderr (stdout is reserved for the
 experiments' tables and machine-readable output).
@@ -32,7 +28,6 @@ from __future__ import annotations
 
 import os
 import sys
-from contextlib import contextmanager
 
 DEBUG = 10
 INFO = 20
@@ -50,8 +45,6 @@ _LEVEL_NAMES = {
 
 #: Explicitly-set level; ``None`` defers to ``REPRO_LOG`` at emit time.
 _level: int | None = None
-#: Ambient key=value pairs appended to every line (see :func:`context`).
-_context: dict = {}
 _loggers: dict[str, "Logger"] = {}
 
 
@@ -91,18 +84,6 @@ def set_verbosity(verbose: int = 0, quiet: bool = False) -> None:
         set_level(None)
 
 
-@contextmanager
-def context(**fields):
-    """Ambient fields appended to every line inside the ``with`` block."""
-    global _context
-    saved = _context
-    _context = {**saved, **fields}
-    try:
-        yield
-    finally:
-        _context = saved
-
-
 def _format_value(value) -> str:
     if isinstance(value, float):
         return f"{value:.4g}"
@@ -125,9 +106,7 @@ class Logger:
         if threshold < level():
             return
         parts = [f"[repro.{self.name}]", message]
-        merged = {**_context, **fields} if (_context or fields) else None
-        if merged:
-            parts.extend(f"{k}={_format_value(v)}" for k, v in merged.items())
+        parts.extend(f"{k}={_format_value(v)}" for k, v in fields.items())
         print(" ".join(parts), file=sys.stderr, flush=True)
 
     def debug(self, message: str, **fields) -> None:

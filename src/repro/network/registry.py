@@ -93,8 +93,6 @@ class NetworkDescriptor:
     #: carries traffic on photonic hardware (drives the optical energy
     #: wedges and the laser/ring accounting).
     optical: bool = False
-    #: broadcasts are delivered natively (vs. N-1 serialized unicasts).
-    native_broadcast: bool = True
     #: has cluster hubs + receive networks (hub/receive-net wedges).
     clustered: bool = False
     #: receive-net kinds the config may select for this network.
@@ -417,7 +415,6 @@ register(NetworkDescriptor(
     display_name="EMesh-Pure",
     summary="electrical mesh; broadcasts become N-1 serialized unicasts",
     build=_build_emesh_pure,
-    native_broadcast=False,
     axes=frozenset({"runtime"}),
 ))
 

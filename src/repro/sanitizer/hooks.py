@@ -3,8 +3,8 @@
 Everything here exists only inside a sanitized system: an unsanitized
 :class:`~repro.sim.system.ManycoreSystem` never constructs these
 objects, so the sanitizer's cost is strictly zero when disabled (the
-perf harness' ``--check`` gate holds this to <1.1x of the recorded
-baseline).
+repo benchmark, ``perfbench/``, fails any untraced run that imports
+``repro.sanitizer``).
 
 * :class:`SanitizedEventQueue` -- drop-in :class:`EventQueue` that
   routes every schedule and dispatch through the sanitizer, which

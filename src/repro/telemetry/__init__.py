@@ -15,8 +15,9 @@ The observability layer of DESIGN.md section 12.  Three pieces:
 ``repro trace <run>`` and ``repro top <run>``
 (:mod:`repro.telemetry.inspect`) read the artifacts back.
 
-This package root stays import-light on purpose: the inspection CLI
-must list runs without dragging in the simulator.
+This package root stays import-light on purpose (it imports none of
+its submodules): the inspection CLI must list runs without dragging in
+the simulator.
 """
 
 from __future__ import annotations
@@ -24,20 +25,10 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from repro.telemetry.collector import TelemetryCollector, TelemetryConfig
-from repro.telemetry.trace import TRACE_SCHEMA_VERSION, TraceBuffer, to_perfetto
-from repro.telemetry.windows import TELEMETRY_SCHEMA_VERSION, WINDOW_SCHEMA
-
-__all__ = [
-    "TELEMETRY_SCHEMA_VERSION",
-    "TRACE_SCHEMA_VERSION",
-    "TelemetryCollector",
-    "TelemetryConfig",
-    "TraceBuffer",
-    "WINDOW_SCHEMA",
-    "telemetry_root",
-    "to_perfetto",
-]
+#: Bump when the window record layout or field meaning changes; readers
+#: (``repro top``, CI artifact consumers) check it before trusting a
+#: ``windows.jsonl`` header.
+TELEMETRY_SCHEMA_VERSION = 1
 
 
 def telemetry_root() -> Path:

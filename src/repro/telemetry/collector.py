@@ -30,13 +30,14 @@ Byte-identity with telemetry on is pinned by
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro import env_int
 from repro.coherence.messages import MsgType
 from repro.network.types import BROADCAST
 from repro.sim.probes import Probe
+from repro.telemetry import TELEMETRY_SCHEMA_VERSION
 from repro.telemetry.trace import (
     DEFAULT_TRACE_DEPTH,
     TRACE_SCHEMA_VERSION,
@@ -45,9 +46,8 @@ from repro.telemetry.trace import (
     trace_header,
 )
 from repro.telemetry.windows import (
-    TELEMETRY_SCHEMA_VERSION,
+    DEFAULT_WINDOW_CYCLES,
     attach_window_energy,
-    default_window_cycles,
     take_snapshot,
     window_between,
     windows_header,
@@ -57,16 +57,6 @@ from repro.telemetry.windows import (
 #: leaving the L2, end on the data reply leaving the home directory).
 _TXN_OPEN = (MsgType.SH_REQ, MsgType.EX_REQ)
 _TXN_CLOSE = (MsgType.SH_REP, MsgType.EX_REP)
-
-
-def default_trace_depth() -> int:
-    """``REPRO_TELEMETRY_TRACE_DEPTH`` override, read at call time."""
-    value = int(
-        os.environ.get("REPRO_TELEMETRY_TRACE_DEPTH", DEFAULT_TRACE_DEPTH)
-    )
-    if value < 1:
-        raise ValueError(f"trace depth must be >= 1, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -99,7 +89,7 @@ class TelemetryCollector(Probe):
         self.window_cycles = (
             self.config.window_cycles
             if self.config.window_cycles is not None
-            else default_window_cycles()
+            else env_int("REPRO_TELEMETRY_WINDOW", DEFAULT_WINDOW_CYCLES)
         )
         if self.window_cycles < 1:
             raise ValueError(
@@ -108,7 +98,7 @@ class TelemetryCollector(Probe):
         self.trace = TraceBuffer(
             self.config.trace_depth
             if self.config.trace_depth is not None
-            else default_trace_depth()
+            else env_int("REPRO_TELEMETRY_TRACE_DEPTH", DEFAULT_TRACE_DEPTH)
         )
         #: closed window records, oldest first.
         self.windows: list[dict] = []

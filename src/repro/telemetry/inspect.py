@@ -25,11 +25,11 @@ import json
 import sys
 from pathlib import Path
 
-from repro.telemetry import telemetry_root
+from repro.experiments.report import format_table
+from repro.telemetry import TELEMETRY_SCHEMA_VERSION, telemetry_root
 from repro.telemetry.trace import (
     TRACE_SCHEMA_VERSION, event_from_dict, to_perfetto,
 )
-from repro.telemetry.windows import TELEMETRY_SCHEMA_VERSION
 
 
 def recorded_runs(root: Path | None = None) -> list[tuple[Path, dict]]:
@@ -240,8 +240,6 @@ def top_main(argv: list[str]) -> int:
     except (LookupError, OSError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 2
-    from repro.experiments.common import format_table
-
     n_cores = meta.get("n_cores", 1)
     print(
         f"{meta.get('label') or run_dir.name}: {meta.get('app', '?')} on "

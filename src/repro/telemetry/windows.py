@@ -21,17 +21,12 @@ lists, making any drift an explicit, versioned choice (bump
 
 from __future__ import annotations
 
-import os
 from dataclasses import fields
 
 from repro.coherence.l2controller import CacheCounters
 from repro.network.stats import NetworkStats
 from repro.sim.results import RunResult
-
-#: Bump when the window record layout or field meaning changes; readers
-#: (``repro top``, CI artifact consumers) check it before trusting a
-#: ``windows.jsonl`` header.
-TELEMETRY_SCHEMA_VERSION = 1
+from repro.telemetry import TELEMETRY_SCHEMA_VERSION
 
 #: Default window length in simulated cycles (``REPRO_TELEMETRY_WINDOW``
 #: overrides at collector construction time).
@@ -60,14 +55,6 @@ WINDOW_SCHEMA: dict[str, tuple[str, ...]] = {
     "cores": CORE_FIELDS,
     "energy": ENERGY_FIELDS,
 }
-
-
-def default_window_cycles() -> int:
-    """``REPRO_TELEMETRY_WINDOW`` override, read at call time."""
-    value = int(os.environ.get("REPRO_TELEMETRY_WINDOW", DEFAULT_WINDOW_CYCLES))
-    if value < 1:
-        raise ValueError(f"telemetry window must be >= 1 cycle, got {value}")
-    return value
 
 
 class Snapshot:

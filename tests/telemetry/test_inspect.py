@@ -6,6 +6,11 @@ does.
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -138,3 +143,42 @@ class TestDispatch:
         assert main(["top"]) == 0
         assert main(["trace"]) == 0
         assert main(["nope"]) == 2
+
+
+class TestImportLight:
+    def test_verbs_do_not_import_the_simulator(self, tmp_path):
+        """``repro trace`` and ``repro top`` read artifacts only: after
+        both run, no simulator package is loaded."""
+        root = tmp_path / "telemetry"
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env["REPRO_TELEMETRY_DIR"] = str(root)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+            str(Path(__file__).resolve().parents[2] / "src"),
+            env.get("PYTHONPATH"),
+        )))
+        record = textwrap.dedent("""
+            from repro.experiments.common import spec_for
+            spec_for("radix", network="emesh-pure", mesh_width=4,
+                     scale=0.1, telemetry=True).execute()
+        """)
+        inspect = textwrap.dedent(f"""
+            import sys
+            from repro.cli import main
+            assert main(["trace", "latest", "--out", {str(tmp_path / "t.json")!r}]) == 0
+            assert main(["top", "latest"]) == 0
+            heavy = sorted(
+                m for m in sys.modules
+                if m.split(".")[:2] in (["repro", "sim"], ["repro", "network"],
+                                        ["repro", "coherence"])
+                or m == "repro.experiments.runner"
+            )
+            assert not heavy, heavy
+        """)
+        for script in (record, inspect):
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, cwd=tmp_path,
+                capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "t.json").is_file()

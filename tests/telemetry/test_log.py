@@ -86,15 +86,5 @@ class TestFormat:
         log.get_logger("t").info("msg", what="two words")
         assert "what='two words'" in _emit(capsys)
 
-    def test_context_fields_merge(self, capsys):
-        log.set_level("info")
-        logger = log.get_logger("t")
-        with log.context(seed=7):
-            logger.info("inner")
-        logger.info("outer")
-        inner, outer = _emit(capsys).splitlines()
-        assert "seed=7" in inner
-        assert "seed" not in outer
-
     def test_get_logger_is_cached(self):
         assert log.get_logger("x") is log.get_logger("x")

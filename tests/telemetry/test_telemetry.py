@@ -281,16 +281,17 @@ class TestConfigKnobs:
             )
 
     def test_env_knobs(self, monkeypatch):
-        from repro.telemetry.collector import default_trace_depth
-        from repro.telemetry.windows import default_window_cycles
+        from repro.experiments.common import make_config
 
+        config = make_config(mesh_width=4, network="emesh-pure")
         monkeypatch.setenv("REPRO_TELEMETRY_WINDOW", "123")
         monkeypatch.setenv("REPRO_TELEMETRY_TRACE_DEPTH", "456")
-        assert default_window_cycles() == 123
-        assert default_trace_depth() == 456
+        collector = ManycoreSystem(config, telemetry=TelemetryConfig()).telemetry
+        assert collector.window_cycles == 123
+        assert collector.trace.depth == 456
         monkeypatch.setenv("REPRO_TELEMETRY_WINDOW", "0")
         with pytest.raises(ValueError):
-            default_window_cycles()
+            ManycoreSystem(config, telemetry=TelemetryConfig())
 
     def test_off_by_default_is_zero_cost(self):
         """With no flag and no ``REPRO_*`` variable, a run imports no
