@@ -8,14 +8,11 @@ breakdowns behind Figures 7-10, 12-14, 16 and 17.
 """
 
 from repro.energy.accounting import EnergyBreakdown, EnergyModel
-from repro.energy.edp import energy_delay_product, normalized
 from repro.energy.area import AreaModel, AreaBreakdown
 
 __all__ = [
     "EnergyBreakdown",
     "EnergyModel",
-    "energy_delay_product",
-    "normalized",
     "AreaModel",
     "AreaBreakdown",
 ]

@@ -158,9 +158,9 @@ class Runner:
         jobs = min(report.jobs, len(misses)) if misses else 1
         if misses:
             if jobs <= 1:
-                self._run_serial(unique, misses, results, report)
+                self._execute_serial(unique, misses, results, report)
             else:
-                self._run_parallel(unique, misses, results, report, jobs)
+                self._execute_parallel(unique, misses, results, report, jobs)
 
         report.elapsed_s = time.perf_counter() - t_start
         self.last_report = report
@@ -173,14 +173,14 @@ class Runner:
         return [results[spec.content_hash()] for spec in specs]
 
     # ------------------------------------------------------------------
-    def _run_serial(self, unique, misses, results, report) -> None:
+    def _execute_serial(self, unique, misses, results, report) -> None:
         for i, h in enumerate(misses, 1):
             spec = unique[h]
             result, elapsed = _timed_execute(spec)
             self._complete(spec, h, result, elapsed, results, report)
             self._log(f"{i}/{len(misses)} {spec.label()}", elapsed_s=elapsed)
 
-    def _run_parallel(self, unique, misses, results, report, jobs) -> None:
+    def _execute_parallel(self, unique, misses, results, report, jobs) -> None:
         done_count = 0
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {pool.submit(_timed_execute, unique[h]): h for h in misses}

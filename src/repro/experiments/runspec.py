@@ -22,9 +22,11 @@ Two spec kinds cover the paper's evaluations:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
+from pathlib import Path
 
 from repro import __version__, env_flag
 from repro.coherence.directory import Protocol
@@ -33,19 +35,47 @@ from repro.sim.config import SystemConfig
 from repro.sim.results import RunResult
 from repro.workloads.synthetic import LoadSweepPoint
 
-#: Bump whenever the meaning of a spec field, the simulator's observable
-#: behaviour, or the stored payload layout changes: the version is part
-#: of every content hash, so old ``.repro_cache/`` entries are ignored
-#: rather than deserialized into mismatched dataclasses.
+#: Bump whenever the meaning of a spec field or the stored payload
+#: layout changes: the version is part of every content hash, so old
+#: ``.repro_cache/`` entries are ignored rather than deserialized into
+#: mismatched dataclasses.  Simulator code edits are covered by
+#: ``_code_digest`` and need no bump.
 CACHE_SCHEMA_VERSION = 5
+
+#: Sources (relative to the package root) whose code decides a stored
+#: payload.  ``energy`` and ``tech`` are left out: payloads hold
+#: counters, not joules, so editing them needs no re-simulation.
+SIMULATION_SOURCES = (
+    "sim", "network", "coherence", "workloads", "experiments/runspec.py",
+)
+
+
+def source_digest(root: Path) -> str:
+    """SHA-256 over the ``SIMULATION_SOURCES`` ``.py`` files (paths
+    included) under ``root``, a ``repro`` package directory."""
+    h = hashlib.sha256()
+    for entry in SIMULATION_SOURCES:
+        path = root / entry
+        for f in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
+            h.update(f.relative_to(root).as_posix().encode() + b"\0")
+            h.update(f.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+@functools.cache
+def _code_digest() -> str:
+    """This package's simulation-source digest, computed once."""
+    return source_digest(Path(__file__).resolve().parent.parent)
 
 
 def _digest(kind: str, payload: dict) -> str:
-    """Deterministic content hash over (schema, package version, spec)."""
+    """Deterministic content hash over (schema, package version,
+    simulation-source digest, spec)."""
     doc = {
         "kind": kind,
         "schema": CACHE_SCHEMA_VERSION,
         "repro": __version__,
+        "code": _code_digest(),
         "spec": payload,
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -13,8 +13,9 @@ with explicit schema metadata next to the payload::
     }
 
 Entries are addressed by the spec's :meth:`content_hash`, which already
-mixes in ``CACHE_SCHEMA_VERSION`` and the package version -- so entries
-written by incompatible code simply miss.  The metadata check on load
+mixes in ``CACHE_SCHEMA_VERSION``, the package version and a digest of
+the simulation sources -- so entries written by incompatible or merely
+edited simulator code simply miss.  The metadata check on load
 is a second, defensive layer: a corrupt or hand-edited file degrades to
 a cache miss, never to a mismatched dataclass or an exception.
 

@@ -31,7 +31,7 @@ approximation with per-port resource reservation, see
 from repro.network.types import Packet, BROADCAST
 from repro.network.topology import MeshTopology
 from repro.network.stats import NetworkStats
-from repro.network.engine import PortResource, MultiPortResource, Network
+from repro.network.engine import PortResource, Network
 from repro.network.routing import (
     RoutingPolicy,
     ClusterRouting,
@@ -45,7 +45,6 @@ from repro.network.atac import AtacNetwork
 from repro.network.corona import CoronaNetwork
 from repro.network.hermes import HermesNetwork, hermes_regions
 from repro.network.registry import (
-    NETWORK_CHOICES,
     NetworkDescriptor,
     UnknownNetworkError,
     experiment_axis,
@@ -62,7 +61,6 @@ __all__ = [
     "MeshTopology",
     "NetworkStats",
     "PortResource",
-    "MultiPortResource",
     "Network",
     "RoutingPolicy",
     "ClusterRouting",
@@ -77,7 +75,6 @@ __all__ = [
     "CoronaNetwork",
     "HermesNetwork",
     "hermes_regions",
-    "NETWORK_CHOICES",
     "NetworkDescriptor",
     "UnknownNetworkError",
     "experiment_axis",

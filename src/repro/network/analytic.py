@@ -9,7 +9,7 @@ we do the same, for two purposes:
   (topology, rthres, flit width) points costs microseconds per point
   instead of a simulation each.
 
-Formulas (Table I timing):
+Formulas (Table I timing, the constants of :mod:`repro.network.engine`):
 
 * mesh unicast:   ``hops * (router + link) + flits``
 * mesh broadcast (tree): worst leaf = diameter hops
@@ -22,10 +22,11 @@ Formulas (Table I timing):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.network.engine import MeshTiming
-from repro.network.onet import OnetTiming
+from repro.network.engine import (
+    HOP_LATENCY, HUB_DELAY, ONET_LINK_DELAY, RECEIVE_NET_DELAY, SELECT_DATA_LAG,
+)
 from repro.network.routing import RoutingPolicy
 from repro.network.topology import MeshTopology
 
@@ -36,10 +37,6 @@ class AnalyticModel:
 
     topology: MeshTopology
     flit_bits: int = 64
-    mesh_timing: MeshTiming = field(default_factory=MeshTiming)
-    onet_timing: OnetTiming = field(default_factory=OnetTiming)
-    receive_net_delay: int = 1
-    hub_delay: int = 1
 
     def _flits(self, size_bits: int) -> int:
         if size_bits <= 0:
@@ -52,14 +49,14 @@ class AnalyticModel:
         if src == dst:
             return 1
         hops = self.topology.manhattan(src, dst)
-        return hops * self.mesh_timing.hop_latency + self._flits(size_bits)
+        return hops * HOP_LATENCY + self._flits(size_bits)
 
     def mesh_broadcast_latency(self, src: int, size_bits: int = 88) -> int:
         """Zero-load worst-leaf latency of an XY multicast tree (cycles)."""
         x, y = self.topology.coords(src)
         w = self.topology.width
         worst_hops = max(x, w - 1 - x) + max(y, w - 1 - y)
-        return worst_hops * self.mesh_timing.hop_latency + self._flits(size_bits)
+        return worst_hops * HOP_LATENCY + self._flits(size_bits)
 
     def optical_path_latency(self, src: int, size_bits: int = 88) -> int:
         """Zero-load latency of the hybrid ENet->ONet->StarNet path.
@@ -74,15 +71,11 @@ class AnalyticModel:
         hub = topo.hub_core(topo.cluster_of(src))
         enet = (
             0 if src == hub
-            else topo.manhattan(src, hub) * self.mesh_timing.hop_latency + flits
+            else topo.manhattan(src, hub) * HOP_LATENCY + flits
         )
-        onet = (
-            self.onet_timing.select_data_lag
-            + self.onet_timing.link_delay
-            + flits
-        )
-        star = self.receive_net_delay + flits
-        return enet + self.hub_delay + onet + self.hub_delay + star
+        onet = SELECT_DATA_LAG + ONET_LINK_DELAY + flits
+        star = RECEIVE_NET_DELAY + flits
+        return enet + HUB_DELAY + onet + HUB_DELAY + star
 
     def optical_unicast_latency(self, src: int, dst: int, size_bits: int = 88) -> int:
         """Zero-load latency of an ONet unicast (destination-independent)."""

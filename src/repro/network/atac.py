@@ -27,10 +27,10 @@ and a broadcast::
 
 from __future__ import annotations
 
-from repro.network.cluster_nets import ReceiveNetTiming, ReceiveNetwork
-from repro.network.engine import MeshTiming, PortResource
+from repro.network.cluster_nets import ReceiveNetwork
+from repro.network.engine import HUB_DELAY
 from repro.network.mesh import _MeshBase
-from repro.network.onet import AdaptiveSWMRLink, OnetTiming
+from repro.network.onet import AdaptiveSWMRLink
 from repro.network.routing import ClusterRouting, DistanceRouting, RoutingPolicy
 from repro.network.topology import MeshTopology
 from repro.network.types import Packet
@@ -45,25 +45,15 @@ class AtacNetwork(_MeshBase):
         flit_bits: int = 64,
         routing: RoutingPolicy | None = None,
         receive_net: str = "starnet",
-        mesh_timing: MeshTiming | None = None,
-        onet_timing: OnetTiming | None = None,
-        receive_timing: ReceiveNetTiming | None = None,
-        starnets_per_cluster: int = 2,
-        hub_delay: int = 1,
     ) -> None:
-        super().__init__(topology, flit_bits, mesh_timing)
-        if hub_delay < 0:
-            raise ValueError(f"hub_delay must be non-negative, got {hub_delay}")
+        super().__init__(topology, flit_bits)
         self.routing: RoutingPolicy = (
             routing if routing is not None else DistanceRouting(15)
         )
         self.receive_net_kind = receive_net
-        self.hub_delay = hub_delay
-        self._onet_timing = onet_timing if onet_timing is not None else OnetTiming()
         n_hubs = topology.n_clusters
         self.onet_links = [
-            AdaptiveSWMRLink(h, n_hubs, self._onet_timing, self.stats)
-            for h in range(n_hubs)
+            AdaptiveSWMRLink(h, n_hubs, self.stats) for h in range(n_hubs)
         ]
         self._local_index = {
             core: i
@@ -90,8 +80,6 @@ class AtacNetwork(_MeshBase):
                 cluster=c,
                 cluster_size=topology.cluster_size,
                 kind=receive_net,
-                n_parallel=starnets_per_cluster,
-                timing=receive_timing,
                 stats=self.stats,
             )
             for c in range(n_hubs)
@@ -110,7 +98,7 @@ class AtacNetwork(_MeshBase):
         if src != hub_core:
             t = self._traverse(src, hub_core, t, n_flits)
         self.stats.hub_flit_traversals += n_flits
-        return t + self.hub_delay
+        return t + HUB_DELAY
 
     # ------------------------------------------------------------------
     def _send_unicast(self, pkt: Packet, n_flits: int) -> list[tuple[int, int]]:
@@ -138,7 +126,7 @@ class AtacNetwork(_MeshBase):
         # receive-side hub crossing, then the cluster receive network
         self.stats.hub_flit_traversals += n_flits
         arrival = self.receive_nets[dst_cluster].deliver_unicast(
-            hub_arrival + self.hub_delay, n_flits, self._local_index[pkt.dst]
+            hub_arrival + HUB_DELAY, n_flits, self._local_index[pkt.dst]
         )
         return [(pkt.dst, arrival)]
 
@@ -158,7 +146,7 @@ class AtacNetwork(_MeshBase):
         append = deliveries.append
         n_clusters = topo.n_clusters
         receive_nets = self.receive_nets
-        remote_ready = hub_arrival + self.hub_delay
+        remote_ready = hub_arrival + HUB_DELAY
         # Every cluster but the sender's crosses its receive-side hub.
         self.stats.hub_flit_traversals += n_flits * (n_clusters - 1)
         for cluster in range(n_clusters):

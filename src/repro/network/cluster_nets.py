@@ -17,45 +17,36 @@ both networks (every core must hear them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.network.engine import PortResource
+from repro.network.engine import (
+    RECEIVE_NET_DELAY, RECEIVE_NETS_PER_CLUSTER, PortResource,
+)
 from repro.network.stats import NetworkStats
 
-
-@dataclass(frozen=True)
-class ReceiveNetTiming:
-    """Hub-to-core delivery timing (Table I: 1 cycle)."""
-
-    link_delay: int = 1
+#: receive-net kinds a cluster can be built with.
+RECEIVE_NET_KINDS = ("starnet", "bnet")
 
 
 class ReceiveNetwork:
     """The per-cluster hub-to-cores delivery stage (BNet or StarNet)."""
 
-    __slots__ = ("kind", "cluster", "cluster_size", "timing", "stats", "_ports")
+    __slots__ = ("kind", "cluster", "cluster_size", "stats", "_ports")
 
     def __init__(
         self,
         cluster: int,
         cluster_size: int,
         kind: str = "starnet",
-        n_parallel: int = 2,
-        timing: ReceiveNetTiming | None = None,
         stats: NetworkStats | None = None,
     ) -> None:
-        if kind not in ("starnet", "bnet"):
+        if kind not in RECEIVE_NET_KINDS:
             raise ValueError(f"kind must be 'starnet' or 'bnet', got {kind!r}")
         if cluster_size < 1:
             raise ValueError(f"cluster_size must be >= 1, got {cluster_size}")
-        if n_parallel < 1:
-            raise ValueError(f"n_parallel must be >= 1, got {n_parallel}")
         self.kind = kind
         self.cluster = cluster
         self.cluster_size = cluster_size
-        self.timing = timing if timing is not None else ReceiveNetTiming()
         self.stats = stats if stats is not None else NetworkStats()
-        self._ports = [PortResource() for _ in range(n_parallel)]
+        self._ports = [PortResource() for _ in range(RECEIVE_NETS_PER_CLUSTER)]
 
     def _port_for(self, local_index: int) -> PortResource:
         """Static core-to-network assignment (preserves per-core FIFO)."""
@@ -74,7 +65,7 @@ class ReceiveNetwork:
         """
         start = self._port_for(local_index).reserve(time, n_flits)
         self.stats.receive_net_unicast_flits += n_flits
-        return start + self.timing.link_delay + n_flits
+        return start + RECEIVE_NET_DELAY + n_flits
 
     def deliver_broadcast(self, time: int, n_flits: int) -> int:
         """Deliver a message to every core in the cluster.
@@ -82,7 +73,7 @@ class ReceiveNetwork:
         Both receive networks replicate the message (each serves half
         the cores); delivery completes when the later one finishes.
         """
-        tail = self.timing.link_delay + n_flits
+        tail = RECEIVE_NET_DELAY + n_flits
         done = 0
         for p in self._ports:
             arrival = p.reserve(time, n_flits) + tail

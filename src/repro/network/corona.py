@@ -6,7 +6,7 @@ into), whereas Corona's crossbar is **MWSR** -- each *receiver* hub owns
 a channel, and every hub that wants to talk to it modulates onto that
 channel.  Writers therefore contend at the destination's channel, which
 Corona arbitrates with an optical token; we model the token acquisition
-as a fixed ``token_delay`` before the channel reservation (the
+as a fixed ``TOKEN_DELAY`` before the channel reservation (the
 serialization itself falls out of the channel's ``free_at``, exactly
 the single-server semantics of :class:`AdaptiveSWMRLink`).
 
@@ -28,12 +28,14 @@ network.
 from __future__ import annotations
 
 from repro.network.atac import AtacNetwork
-from repro.network.cluster_nets import ReceiveNetTiming
-from repro.network.engine import MeshTiming
-from repro.network.onet import AdaptiveSWMRLink, OnetTiming
+from repro.network.engine import HUB_DELAY
+from repro.network.onet import AdaptiveSWMRLink
 from repro.network.routing import ClusterRouting
 from repro.network.topology import MeshTopology
 from repro.network.types import Packet
+
+#: cycles to acquire a channel's optical token before writing to it.
+TOKEN_DELAY = 2
 
 
 class CoronaNetwork(AtacNetwork):
@@ -44,12 +46,6 @@ class CoronaNetwork(AtacNetwork):
         topology: MeshTopology,
         flit_bits: int = 64,
         receive_net: str = "starnet",
-        mesh_timing: MeshTiming | None = None,
-        onet_timing: OnetTiming | None = None,
-        receive_timing: ReceiveNetTiming | None = None,
-        starnets_per_cluster: int = 2,
-        hub_delay: int = 1,
-        token_delay: int = 2,
     ) -> None:
         # ClusterRouting sends every inter-cluster unicast optically --
         # on this fabric that is not a policy choice but the topology.
@@ -58,23 +54,13 @@ class CoronaNetwork(AtacNetwork):
             flit_bits,
             routing=ClusterRouting(),
             receive_net=receive_net,
-            mesh_timing=mesh_timing,
-            onet_timing=onet_timing,
-            receive_timing=receive_timing,
-            starnets_per_cluster=starnets_per_cluster,
-            hub_delay=hub_delay,
         )
-        if token_delay < 0:
-            raise ValueError(
-                f"token_delay must be non-negative, got {token_delay}"
-            )
-        self.token_delay = token_delay
         # The base class built one channel per hub; under MWSR semantics
         # onet_links[c] is the channel *read by* cluster c (writers
         # reserve it).  The broadcast ring is an extra shared channel
         # appended so port accounting and Table-V utilization cover it.
         self.broadcast_channel = AdaptiveSWMRLink(
-            0, topology.n_clusters, self._onet_timing, self.stats
+            0, topology.n_clusters, self.stats
         )
         self.onet_links.append(self.broadcast_channel)
 
@@ -94,11 +80,11 @@ class CoronaNetwork(AtacNetwork):
         # precedes the reservation, queueing behind other writers is
         # the channel's own serialization.
         _, hub_arrival = self.onet_links[dst_cluster].transmit(
-            at_hub + self.token_delay, n_flits, broadcast=False
+            at_hub + TOKEN_DELAY, n_flits, broadcast=False
         )
         self.stats.hub_flit_traversals += n_flits
         arrival = self.receive_nets[dst_cluster].deliver_unicast(
-            hub_arrival + self.hub_delay, n_flits, self._local_index[pkt.dst]
+            hub_arrival + HUB_DELAY, n_flits, self._local_index[pkt.dst]
         )
         return [(pkt.dst, arrival)]
 
@@ -108,7 +94,7 @@ class CoronaNetwork(AtacNetwork):
         src_cluster = self._cluster_of_core[src]
         at_hub = self._to_hub(src, pkt.time, n_flits)
         _, hub_arrival = self.broadcast_channel.transmit(
-            at_hub + self.token_delay, n_flits, broadcast=True
+            at_hub + TOKEN_DELAY, n_flits, broadcast=True
         )
         return self._deliver_clusters(
             src, src_cluster, at_hub, hub_arrival, n_flits

@@ -4,7 +4,7 @@ All networks in this package share one timing methodology: every
 contended hardware resource (a router output port, an optical
 wavelength channel, a StarNet ingress) is a :class:`PortResource` that
 packets *reserve* in simulation-time order.  A packet's head reaches
-hop *h* at ``t_h = max(t_{h-1} + hop_latency, port_h.free_at)`` and the
+hop *h* at ``t_h = max(t_{h-1} + HOP_LATENCY, port_h.free_at)`` and the
 port then serializes the packet's flits.
 
 This reproduces the two behaviours the paper's evaluations depend on:
@@ -23,7 +23,7 @@ and ``benchmarks`` cross-validate zero-load latency analytically.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import fields, replace
 
 from repro.network.stats import NetworkStats
 from repro.network.topology import MeshTopology
@@ -54,40 +54,16 @@ class PortResource:
         return start
 
 
-class MultiPortResource:
-    """A k-server resource (e.g. the two StarNets per cluster, Table I)."""
-
-    __slots__ = ("free_at", "busy_cycles")
-
-    def __init__(self, n_servers: int) -> None:
-        if n_servers < 1:
-            raise ValueError(f"n_servers must be >= 1, got {n_servers}")
-        self.free_at = [0] * n_servers
-        self.busy_cycles = 0
-
-    def reserve(self, earliest: int, duration: int) -> int:
-        """Reserve the earliest-free server; returns the start time."""
-        if earliest < 0:
-            raise ValueError(f"earliest must be non-negative, got {earliest}")
-        if duration < 0:
-            raise ValueError(f"duration must be non-negative, got {duration}")
-        idx = min(range(len(self.free_at)), key=self.free_at.__getitem__)
-        start = max(earliest, self.free_at[idx])
-        self.free_at[idx] = start + duration
-        self.busy_cycles += duration
-        return start
-
-
-@dataclass(frozen=True)
-class MeshTiming:
-    """Electrical mesh timing (Table I)."""
-
-    router_delay: int = 1
-    link_delay: int = 1
-
-    @property
-    def hop_latency(self) -> int:
-        return self.router_delay + self.link_delay
+# Table I network timing, in cycles.  The paper evaluates this one
+# timing; every network model and the closed forms of
+# ``repro.network.analytic`` read these constants.
+ROUTER_DELAY = LINK_DELAY = 1     # electrical router pipeline; mesh link
+HOP_LATENCY = ROUTER_DELAY + LINK_DELAY
+HUB_DELAY = 1                     # one cluster-hub crossing
+ONET_LINK_DELAY = 3               # optical waveguide link
+SELECT_DATA_LAG = 1               # select link leads the data by this
+RECEIVE_NET_DELAY = 1             # hub-to-core BNet / StarNet delivery
+RECEIVE_NETS_PER_CLUSTER = 2      # "Total StarNets per Cluster"
 
 
 class Network(ABC):

@@ -8,7 +8,7 @@ levels instead of ATAC's single chip-wide SWMR ring:
   listen;
 * **level 2** -- per-region rebroadcast channels: each region's head hub
   re-modulates the message for the other clusters of its region
-  (regions are ``region_width x region_width`` tiles of clusters;
+  (regions are ``REGION_WIDTH x REGION_WIDTH`` tiles of clusters;
   single-cluster regions are fed directly from level 1);
 * the last hop is the standard cluster receive network, shared with
   ATAC.
@@ -24,33 +24,31 @@ paper's hybrid design.
 from __future__ import annotations
 
 from repro.network.atac import AtacNetwork
-from repro.network.cluster_nets import ReceiveNetTiming
-from repro.network.engine import MeshTiming
-from repro.network.onet import AdaptiveSWMRLink, OnetTiming
+from repro.network.engine import HUB_DELAY
+from repro.network.onet import AdaptiveSWMRLink
 from repro.network.routing import distance_all
 from repro.network.topology import MeshTopology
 from repro.network.types import Packet
 
+#: edge length, in clusters, of a square broadcast region.
+REGION_WIDTH = 2
 
-def hermes_regions(
-    topology: MeshTopology, region_width: int = 2
-) -> tuple[tuple[int, ...], ...]:
-    """Clusters grouped into ``region_width``-square tiles.
+
+def hermes_regions(topology: MeshTopology) -> tuple[tuple[int, ...], ...]:
+    """Clusters grouped into ``REGION_WIDTH``-square tiles.
 
     Returns a tuple of regions, each a tuple of cluster ids in row-major
     order; the first cluster of each region is its head.  Edge regions
     may be smaller when the cluster grid does not divide evenly.
     """
-    if region_width < 1:
-        raise ValueError(f"region_width must be >= 1, got {region_width}")
     per_edge = topology.width // topology.cluster_width
     regions: list[tuple[int, ...]] = []
-    for ry in range(0, per_edge, region_width):
-        for rx in range(0, per_edge, region_width):
+    for ry in range(0, per_edge, REGION_WIDTH):
+        for rx in range(0, per_edge, REGION_WIDTH):
             regions.append(tuple(
                 cy * per_edge + cx
-                for cy in range(ry, min(ry + region_width, per_edge))
-                for cx in range(rx, min(rx + region_width, per_edge))
+                for cy in range(ry, min(ry + REGION_WIDTH, per_edge))
+                for cx in range(rx, min(rx + REGION_WIDTH, per_edge))
             ))
     return tuple(regions)
 
@@ -63,12 +61,6 @@ class HermesNetwork(AtacNetwork):
         topology: MeshTopology,
         flit_bits: int = 64,
         receive_net: str = "starnet",
-        mesh_timing: MeshTiming | None = None,
-        onet_timing: OnetTiming | None = None,
-        receive_timing: ReceiveNetTiming | None = None,
-        starnets_per_cluster: int = 2,
-        hub_delay: int = 1,
-        region_width: int = 2,
     ) -> None:
         # Distance-All keeps every unicast on the ENet: the broadcast
         # hierarchy is write-arbitrated, so point-to-point traffic on it
@@ -78,13 +70,8 @@ class HermesNetwork(AtacNetwork):
             flit_bits,
             routing=distance_all(topology),
             receive_net=receive_net,
-            mesh_timing=mesh_timing,
-            onet_timing=onet_timing,
-            receive_timing=receive_timing,
-            starnets_per_cluster=starnets_per_cluster,
-            hub_delay=hub_delay,
         )
-        self.regions = hermes_regions(topology, region_width)
+        self.regions = hermes_regions(topology)
         region_of = [0] * topology.n_clusters
         for r, members in enumerate(self.regions):
             for cluster in members:
@@ -94,12 +81,12 @@ class HermesNetwork(AtacNetwork):
         # Level 1: all hubs write, all region heads read.  The channel's
         # reader count only feeds the receiver-energy counters.
         self.global_channel = AdaptiveSWMRLink(
-            0, max(2, len(self.regions)), self._onet_timing, self.stats
+            0, max(2, len(self.regions)), self.stats
         )
         # Level 2: the head rebroadcasts to the region's other clusters;
         # single-cluster regions need no second level.
         self.region_channels = tuple(
-            AdaptiveSWMRLink(0, len(m), self._onet_timing, self.stats)
+            AdaptiveSWMRLink(0, len(m), self.stats)
             if len(m) >= 2 else None
             for m in self.regions
         )
@@ -128,7 +115,7 @@ class HermesNetwork(AtacNetwork):
         _, head_arrival = self.global_channel.transmit(
             at_hub, n_flits, broadcast=True
         )
-        head_ready = head_arrival + self.hub_delay
+        head_ready = head_arrival + HUB_DELAY
         # Reserve each region's rebroadcast exactly once, up front, so
         # per-cluster fan-out below reads a fixed schedule.
         member_ready = []
@@ -139,7 +126,7 @@ class HermesNetwork(AtacNetwork):
                 _, region_arrival = channel.transmit(
                     head_ready, n_flits, broadcast=True
                 )
-                member_ready.append(region_arrival + self.hub_delay)
+                member_ready.append(region_arrival + HUB_DELAY)
         deliveries: list[tuple[int, int]] = []
         append = deliveries.append
         receive_nets = self.receive_nets

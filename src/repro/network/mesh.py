@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.network.engine import MeshTiming, Network
+from repro.network.engine import HOP_LATENCY, Network
 from repro.network.topology import MeshTopology
 from repro.network.types import Packet
 
@@ -35,14 +35,8 @@ _EAST, _WEST, _SOUTH, _NORTH = 0, 1, 2, 3
 class _MeshBase(Network):
     """Shared XY-routed mesh machinery."""
 
-    def __init__(
-        self,
-        topology: MeshTopology,
-        flit_bits: int = 64,
-        timing: MeshTiming | None = None,
-    ) -> None:
+    def __init__(self, topology: MeshTopology, flit_bits: int = 64) -> None:
         super().__init__(topology, flit_bits)
-        self.timing = timing if timing is not None else MeshTiming()
         self._n_cores = topology.n_cores
         # Flat port-state arrays: entry core*4 + direction is the output
         # port of that core's router facing that neighbour.  ``_free_at``
@@ -113,7 +107,6 @@ class _MeshBase(Network):
         s.link_flit_traversals += n_flits * hops
         s.router_arbitrations += hops + 1
         head = t
-        hop_latency = self.timing.hop_latency
         free_at = self._free_at
         busy = self._busy
         for i in route:
@@ -121,7 +114,7 @@ class _MeshBase(Network):
             start = head if head > free else free
             free_at[i] = start + n_flits
             busy[i] += n_flits
-            head = start + hop_latency
+            head = start + HOP_LATENCY
         # head has arrived; the tail needs the serialization time.
         return head + n_flits
 
@@ -178,7 +171,6 @@ class EMeshPure(_MeshBase):
         s.link_flit_traversals += n_flits * total_hops
         s.router_arbitrations += total_hops + n_dsts
         t = pkt.time
-        hop_latency = self.timing.hop_latency
         free_at = self._free_at
         busy = self._busy
         deliveries = []
@@ -190,7 +182,7 @@ class EMeshPure(_MeshBase):
                 start = head if head > free else free
                 free_at[i] = start + n_flits
                 busy[i] += n_flits
-                head = start + hop_latency
+                head = start + HOP_LATENCY
             append((dst, head + n_flits))
         return deliveries
 
@@ -260,7 +252,6 @@ class EMeshBCast(_MeshBase):
         s.router_flit_traversals += n_flits * (n_edges + 1)  # + source router
         s.link_flit_traversals += n_flits * n_edges
         s.router_arbitrations += n_edges + 1
-        hop_latency = self.timing.hop_latency
         free_at = self._free_at
         busy = self._busy
         heads = [0] * (n_edges + 1)
@@ -272,6 +263,6 @@ class EMeshBCast(_MeshBase):
             start = head if head > free else free
             free_at[i] = start + n_flits
             busy[i] += n_flits
-            heads[slot] = start + hop_latency
+            heads[slot] = start + HOP_LATENCY
             slot += 1
         return [(core, heads[slot] + n_flits) for core, slot in order]

@@ -26,9 +26,9 @@ under the four Table IV technology scenarios and to Table V.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
+from repro.network.engine import ONET_LINK_DELAY, SELECT_DATA_LAG
 from repro.network.stats import NetworkStats
 
 
@@ -38,21 +38,12 @@ class LaserMode(Enum):
     BROADCAST = "broadcast"
 
 
-@dataclass(frozen=True)
-class OnetTiming:
-    """Optical network timing (Table I)."""
-
-    link_delay: int = 3
-    select_data_lag: int = 1
-
-
 class AdaptiveSWMRLink:
     """One hub's SWMR channel: single writer, C-1 candidate readers."""
 
     __slots__ = (
         "hub",
         "n_hubs",
-        "timing",
         "stats",
         "free_at",
         "last_mode",
@@ -65,7 +56,6 @@ class AdaptiveSWMRLink:
         self,
         hub: int,
         n_hubs: int,
-        timing: OnetTiming | None = None,
         stats: NetworkStats | None = None,
     ) -> None:
         if n_hubs < 2:
@@ -74,7 +64,6 @@ class AdaptiveSWMRLink:
             raise ValueError(f"hub {hub} outside [0, {n_hubs})")
         self.hub = hub
         self.n_hubs = n_hubs
-        self.timing = timing if timing is not None else OnetTiming()
         self.stats = stats if stats is not None else NetworkStats()
         self.free_at = 0
         self.last_mode = LaserMode.IDLE
@@ -110,14 +99,13 @@ class AdaptiveSWMRLink:
             raise ValueError(f"time must be non-negative, got {time}")
         if n_flits < 1:
             raise ValueError(f"n_flits must be >= 1, got {n_flits}")
-        t = self.timing
         # The select-link notification goes out first; data follows one
         # cycle later.  The laser retarget/power-up also fits in that
         # cycle (both are 1 ns operations, Section IV-A).
         prev_free_at = self.free_at
-        data_start = max(time + t.select_data_lag, self.free_at)
+        data_start = max(time + SELECT_DATA_LAG, self.free_at)
         self.free_at = data_start + n_flits
-        hub_arrival = data_start + t.link_delay + n_flits
+        hub_arrival = data_start + ONET_LINK_DELAY + n_flits
 
         mode = LaserMode.BROADCAST if broadcast else LaserMode.UNICAST
         if data_start > prev_free_at:

@@ -52,7 +52,7 @@ from typing import Callable
 
 from repro.network.atac import AtacNetwork
 from repro.network.corona import CoronaNetwork
-from repro.network.engine import Network
+from repro.network.engine import RECEIVE_NETS_PER_CLUSTER, Network
 from repro.network.hermes import HermesNetwork, hermes_regions
 from repro.network.mesh import EMeshBCast, EMeshPure
 from repro.network.routing import ClusterRouting, DistanceRouting
@@ -93,17 +93,9 @@ class NetworkDescriptor:
     #: carries traffic on photonic hardware (drives the optical energy
     #: wedges and the laser/ring accounting).
     optical: bool = False
-    #: has cluster hubs + receive networks (hub/receive-net wedges).
-    clustered: bool = False
-    #: receive-net kinds the config may select for this network.
-    valid_receive_nets: tuple[str, ...] = ("starnet", "bnet")
     #: fixed receive-net kind, overriding ``config.receive_net``
     #: (original ATAC is defined by its BNet).
     receive_net_override: str | None = None
-    #: smallest cluster count the fabric can be instantiated with
-    #: (optical SWMR links need >= 2 endpoints); the fuzzer uses this to
-    #: gate networks per mesh width.
-    min_clusters: int = 1
     #: experiment axes this network belongs to by default:
     #: ``runtime`` -- the Figure 4/7/8 architecture comparison;
     #: ``edp``     -- the Figure 9/10/14/17 ATAC+-vs-mesh pair;
@@ -167,11 +159,6 @@ def experiment_axis(axis: str) -> tuple[str, ...]:
     return tuple(d.name for d in REGISTRY.values() if axis in d.axes)
 
 
-def electrical_networks() -> tuple[str, ...]:
-    """The non-optical (pure electrical mesh) architectures."""
-    return tuple(d.name for d in REGISTRY.values() if not d.optical)
-
-
 def receive_net_kind(network: str, requested: str) -> str:
     """The receive-net kind a config with these fields instantiates."""
     return get_network(network).resolve_receive_net(requested)
@@ -180,10 +167,11 @@ def receive_net_kind(network: str, requested: str) -> str:
 def networks_for_fuzzing(
     mesh_width: int, cluster_width: int = 4
 ) -> tuple[str, ...]:
-    """Networks instantiable at this mesh width (fuzzer case pool)."""
+    """Networks instantiable at this mesh width (fuzzer case pool):
+    optical SWMR links need two endpoints, so at least two clusters."""
     n_clusters = (mesh_width // cluster_width) ** 2
     return tuple(
-        d.name for d in REGISTRY.values() if d.min_clusters <= n_clusters
+        d.name for d in REGISTRY.values() if not d.optical or n_clusters >= 2
     )
 
 
@@ -262,7 +250,8 @@ def optical_energy_components(
     comp["receive_net"] = (
         ns.receive_net_unicast_flits * model.receive_net.unicast_energy_j()
         + ns.receive_net_broadcast_flits * model.receive_net.broadcast_energy_j()
-        + runtime * model.n_hubs * 2 * model.receive_net.leakage_power_w()
+        + runtime * model.n_hubs * RECEIVE_NETS_PER_CLUSTER
+        * model.receive_net.leakage_power_w()
     )
     return comp
 
@@ -285,7 +274,7 @@ def clustered_area_components(model, n_channels: int | None = None) -> dict:
     comp["hubs"] = topo.n_clusters * HubModel(cfg.flit_bits).area_mm2()
     comp["receive_net"] = (
         topo.n_clusters
-        * 2
+        * RECEIVE_NETS_PER_CLUSTER
         * ReceiveNetModel(
             kind=kind, width_bits=cfg.flit_bits,
             cluster_size=topo.cluster_size,
@@ -331,7 +320,6 @@ def _build_atac_plus(config) -> Network:
         flit_bits=config.flit_bits,
         routing=DistanceRouting(config.rthres),
         receive_net=receive_net_kind("atac+", config.receive_net),
-        starnets_per_cluster=config.starnets_per_cluster,
     )
 
 
@@ -341,7 +329,6 @@ def _build_atac(config) -> Network:
         flit_bits=config.flit_bits,
         routing=ClusterRouting(),
         receive_net=receive_net_kind("atac", config.receive_net),
-        starnets_per_cluster=config.starnets_per_cluster,
     )
 
 
@@ -358,7 +345,6 @@ def _build_corona(config) -> Network:
         config.topology,
         flit_bits=config.flit_bits,
         receive_net=receive_net_kind("corona", config.receive_net),
-        starnets_per_cluster=config.starnets_per_cluster,
     )
 
 
@@ -367,7 +353,6 @@ def _build_hermes(config) -> Network:
         config.topology,
         flit_bits=config.flit_bits,
         receive_net=receive_net_kind("hermes", config.receive_net),
-        starnets_per_cluster=config.starnets_per_cluster,
     )
 
 
@@ -381,8 +366,6 @@ register(NetworkDescriptor(
     summary="hybrid ENet + adaptive-SWMR ONet + StarNet, distance routing",
     build=_build_atac_plus,
     optical=True,
-    clustered=True,
-    min_clusters=2,
     axes=frozenset({"runtime", "edp", "sweep"}),
     energy_components=optical_energy_components,
     area_components=clustered_area_components,
@@ -394,9 +377,7 @@ register(NetworkDescriptor(
     summary="original hybrid: BNet receive network, cluster routing",
     build=_build_atac,
     optical=True,
-    clustered=True,
     receive_net_override="bnet",
-    min_clusters=2,
     axes=frozenset(),
     energy_components=optical_energy_components,
     area_components=clustered_area_components,
@@ -425,8 +406,6 @@ register(NetworkDescriptor(
             "receiver's channel, token-slot arbitration",
     build=_build_corona,
     optical=True,
-    clustered=True,
-    min_clusters=2,
     axes=frozenset({"sweep"}),
     energy_components=optical_energy_components,
     area_components=clustered_area_components,
@@ -439,16 +418,10 @@ register(NetworkDescriptor(
             "heads -> cluster receive nets; unicasts stay electrical",
     build=_build_hermes,
     optical=True,
-    clustered=True,
-    min_clusters=2,
     axes=frozenset({"sweep"}),
     energy_components=_hermes_energy,
     area_components=_hermes_area,
 ))
-
-
-#: Back-compat alias: the tuple the config layer historically exported.
-NETWORK_CHOICES: tuple[str, ...] = network_names()
 
 #: The paper's headline architecture (``repro run`` default).
 DEFAULT_NETWORK = "atac+"

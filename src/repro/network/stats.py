@@ -116,14 +116,6 @@ class NetworkStats:
             raise ValueError("cycles and n_cores must be positive")
         return self.injected_flits / (cycles * n_cores)
 
-    def merged_with(self, other: "NetworkStats") -> "NetworkStats":
-        """Sum of two counter bundles (latency max takes the max)."""
-        out = NetworkStats()
-        for f in fields(NetworkStats):
-            setattr(out, f.name, getattr(self, f.name) + getattr(other, f.name))
-        out.latency_max = max(self.latency_max, other.latency_max)
-        return out
-
     def as_dict(self) -> dict[str, int]:
         """Plain-dict snapshot (for results serialization)."""
         return {f.name: getattr(self, f.name) for f in fields(NetworkStats)}

@@ -84,7 +84,7 @@ def generate_case(
     rng = random.Random(seed)
     # favour the smallest machine: shrink throughput beats coverage.
     # Optical layers need >= 2 clusters, so the one-cluster w4 machine
-    # only runs the electrical meshes (the registry's min_clusters).
+    # only runs the electrical meshes (see networks_for_fuzzing).
     mesh_width = rng.choice((4, 4, 8, 8))
     if networks is not None and not any(
         n in networks_for_fuzzing(4) for n in networks

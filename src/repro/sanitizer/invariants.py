@@ -79,13 +79,12 @@ def port_problems(network) -> list[str]:
     A port's accumulated ``busy_cycles`` can never exceed the span it
     has been reserved to (``free_at``); an overlap -- a double
     reservation -- breaks that bound.  Duck-typed so it covers
-    :class:`PortResource`, :class:`MultiPortResource`, the mesh's flat
-    port arrays, and the ONet links alike.
+    :class:`PortResource`, the mesh's flat port arrays, and the ONet
+    links alike.
     """
     problems: list[str] = []
 
-    def check(label: str, free, busy) -> None:
-        cap = sum(free) if isinstance(free, list) else free
+    def check(label: str, cap: int, busy) -> None:
         if cap < 0:
             problems.append(f"{label}: negative free_at {cap}")
         if busy is not None and busy < 0:

@@ -14,14 +14,13 @@ energy term.
 """
 
 from repro.sim.eventq import EventQueue
-from repro.sim.config import SystemConfig, NETWORK_CHOICES, make_network
+from repro.sim.config import SystemConfig, make_network
 from repro.sim.system import ManycoreSystem
 from repro.sim.results import RunResult
 
 __all__ = [
     "EventQueue",
     "SystemConfig",
-    "NETWORK_CHOICES",
     "make_network",
     "ManycoreSystem",
     "RunResult",

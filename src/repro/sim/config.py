@@ -8,16 +8,15 @@ network, so adding an architecture is a single registration there.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from repro.coherence.directory import Protocol
+from repro.network.cluster_nets import RECEIVE_NET_KINDS
 from repro.network.engine import Network
-from repro.network.registry import NETWORK_CHOICES, get_network
+from repro.network.registry import get_network
 from repro.network.topology import MeshTopology
 
-__all__ = ["NETWORK_CHOICES", "SystemConfig", "make_network"]
+__all__ = ["SystemConfig", "make_network"]
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,6 @@ class SystemConfig:
     flit_bits: int = 64
     rthres: int = 15                  # distance-routing threshold (ATAC+)
     receive_net: str = "starnet"      # "starnet" (ATAC+) | "bnet" (ATAC)
-    starnets_per_cluster: int = 2
 
     # -- memory hierarchy --------------------------------------------------
     l1_sets: int = 128                # 32 KB, 4-way, 64 B lines
@@ -59,8 +57,8 @@ class SystemConfig:
     freq_hz: float = 1e9
 
     def __post_init__(self) -> None:
-        descriptor = get_network(self.network)  # raises UnknownNetworkError
-        if self.receive_net not in descriptor.valid_receive_nets:
+        get_network(self.network)  # raises UnknownNetworkError
+        if self.receive_net not in RECEIVE_NET_KINDS:
             raise ValueError(f"bad receive_net {self.receive_net!r}")
         if self.flit_bits <= 0:
             raise ValueError("flit_bits must be positive")
@@ -72,26 +70,6 @@ class SystemConfig:
     @property
     def n_cores(self) -> int:
         return self.mesh_width * self.mesh_width
-
-    def to_dict(self) -> dict:
-        """JSON-serializable snapshot (enum fields become their values)."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["protocol"] = self.protocol.value
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SystemConfig":
-        known = {f.name for f in fields(cls)}
-        kwargs = {k: v for k, v in d.items() if k in known}
-        if isinstance(kwargs.get("protocol"), str):
-            kwargs["protocol"] = Protocol(kwargs["protocol"])
-        return cls(**kwargs)
-
-    def content_hash(self) -> str:
-        """Deterministic digest of every field; two configs with equal
-        hashes instantiate behaviourally identical systems."""
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
     def scaled(self, mesh_width: int, cluster_width: int = 4, **overrides) -> "SystemConfig":
         """A smaller chip with caches shrunk in proportion, for tests.

@@ -4,7 +4,6 @@ import pytest
 
 from repro.energy.accounting import ALL_KEYS, EnergyBreakdown, EnergyModel
 from repro.energy.area import AreaModel
-from repro.energy.edp import energy_delay_product, normalized
 from repro.sim.config import SystemConfig
 from repro.sim.system import ManycoreSystem
 from repro.tech.core import CorePowerModel
@@ -176,25 +175,6 @@ class TestWaveguideLossSensitivity:
             lasers.append(model.evaluate(res, SCENARIO_ATACP)["laser"])
         assert lasers == sorted(lasers)
         assert lasers[-1] > 2 * lasers[0]
-
-
-class TestEdpHelpers:
-    def test_normalized(self):
-        out = normalized({"a": 2.0, "b": 4.0}, "a")
-        assert out == {"a": 1.0, "b": 2.0}
-
-    def test_normalized_missing_reference(self):
-        with pytest.raises(KeyError):
-            normalized({"a": 1.0}, "z")
-
-    def test_normalized_zero_reference(self):
-        with pytest.raises(ValueError):
-            normalized({"a": 0.0}, "a")
-
-    def test_edp_function_matches_method(self, atac_run):
-        cfg, res = atac_run
-        b = EnergyModel(cfg).evaluate(res)
-        assert energy_delay_product(b) == b.edp()
 
 
 class TestAreaModel:

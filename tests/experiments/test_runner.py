@@ -1,8 +1,12 @@
 """Runner / spec / store tests: determinism, versioning, accounting."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.experiments import runspec as runspec_mod
 from repro.experiments.runner import Runner, default_jobs, run_specs
@@ -68,6 +72,40 @@ class TestRunSpec:
         monkeypatch.setattr(runspec_mod, "__version__", "0.0.0-test")
         after = RunSpec(app="barnes", mesh_width=8, scale=0.1).content_hash()
         assert before != after
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            RunSpec(app="barnes", mesh_width=8, scale=0.1),
+            LoadPointSpec(routing="cluster", load=0.1, mesh_width=8),
+        ],
+        ids=["run", "loadpoint"],
+    )
+    def test_hash_includes_simulation_source_digest(self, monkeypatch, spec):
+        before = spec.content_hash()
+        monkeypatch.setattr(runspec_mod, "_code_digest", lambda: "edited")
+        assert spec.content_hash() != before
+
+    def test_source_digest_tracks_simulation_sources(self, tmp_path):
+        root = tmp_path / "repro"
+        shutil.copytree(
+            Path(repro.__file__).parent, root,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        digest = runspec_mod.source_digest(root)
+        assert digest == runspec_mod._code_digest()
+
+        def edit_one_byte(relpath):
+            path = root / relpath
+            data = bytearray(path.read_bytes())
+            data[len(data) // 2] ^= 0x01
+            path.write_bytes(bytes(data))
+
+        # energy pricing is applied to stored counters, not stored
+        edit_one_byte("energy/accounting.py")
+        assert runspec_mod.source_digest(root) == digest
+        edit_one_byte("network/engine.py")
+        assert runspec_mod.source_digest(root) != digest
 
     def test_roundtrip_dict(self):
         spec = RunSpec(app="barnes", mesh_width=8, scale=0.1, protocol="dirkb")

@@ -12,7 +12,7 @@ pair must produce a byte-identical :class:`RunResult` either way.
 import pytest
 
 from repro.experiments.runspec import RunSpec
-from repro.sim.config import NETWORK_CHOICES
+from repro.network.registry import network_names
 from repro.sim.system import ManycoreSystem
 from repro.workloads.splash import APP_ORDER, APP_PROFILES, generate_traces
 
@@ -37,7 +37,7 @@ def run_result_dict(spec: RunSpec, batch_broadcasts: bool) -> dict:
     return system.run(traces, app=spec.app).to_dict()
 
 
-@pytest.mark.parametrize("network", NETWORK_CHOICES)
+@pytest.mark.parametrize("network", network_names())
 @pytest.mark.parametrize("app", APP_ORDER)
 def test_batched_equals_reference(app, network):
     spec = RunSpec(app=app, network=network, mesh_width=MESH_WIDTH, scale=SCALE)

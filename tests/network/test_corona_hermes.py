@@ -12,8 +12,17 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.runspec import RunSpec
-from repro.network.corona import CoronaNetwork
+from repro.network.analytic import AnalyticModel
+from repro.network.corona import TOKEN_DELAY, CoronaNetwork
+from repro.network.engine import (
+    HOP_LATENCY,
+    HUB_DELAY,
+    ONET_LINK_DELAY,
+    RECEIVE_NET_DELAY,
+    SELECT_DATA_LAG,
+)
 from repro.network.hermes import HermesNetwork, hermes_regions
+from repro.network.routing import ClusterRouting
 from repro.network.topology import MeshTopology
 from repro.network.types import BROADCAST, Packet
 
@@ -25,6 +34,19 @@ def topo():
 
 def _pkt(src, dst, time=0, size_bits=64):
     return Packet(src=src, dst=dst, size_bits=size_bits, time=time)
+
+
+def _idle_at_hub(topo, src, flits=1):
+    """Idle ENet trip from ``src`` to its cluster hub, plus hub ingress."""
+    hub = topo.hub_core(topo.cluster_of(src))
+    assert src != hub
+    return topo.manhattan(src, hub) * HOP_LATENCY + flits + HUB_DELAY
+
+
+#: an idle optical channel: select lead, link delay, one flit.
+_CHANNEL = SELECT_DATA_LAG + ONET_LINK_DELAY + 1
+#: an idle receive net delivering one flit.
+_RECEIVE = RECEIVE_NET_DELAY + 1
 
 
 class TestCorona:
@@ -46,14 +68,33 @@ class TestCorona:
         assert net.stats.onet_unicast_flits == 1
         assert net.stats.receive_net_unicast_flits == 1
 
-    def test_token_delay_precedes_the_channel(self, topo):
-        fast = CoronaNetwork(topo, token_delay=0)
-        slow = CoronaNetwork(topo, token_delay=5)
-        src = topo.cluster_cores(0)[0]
-        dst = topo.cluster_cores(3)[0]
-        [(_, a_fast)] = fast.send(_pkt(src, dst))
-        [(_, a_slow)] = slow.send(_pkt(src, dst))
-        assert a_slow == a_fast + 5
+    def test_token_round_precedes_the_channel(self, topo):
+        """An idle inter-cluster unicast is ATAC's cluster-routed
+        optical path plus the token round."""
+        model = AnalyticModel(topo)
+        for src, dst in [
+            (topo.cluster_cores(0)[5], topo.cluster_cores(3)[0]),
+            (topo.cluster_cores(2)[15], topo.cluster_cores(1)[9]),
+        ]:
+            [(_, arrival)] = CoronaNetwork(topo).send(_pkt(src, dst))
+            assert arrival == model.atac_unicast_latency(
+                ClusterRouting(), src, dst, size_bits=64
+            ) + TOKEN_DELAY
+
+    def test_idle_broadcast_matches_the_closed_form(self, topo):
+        """Token round, then the shared broadcast channel; the sender's
+        own cluster is fed straight from its hub."""
+        net = CoronaNetwork(topo)
+        src = topo.cluster_cores(1)[6]
+        deliveries = dict(net.send(_pkt(src, BROADCAST)))
+        at_hub = _idle_at_hub(topo, src)
+        remote = at_hub + TOKEN_DELAY + _CHANNEL + HUB_DELAY + _RECEIVE
+        assert remote == AnalyticModel(topo).optical_broadcast_latency(
+            src, size_bits=64
+        ) + TOKEN_DELAY
+        for core, arrival in deliveries.items():
+            own = topo.cluster_of(core) == topo.cluster_of(src)
+            assert arrival == (at_hub + _RECEIVE if own else remote), core
 
     def test_writers_serialize_at_the_destination_channel(self, topo):
         net = CoronaNetwork(topo)
@@ -100,10 +141,6 @@ class TestCorona:
         net = CoronaNetwork(topo)
         assert len(net.onet_links) == topo.n_clusters + 1
         assert net.onet_links[-1] is net.broadcast_channel
-
-    def test_token_delay_validated(self, topo):
-        with pytest.raises(ValueError):
-            CoronaNetwork(topo, token_delay=-1)
 
 
 class TestHermes:
@@ -154,6 +191,30 @@ class TestHermes:
         for channel in net.region_channels:
             if channel is not None:
                 assert channel.broadcast_cycles > 0
+
+    def test_idle_broadcast_matches_the_closed_form(self):
+        """Global channel, hub, region channel, hub, receive net -- the
+        sender's own cluster, region heads and non-head members each
+        against their closed form."""
+        # a 3x3 cluster grid: regions of 4, 2, 2 and a singleton
+        topo = MeshTopology(width=12, cluster_width=4)
+        net = HermesNetwork(topo)
+        src_cluster = 4  # a non-head member of the first region
+        src = topo.cluster_cores(src_cluster)[5]
+        deliveries = dict(net.send(_pkt(src, BROADCAST)))
+        at_hub = _idle_at_hub(topo, src)
+        head_ready = at_hub + _CHANNEL + HUB_DELAY
+        member_ready = head_ready + _CHANNEL + HUB_DELAY
+        expected = {}
+        for head, *members in hermes_regions(topo):
+            expected[head] = head_ready + _RECEIVE
+            for cluster in members:
+                expected[cluster] = member_ready + _RECEIVE
+        assert src_cluster not in {r[0] for r in hermes_regions(topo)}
+        expected[src_cluster] = at_hub + _RECEIVE
+        assert len(deliveries) == topo.n_cores - 1
+        for core, arrival in deliveries.items():
+            assert arrival == expected[topo.cluster_of(core)], core
 
     def test_non_head_clusters_wait_for_the_rebroadcast(self, topo):
         net = HermesNetwork(topo)

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.network.engine import MeshTiming, MultiPortResource, PortResource
+from repro.network import engine
+from repro.network.engine import PortResource
 from repro.network.stats import NetworkStats
 
 
@@ -98,82 +99,16 @@ class TestPortResource:
         assert p.busy_cycles == 50
 
 
-class TestMultiPortResource:
-    def test_two_servers_run_in_parallel(self):
-        m = MultiPortResource(2)
-        assert m.reserve(0, 10) == 0
-        assert m.reserve(0, 10) == 0  # second server
-        assert m.reserve(0, 10) == 10  # now queued
-
-    def test_single_server_equals_port(self):
-        m = MultiPortResource(1)
-        m.reserve(0, 5)
-        assert m.reserve(0, 5) == 5
-
-    def test_rejects_zero_servers(self):
-        with pytest.raises(ValueError):
-            MultiPortResource(0)
-
-    def test_picks_earliest_free(self):
-        m = MultiPortResource(2)
-        m.reserve(0, 100)
-        m.reserve(0, 1)
-        # server 1 frees at t=1, so next starts there
-        assert m.reserve(0, 5) == 1
-
-    def test_rejects_negative(self):
-        m = MultiPortResource(2)
-        with pytest.raises(ValueError):
-            m.reserve(-1, 1)
-        with pytest.raises(ValueError):
-            m.reserve(0, -1)
-
-    def test_reservation_order_is_service_order(self):
-        """With every server busy, later calls queue in call order."""
-        m = MultiPortResource(2)
-        m.reserve(0, 10)
-        m.reserve(0, 20)
-        # both servers busy; the next two go to whichever frees first
-        assert m.reserve(0, 5) == 10
-        assert m.reserve(0, 5) == 15
-
-    def test_zero_duration_reservation(self):
-        m = MultiPortResource(2)
-        m.reserve(0, 6)
-        m.reserve(0, 8)
-        start = m.reserve(0, 0)
-        assert start == 6  # earliest-free server
-        assert sorted(m.free_at) == [6, 8]  # state untouched
-        assert m.busy_cycles == 14
-
-    def test_saturation_free_at_runaway(self):
-        """k servers saturate at k reservations per service time; beyond
-        that the pooled backlog diverges just like a single port."""
-        m = MultiPortResource(2)
-        backlogs = []
-        # offered: 1/cycle x 4-cycle service on 2 servers = 2x capacity
-        for t in range(100):
-            m.reserve(t, 4)
-            backlogs.append(min(m.free_at) - (t + 1))
-        assert backlogs == sorted(backlogs)
-        assert min(m.free_at) >= 190  # ~2 cycles of backlog per arrival
-        assert m.busy_cycles == 400
-
-    def test_at_capacity_no_backlog(self):
-        """Exactly k concurrent streams keep both servers busy with no
-        queueing: start times track arrivals."""
-        m = MultiPortResource(2)
-        for t in range(0, 40, 2):  # 2 arrivals per 4-cycle service window
-            assert m.reserve(t, 4) <= t + 2
-        assert max(m.free_at) <= 44
-
-
-class TestMeshTiming:
+class TestTableITiming:
     def test_table_i_defaults(self):
-        t = MeshTiming()
-        assert t.router_delay == 1
-        assert t.link_delay == 1
-        assert t.hop_latency == 2
+        assert engine.ROUTER_DELAY == 1
+        assert engine.LINK_DELAY == 1
+        assert engine.HOP_LATENCY == 2
+        assert engine.HUB_DELAY == 1
+        assert engine.ONET_LINK_DELAY == 3
+        assert engine.SELECT_DATA_LAG == 1
+        assert engine.RECEIVE_NET_DELAY == 1
+        assert engine.RECEIVE_NETS_PER_CLUSTER == 2
 
 
 class TestNetworkStats:
@@ -222,14 +157,6 @@ class TestNetworkStats:
         assert s.onet_link_utilization(10, 1) == 1.0
         with pytest.raises(ValueError):
             s.onet_link_utilization(0, 1)
-
-    def test_merge(self):
-        a, b = NetworkStats(), NetworkStats()
-        a.injected_flits, b.injected_flits = 10, 5
-        a.latency_max, b.latency_max = 7, 9
-        m = a.merged_with(b)
-        assert m.injected_flits == 15
-        assert m.latency_max == 9
 
     def test_as_dict_roundtrip(self):
         s = NetworkStats()

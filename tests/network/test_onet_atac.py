@@ -4,7 +4,7 @@ import pytest
 
 from repro.network.atac import AtacNetwork
 from repro.network.cluster_nets import ReceiveNetwork
-from repro.network.onet import AdaptiveSWMRLink, LaserMode, OnetTiming
+from repro.network.onet import AdaptiveSWMRLink, LaserMode
 from repro.network.routing import ClusterRouting, DistanceRouting, distance_all
 from repro.network.stats import NetworkStats
 from repro.network.topology import MeshTopology
@@ -85,7 +85,7 @@ class TestReceiveNetwork:
         """Cores are statically split across the two networks: unicasts
         to different halves proceed in parallel; same-half unicasts
         queue (and thus stay FIFO)."""
-        net = ReceiveNetwork(cluster=0, cluster_size=16, n_parallel=2)
+        net = ReceiveNetwork(cluster=0, cluster_size=16)
         a = net.deliver_unicast(0, 10, local_index=0)
         b = net.deliver_unicast(0, 10, local_index=1)
         c = net.deliver_unicast(0, 10, local_index=2)
@@ -93,7 +93,7 @@ class TestReceiveNetwork:
         assert c > a   # same half as index 0: queues behind it
 
     def test_broadcast_occupies_both_networks(self):
-        net = ReceiveNetwork(cluster=0, cluster_size=16, n_parallel=2)
+        net = ReceiveNetwork(cluster=0, cluster_size=16)
         net.deliver_broadcast(0, 10)
         # both halves are busy: any unicast queues
         assert net.deliver_unicast(0, 2, local_index=0) > 10
@@ -102,7 +102,7 @@ class TestReceiveNetwork:
     def test_per_core_fifo_preserved(self):
         """A long then short message to the same core must stay ordered
         (the coherence protocol relies on this, see DESIGN.md)."""
-        net = ReceiveNetwork(cluster=0, cluster_size=16, n_parallel=2)
+        net = ReceiveNetwork(cluster=0, cluster_size=16)
         long_arrival = net.deliver_unicast(0, 10, local_index=4)
         short_arrival = net.deliver_unicast(1, 1, local_index=4)
         assert short_arrival > long_arrival
@@ -218,10 +218,6 @@ class TestAtacTiming:
         net.send(control_packet(0, 63))
         u = net.onet_utilization(100)
         assert 0 < u < 0.05  # 2 flits on 1 of 4 channels over 100 cycles
-
-    def test_hub_delay_validation(self, topo):
-        with pytest.raises(ValueError):
-            AtacNetwork(topo, hub_delay=-1)
 
 
 class TestDistanceRoutingValidation:

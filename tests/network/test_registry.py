@@ -9,6 +9,8 @@ without any consumer knowing the architecture by name.
 from __future__ import annotations
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -17,10 +19,9 @@ from repro.energy.area import AreaModel
 from repro.experiments.runspec import RunSpec
 from repro.network.registry import (
     DEFAULT_NETWORK,
-    NETWORK_CHOICES,
     REGISTRY,
+    NetworkDescriptor,
     UnknownNetworkError,
-    electrical_networks,
     experiment_axis,
     for_display_name,
     get_network,
@@ -31,17 +32,18 @@ from repro.network.registry import (
 )
 from repro.sim.config import SystemConfig, make_network
 
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
 
 class TestRegistryContract:
     def test_registration_order_is_the_choice_order(self):
-        assert network_names() == NETWORK_CHOICES
+        names = network_names()
+        assert names == tuple(REGISTRY)
         # the paper's four networks first (golden-pinned column order),
         # then the extension architectures
-        assert NETWORK_CHOICES[:4] == (
-            "atac+", "atac", "emesh-bcast", "emesh-pure"
-        )
-        assert set(NETWORK_CHOICES[4:]) == {"corona", "hermes"}
-        assert DEFAULT_NETWORK in NETWORK_CHOICES
+        assert names[:4] == ("atac+", "atac", "emesh-bcast", "emesh-pure")
+        assert set(names[4:]) == {"corona", "hermes"}
+        assert DEFAULT_NETWORK in names
 
     def test_unknown_network_error_lists_registered_names(self):
         with pytest.raises(UnknownNetworkError) as excinfo:
@@ -93,14 +95,22 @@ class TestRegistryContract:
         assert "corona" in sweep and "hermes" in sweep
         assert experiment_axis("nonexistent-axis") == ()
 
-    def test_electrical_networks(self):
-        assert electrical_networks() == ("emesh-bcast", "emesh-pure")
-
     def test_networks_for_fuzzing_gates_on_cluster_count(self):
         # w4 has a single cluster: only the electrical meshes fit
-        assert networks_for_fuzzing(4) == electrical_networks()
+        assert networks_for_fuzzing(4) == ("emesh-bcast", "emesh-pure")
         # w8 has four clusters: every registered network fits
         assert networks_for_fuzzing(8) == network_names()
+
+    def test_every_descriptor_field_has_a_reader(self):
+        """Grep lint: a descriptor field nothing reads (``.field``) is
+        write-only configuration and should be deleted, not carried."""
+        sources = "\n".join(p.read_text() for p in SRC.rglob("*.py"))
+        unread = [
+            f.name
+            for f in dataclasses.fields(NetworkDescriptor)
+            if not re.search(rf"\.{f.name}\b", sources)
+        ]
+        assert not unread, f"NetworkDescriptor fields nobody reads: {unread}"
 
 
 class TestEveryDescriptorEndToEnd:
@@ -146,13 +156,6 @@ class TestEveryDescriptorEndToEnd:
         assert breakdown.total_mm2 > 0
         has_photonics = get_network(name).area_components is not None
         assert ("photonics" in breakdown.components) == has_photonics
-
-    def test_config_content_hash_distinguishes_networks(self):
-        hashes = {
-            SystemConfig(network=name).scaled(8).content_hash()
-            for name in network_names()
-        }
-        assert len(hashes) == len(network_names())
 
     def test_runspec_content_hash_distinguishes_networks(self):
         hashes = {

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sanitizer.fuzz import check_case, generate_case, run_case
-from repro.sim.config import NETWORK_CHOICES
+from repro.network.registry import network_names
 
 from .cases import handcrafted
 
@@ -40,7 +40,7 @@ def test_random_cases_sanitized_and_differential(seed):
 
 
 @pytest.mark.parametrize("protocol", ["ackwise", "dirkb"])
-@pytest.mark.parametrize("network", NETWORK_CHOICES)
+@pytest.mark.parametrize("network", network_names())
 def test_sharing_workload_clean_on_every_cell(network, protocol):
     mesh_width = 4 if network.startswith("emesh") else 8
     case = handcrafted(

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.coherence.directory import Protocol
-from repro.sim.config import NETWORK_CHOICES, SystemConfig, make_network
+from repro.network.registry import network_names
+from repro.sim.config import SystemConfig, make_network
 from repro.sim.system import ManycoreSystem
 from repro.workloads.trace import BarrierOp, ComputeOp, CoreTrace, MemoryOp
 
@@ -30,7 +31,7 @@ class TestConfig:
         assert cfg.hardware_sharers == 4
 
     def test_network_choices(self):
-        for net in NETWORK_CHOICES:
+        for net in network_names():
             cfg = SystemConfig(network=net).scaled(8)
             make_network(cfg)  # must not raise
 
