@@ -91,10 +91,6 @@ class SetAssocCache:
         s = self._sets[line % self.n_sets]
         return s.pop(line, CacheState.INVALID)
 
-    def occupancy(self) -> int:
-        """Total resident lines."""
-        return sum(len(s) for s in self._sets)
-
     def resident_lines(self) -> list[int]:
         """All resident line ids (test helper)."""
         return [line for s in self._sets for line in s]

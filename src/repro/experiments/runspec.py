@@ -282,6 +282,7 @@ class LoadPointSpec:
             n_cores=topology.n_cores,
             load=self.load,
             broadcast_fraction=self.broadcast_fraction,
+            flit_bits=self.flit_bits,
             seed=self.seed,
         )
         return run_load_point(

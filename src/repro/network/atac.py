@@ -60,21 +60,19 @@ class AtacNetwork(_MeshBase):
             for c in range(n_hubs)
             for i, core in enumerate(topology.cluster_cores(c))
         }
-        # Per-core geometry, flattened once: cluster id and hub position
-        # are needed on every send, and the topology calls (int divides
-        # plus bounds checks) showed up in per-packet profiles.
+        # Per-core geometry, flattened once: cluster id, hub position and
+        # mesh coordinates are needed on every send, and the topology
+        # calls (int divides plus bounds checks) showed up in per-packet
+        # profiles.
         self._cluster_of_core = tuple(
             topology.cluster_of(c) for c in range(topology.n_cores)
         )
         self._hub_of_core = tuple(
             topology.hub_core(cluster) for cluster in self._cluster_of_core
         )
-        # Oblivious policies answer use_onet from (src, dst) alone, so
-        # the verdict is memoized per core pair; adaptive policies
-        # (oblivious=False) are consulted on every send.
-        self._use_onet_cache: dict[int, bool] | None = (
-            {} if self.routing.oblivious else None
-        )
+        w = topology.width
+        self._col_of_core = tuple(c % w for c in range(topology.n_cores))
+        self._row_of_core = tuple(c // w for c in range(topology.n_cores))
         self.receive_nets = [
             ReceiveNetwork(
                 cluster=c,
@@ -102,33 +100,31 @@ class AtacNetwork(_MeshBase):
 
     # ------------------------------------------------------------------
     def _send_unicast(self, pkt: Packet, n_flits: int) -> list[tuple[int, int]]:
-        topo = self.topology
-        cache = self._use_onet_cache
-        if cache is None:
-            use_onet = self.routing.use_onet(topo, pkt.src, pkt.dst)
-        else:
-            key = pkt.src * self._n_cores + pkt.dst
-            use_onet = cache.get(key)
-            if use_onet is None:
-                use_onet = cache[key] = self.routing.use_onet(
-                    topo, pkt.src, pkt.dst
-                )
-        if not use_onet:
-            arrival = self._traverse(pkt.src, pkt.dst, pkt.time, n_flits)
-            return [(pkt.dst, arrival)]
-
-        src_cluster = self._cluster_of_core[pkt.src]
-        dst_cluster = self._cluster_of_core[pkt.dst]
-        at_hub = self._to_hub(pkt.src, pkt.time, n_flits)
+        # RoutingPolicy.use_onet, inlined over the per-core tables:
+        # inter-cluster and at least ``rthres`` hops apart.  ``rthres``
+        # is read per send, so an adaptive policy's moves apply at once.
+        src = pkt.src
+        dst = pkt.dst
+        src_cluster = self._cluster_of_core[src]
+        dst_cluster = self._cluster_of_core[dst]
+        if src_cluster == dst_cluster:
+            return [(dst, self._traverse(src, dst, pkt.time, n_flits))]
+        col, row = self._col_of_core, self._row_of_core
+        dx = col[src] - col[dst]
+        dy = row[src] - row[dst]
+        hops = (dx if dx >= 0 else -dx) + (dy if dy >= 0 else -dy)
+        if hops < self.routing.rthres:
+            return [(dst, self._traverse(src, dst, pkt.time, n_flits))]
+        at_hub = self._to_hub(src, pkt.time, n_flits)
         _, hub_arrival = self.onet_links[src_cluster].transmit(
             at_hub, n_flits, broadcast=False
         )
         # receive-side hub crossing, then the cluster receive network
         self.stats.hub_flit_traversals += n_flits
         arrival = self.receive_nets[dst_cluster].deliver_unicast(
-            hub_arrival + HUB_DELAY, n_flits, self._local_index[pkt.dst]
+            hub_arrival + HUB_DELAY, n_flits, self._local_index[dst]
         )
-        return [(pkt.dst, arrival)]
+        return [(dst, arrival)]
 
     # ------------------------------------------------------------------
     def _deliver_clusters(

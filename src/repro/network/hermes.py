@@ -102,9 +102,9 @@ class HermesNetwork(AtacNetwork):
         return "HERMES"
 
     # ------------------------------------------------------------------
-    # Unicasts are inherited unchanged: Distance-All routing keeps
-    # routing.use_onet() False for every pair, so AtacNetwork's unicast
-    # path reduces to a plain ENet traversal.
+    # Unicasts are inherited unchanged: Distance-All routing sets rthres
+    # above any Manhattan distance, so AtacNetwork's inlined routing
+    # rule never picks the ONet and a unicast is a plain ENet traversal.
     # ------------------------------------------------------------------
 
     def _send_broadcast(self, pkt: Packet, n_flits: int) -> list[tuple[int, int]]:

@@ -17,12 +17,16 @@ per EMesh-Pure broadcast destination).  Port state lives in two flat
 ``cores x 4`` integer arrays (``_free_at``, ``_busy``) indexed by
 ``core * 4 + direction``; a cached route is a tuple of such indices, so
 the per-hop reservation is pure list arithmetic -- the same arithmetic
-as ``PortResource.reserve``, without the object or the call.
+as ``PortResource.reserve``, without the object or the call.  A route
+is built by joining two legs from a table shared by every mesh of the
+same width (:func:`_xy_legs`), so a freshly built network pays one
+tuple concatenation per new core pair, not a hop-by-hop walk.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import cache
 
 from repro.network.engine import HOP_LATENCY, Network
 from repro.network.topology import MeshTopology
@@ -30,6 +34,43 @@ from repro.network.types import Packet
 
 #: Output-port direction indices in the flat port array.
 _EAST, _WEST, _SOUTH, _NORTH = 0, 1, 2, 3
+
+
+@cache
+def _xy_legs(width: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The X and Y legs of every XY route on a ``width``-wide mesh.
+
+    ``xlegs[core * width + col]`` holds the output ports crossed going
+    from ``core`` along its row to column ``col``; ``ylegs[core * width
+    + row]`` those going from ``core`` along its column to row ``row``.
+    Geometry alone fixes them, so one table per width serves every
+    network, built on first use.  Legs are slices of one port line per
+    row and column, so legs and the routes concatenated from them share
+    that line's int objects.
+    """
+    n = width * width
+
+    def line(cores: range, d: int) -> tuple[int, ...]:
+        return tuple(c * 4 + d for c in cores)
+
+    rows = [range(y * width, (y + 1) * width) for y in range(width)]
+    cols = [range(x, n, width) for x in range(width)]
+    east = [line(r, _EAST) for r in rows]
+    west = [line(r, _WEST) for r in rows]
+    south = [line(c, _SOUTH) for c in cols]
+    north = [line(c, _NORTH) for c in cols]
+    xlegs: list[tuple[int, ...]] = []
+    ylegs: list[tuple[int, ...]] = []
+    for core in range(n):
+        x, y = core % width, core // width
+        # A forward leg is a slice of its row's (column's) port line; a
+        # backward leg is a slice of the opposite line, read in reverse.
+        e, w, s, nn = east[y], west[y], south[x], north[x]
+        xlegs += [e[x:c] if c >= x else w[c + 1:x + 1][::-1]
+                  for c in range(width)]
+        ylegs += [s[y:r] if r >= y else nn[r + 1:y + 1][::-1]
+                  for r in range(width)]
+    return tuple(xlegs), tuple(ylegs)
 
 
 class _MeshBase(Network):
@@ -41,13 +82,15 @@ class _MeshBase(Network):
         # Flat port-state arrays: entry core*4 + direction is the output
         # port of that core's router facing that neighbour.  ``_free_at``
         # is the cycle the port next becomes free; ``_busy`` accumulates
-        # occupied cycles (kept for symmetry with PortResource, though
-        # nothing reads it back for the mesh ports today).
+        # occupied cycles (the sanitizer's port audit and the
+        # double-reserve fault injector read it).
         self._free_at: list[int] = [0] * (topology.n_cores * 4)
         self._busy: list[int] = [0] * (topology.n_cores * 4)
         # (src, dst) -> tuple of port indices along the XY route, in hop
         # order.  Repeated sends between the same pair then reduce to a
-        # walk over two flat arrays -- no coordinate math.
+        # walk over two flat arrays -- no coordinate math.  Kept per
+        # network: a process-wide pair table outlives the networks of a
+        # sweep and grows its peak memory.
         self._route_ports: dict[int, tuple[int, ...]] = {}
 
     def _port(self, u: int, v: int) -> int:
@@ -66,27 +109,13 @@ class _MeshBase(Network):
         return u * 4 + d
 
     def _route_ports_for(self, src: int, dst: int) -> tuple[int, ...]:
-        """Port indices along the XY route src -> dst, in hop order."""
+        """Port indices along the XY route src -> dst, in hop order: the
+        X leg to ``dst``'s column, then the Y leg from that corner."""
         w = self.topology.width
-        x, y = src % w, src // w
-        dx, dy = dst % w, dst // w
-        ports: list[int] = []
-        u = src
-        if x != dx:
-            step, d = (1, _EAST) if dx > x else (-1, _WEST)
-            while x != dx:
-                ports.append(u * 4 + d)
-                x += step
-                u += step
-        if y != dy:
-            d = _SOUTH if dy > y else _NORTH
-            step = 1 if dy > y else -1
-            ustep = w if dy > y else -w
-            while y != dy:
-                ports.append(u * 4 + d)
-                y += step
-                u += ustep
-        return tuple(ports)
+        xlegs, ylegs = _xy_legs(w)
+        col = dst % w
+        corner = src - src % w + col
+        return xlegs[src * w + col] + ylegs[corner * w + dst // w]
 
     def _traverse(self, src: int, dst: int, t: int, n_flits: int) -> int:
         """Route one packet src->dst starting at time t; returns arrival.

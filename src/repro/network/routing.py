@@ -3,19 +3,28 @@
 Section IV-C: broadcasts always ride the ONet; the policy decides how
 *unicasts* travel.
 
-* :class:`ClusterRouting` -- the original ATAC policy: any inter-cluster
-  unicast goes over the ONet; intra-cluster traffic stays on the ENet.
+Every policy applies one rule (:meth:`RoutingPolicy.use_onet`): a
+unicast takes the ONet iff its endpoints sit in different clusters and
+their Manhattan distance is at least the policy's ``rthres``.  The
+policies differ only in ``rthres``:
+
+* :class:`ClusterRouting` -- the original ATAC policy, ``rthres = 0``:
+  any inter-cluster unicast goes over the ONet; intra-cluster traffic
+  stays on the ENet.
 * :class:`DistanceRouting` -- ATAC+'s policy: unicasts closer than
   ``rthres`` Manhattan hops go purely over the ENet, others over the
   ONet.  ``Distance-i`` in the figures is ``DistanceRouting(i)``.
-* :func:`distance_all` -- the "Distance-All" extreme: every unicast on
-  the ENet, the ONet carries only broadcasts.
+* :func:`distance_all` -- the "Distance-All" extreme: ``rthres`` above
+  any distance, so every unicast stays on the ENet and the ONet carries
+  only broadcasts.
 
-The oblivious (load-independent) variant is what the paper evaluates;
-an optional :class:`AdaptiveDistanceRouting` is provided for the
-ablation DESIGN.md calls out (the paper notes the purely
+The oblivious (fixed ``rthres``) variant is what the paper evaluates;
+an optional :class:`AdaptiveDistanceRouting` moves ``rthres`` with the
+load, for the ablation DESIGN.md calls out (the paper notes the purely
 performance-optimal policy is adaptive but picks oblivious "for
-simplicity reasons").
+simplicity reasons").  ``AtacNetwork`` inlines the rule on its hot path
+and reads ``rthres`` on every send, so a moving threshold takes effect
+at once.
 """
 
 from __future__ import annotations
@@ -29,14 +38,19 @@ from repro.network.topology import MeshTopology
 class RoutingPolicy(ABC):
     """Decides, per unicast, whether to use the optical path."""
 
-    #: True when ``use_onet`` depends only on (src, dst) -- i.e. the
-    #: policy is load-independent -- so callers may cache its answers
-    #: per core pair.  Adaptive (stateful) policies must set this False.
-    oblivious = True
+    #: Manhattan distance at or above which an inter-cluster unicast
+    #: takes the ONet.
+    rthres: int
 
-    @abstractmethod
     def use_onet(self, topology: MeshTopology, src: int, dst: int) -> bool:
-        """True if the unicast src->dst should travel over the ONet."""
+        """True if the unicast src->dst should travel over the ONet.
+
+        Same-cluster traffic always stays electrical (Section III-A).
+        """
+        return (
+            topology.cluster_of(src) != topology.cluster_of(dst)
+            and topology.manhattan(src, dst) >= self.rthres
+        )
 
     @property
     @abstractmethod
@@ -48,12 +62,11 @@ class RoutingPolicy(ABC):
 class ClusterRouting(RoutingPolicy):
     """Original ATAC: every inter-cluster unicast takes the ONet."""
 
+    rthres = 0
+
     @property
     def name(self) -> str:
         return "Cluster"
-
-    def use_onet(self, topology: MeshTopology, src: int, dst: int) -> bool:
-        return topology.cluster_of(src) != topology.cluster_of(dst)
 
 
 @dataclass(frozen=True)
@@ -77,12 +90,6 @@ class DistanceRouting(RoutingPolicy):
     def name(self) -> str:
         return self.label if self.label is not None else f"Distance-{self.rthres}"
 
-    def use_onet(self, topology: MeshTopology, src: int, dst: int) -> bool:
-        if topology.cluster_of(src) == topology.cluster_of(dst):
-            # Same-cluster traffic always stays electrical (Section III-A).
-            return False
-        return topology.manhattan(src, dst) >= self.rthres
-
 
 def distance_all(topology: MeshTopology) -> DistanceRouting:
     """The 'Distance-All' scheme: rthres above any possible distance,
@@ -101,9 +108,6 @@ class AdaptiveDistanceRouting(RoutingPolicy):
     low zero-load latency.  The controller is deliberately simple --
     it exists to quantify the gap the paper accepts by going oblivious.
     """
-
-    #: rthres moves at runtime, so use_onet answers must not be cached.
-    oblivious = False
 
     rthres_min: int = 5
     rthres_max: int = 25
@@ -127,8 +131,3 @@ class AdaptiveDistanceRouting(RoutingPolicy):
             self.rthres += 1
         elif backlog_cycles < self.backlog_low and self.rthres > self.rthres_min:
             self.rthres -= 1
-
-    def use_onet(self, topology: MeshTopology, src: int, dst: int) -> bool:
-        if topology.cluster_of(src) == topology.cluster_of(dst):
-            return False
-        return topology.manhattan(src, dst) >= self.rthres

@@ -38,16 +38,12 @@ class Packet:
         Payload + header size; converted to flits by each network.
     time:
         Injection time (cycles).
-    payload:
-        Opaque object carried to the receiver (coherence messages in the
-        full-system simulator; ``None`` for synthetic traffic).
     """
 
     src: int
     dst: int
     size_bits: int = CONTROL_MSG_BITS
     time: int = 0
-    payload: object = None
 
     def __post_init__(self) -> None:
         if self.src < 0:
@@ -64,13 +60,3 @@ class Packet:
         if flit_bits <= 0:
             raise ValueError(f"flit_bits must be positive, got {flit_bits}")
         return max(1, math.ceil(self.size_bits / flit_bits))
-
-
-def control_packet(src: int, dst: int, time: int = 0, payload: object = None) -> Packet:
-    """Convenience constructor for an 88-bit coherence packet."""
-    return Packet(src=src, dst=dst, size_bits=CONTROL_MSG_BITS, time=time, payload=payload)
-
-
-def data_packet(src: int, dst: int, time: int = 0, payload: object = None) -> Packet:
-    """Convenience constructor for a 600-bit data packet."""
-    return Packet(src=src, dst=dst, size_bits=DATA_MSG_BITS, time=time, payload=payload)

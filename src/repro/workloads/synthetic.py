@@ -93,17 +93,12 @@ class SyntheticTraffic:
         # uniform destination over the *other* cores
         dsts = rng.integers(0, self.n_cores - 1, size=hits.size)
         dsts = np.where(dsts >= srcs, dsts + 1, dsts)
-        packets = []
-        for t, s, d, b in zip(times, srcs, dsts, is_bcast):
-            packets.append(
-                Packet(
-                    src=int(s),
-                    dst=BROADCAST if b else int(d),
-                    size_bits=self.packet_bits,
-                    time=int(t),
-                )
-            )
-        return packets
+        dsts = np.where(is_bcast, BROADCAST, dsts)
+        bits = self.packet_bits
+        return [
+            Packet(src, dst, bits, t)
+            for t, src, dst in zip(times.tolist(), srcs.tolist(), dsts.tolist())
+        ]
 
 
 def run_load_point(

@@ -83,7 +83,7 @@ class TestReplacement:
         c = SetAssocCache(2, 1)
         c.install(0, CacheState.SHARED)  # set 0
         assert c.install(1, CacheState.SHARED) is None  # set 1
-        assert c.occupancy() == 2
+        assert len(c.resident_lines()) == 2
 
 
 class TestStateChanges:
@@ -98,7 +98,7 @@ class TestStateChanges:
         c.install(5, CacheState.SHARED)
         c.set_state(5, CacheState.INVALID)
         assert c.lookup(5) is CacheState.INVALID
-        assert c.occupancy() == 0
+        assert len(c.resident_lines()) == 0
 
     def test_set_state_missing_raises(self):
         c = SetAssocCache(4, 2)
@@ -127,7 +127,7 @@ class TestProperties:
         c = SetAssocCache(n_sets, ways)
         for line in lines:
             c.install(line, CacheState.SHARED)
-        assert c.occupancy() <= c.capacity_lines
+        assert len(c.resident_lines()) <= c.capacity_lines
         # no duplicates
         resident = c.resident_lines()
         assert len(resident) == len(set(resident))

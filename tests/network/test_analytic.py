@@ -13,7 +13,9 @@ from repro.network.atac import AtacNetwork
 from repro.network.mesh import EMeshBCast, EMeshPure
 from repro.network.routing import ClusterRouting, DistanceRouting
 from repro.network.topology import MeshTopology
-from repro.network.types import BROADCAST, Packet, control_packet, data_packet
+from repro.network.types import (
+    BROADCAST, CONTROL_MSG_BITS, DATA_MSG_BITS, Packet,
+)
 
 
 @pytest.fixture
@@ -58,13 +60,13 @@ class TestAtacCrossValidation:
         if src == dst:
             return
         net = AtacNetwork(topo, routing=routing)
-        [(_, arrival)] = net.send(control_packet(src, dst))
+        [(_, arrival)] = net.send(Packet(src, dst, CONTROL_MSG_BITS))
         assert arrival == model.atac_unicast_latency(routing, src, dst, 88)
 
     def test_cluster_routing_agrees(self, topo, model):
         routing = ClusterRouting()
         net = AtacNetwork(topo, routing=routing)
-        [(_, arrival)] = net.send(data_packet(0, 63))
+        [(_, arrival)] = net.send(Packet(0, 63, DATA_MSG_BITS))
         assert arrival == model.atac_unicast_latency(routing, 0, 63, 600)
 
     def test_optical_broadcast_bound(self, topo, model):

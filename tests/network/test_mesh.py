@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.network.mesh import EMeshBCast, EMeshPure
 from repro.network.topology import MeshTopology
-from repro.network.types import BROADCAST, Packet, control_packet, data_packet
+from repro.network.types import (
+    BROADCAST, CONTROL_MSG_BITS, DATA_MSG_BITS, Packet,
+)
 
 
 @pytest.fixture
@@ -17,55 +19,55 @@ class TestZeroLoadLatency:
     def test_unicast_wormhole_formula(self, topo):
         """Zero-load latency = hops * (router+link) + serialization."""
         net = EMeshPure(topo)
-        pkt = control_packet(0, 63)  # 14 hops, 2 flits
+        pkt = Packet(0, 63, CONTROL_MSG_BITS)  # 14 hops, 2 flits
         [(dst, arrival)] = net.send(pkt)
         assert dst == 63
         assert arrival == 14 * 2 + 2
 
     def test_data_packet_serialization(self, topo):
         net = EMeshPure(topo)
-        pkt = data_packet(0, 7)  # 7 hops, 10 flits (600 bits)
+        pkt = Packet(0, 7, DATA_MSG_BITS)  # 7 hops, 10 flits (600 bits)
         [(_, arrival)] = net.send(pkt)
         assert arrival == 7 * 2 + 10
 
     def test_one_hop(self, topo):
         net = EMeshPure(topo)
-        [(_, arrival)] = net.send(control_packet(0, 1))
+        [(_, arrival)] = net.send(Packet(0, 1, CONTROL_MSG_BITS))
         assert arrival == 2 + 2
 
     def test_self_send_is_local(self, topo):
         net = EMeshPure(topo)
-        [(dst, arrival)] = net.send(control_packet(3, 3, time=5))
+        [(dst, arrival)] = net.send(Packet(3, 3, CONTROL_MSG_BITS, time=5))
         assert dst == 3 and arrival == 6
         assert net.stats.router_flit_traversals == 0
 
     def test_same_formula_on_bcast_mesh(self, topo):
         """EMesh-BCast unicasts behave identically to EMesh-Pure."""
         a, b = EMeshPure(topo), EMeshBCast(topo)
-        [(_, t1)] = a.send(control_packet(5, 60))
-        [(_, t2)] = b.send(control_packet(5, 60))
+        [(_, t1)] = a.send(Packet(5, 60, CONTROL_MSG_BITS))
+        [(_, t2)] = b.send(Packet(5, 60, CONTROL_MSG_BITS))
         assert t1 == t2
 
 
 class TestContention:
     def test_second_packet_queues_behind_first(self, topo):
         net = EMeshPure(topo)
-        [(_, t1)] = net.send(control_packet(0, 7, time=0))
-        [(_, t2)] = net.send(control_packet(0, 7, time=0))
+        [(_, t1)] = net.send(Packet(0, 7, CONTROL_MSG_BITS, time=0))
+        [(_, t2)] = net.send(Packet(0, 7, CONTROL_MSG_BITS, time=0))
         # same path: second serializes behind the first at every hop
         assert t2 > t1
 
     def test_disjoint_paths_dont_interact(self, topo):
         net = EMeshPure(topo)
-        [(_, t1)] = net.send(control_packet(0, 7, time=0))
-        [(_, t2)] = net.send(control_packet(56, 63, time=0))
+        [(_, t1)] = net.send(Packet(0, 7, CONTROL_MSG_BITS, time=0))
+        [(_, t2)] = net.send(Packet(56, 63, CONTROL_MSG_BITS, time=0))
         assert t1 - 0 == t2 - 0
 
     def test_sends_must_be_time_ordered(self, topo):
         net = EMeshPure(topo)
-        net.send(control_packet(0, 1, time=100))
+        net.send(Packet(0, 1, CONTROL_MSG_BITS, time=100))
         with pytest.raises(ValueError):
-            net.send(control_packet(0, 1, time=50))
+            net.send(Packet(0, 1, CONTROL_MSG_BITS, time=50))
 
 
 class TestBroadcasts:
@@ -124,7 +126,7 @@ class TestBroadcasts:
 class TestStatsAccounting:
     def test_unicast_counters(self, topo):
         net = EMeshPure(topo)
-        net.send(control_packet(0, 63))
+        net.send(Packet(0, 63, CONTROL_MSG_BITS))
         s = net.stats
         assert s.packets_sent == 1
         assert s.unicasts_sent == 1
@@ -140,7 +142,7 @@ class TestStatsAccounting:
 
     def test_reset_stats(self, topo):
         net = EMeshPure(topo)
-        net.send(control_packet(0, 1))
+        net.send(Packet(0, 1, CONTROL_MSG_BITS))
         old = net.reset_stats()
         assert old.packets_sent == 1
         assert net.stats.packets_sent == 0
@@ -154,5 +156,5 @@ class TestProperties:
         net = EMeshPure(topo)
         if src == dst:
             return
-        [(_, arrival)] = net.send(control_packet(src, dst))
+        [(_, arrival)] = net.send(Packet(src, dst, CONTROL_MSG_BITS))
         assert arrival == topo.manhattan(src, dst) * 2 + 2

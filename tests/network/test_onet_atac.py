@@ -8,7 +8,7 @@ from repro.network.onet import AdaptiveSWMRLink, LaserMode
 from repro.network.routing import ClusterRouting, DistanceRouting, distance_all
 from repro.network.stats import NetworkStats
 from repro.network.topology import MeshTopology
-from repro.network.types import BROADCAST, Packet, control_packet
+from repro.network.types import BROADCAST, CONTROL_MSG_BITS, Packet
 
 
 @pytest.fixture
@@ -134,22 +134,22 @@ class TestReceiveNetwork:
 class TestAtacRouting:
     def test_cluster_routing_intra_stays_electrical(self, topo):
         net = AtacNetwork(topo, routing=ClusterRouting())
-        net.send(control_packet(0, 9))  # same cluster
+        net.send(Packet(0, 9, CONTROL_MSG_BITS))  # same cluster
         assert net.stats.onet_unicasts == 0
 
     def test_cluster_routing_inter_uses_onet(self, topo):
         net = AtacNetwork(topo, routing=ClusterRouting())
-        net.send(control_packet(0, 7))  # different cluster, only 7 hops
+        net.send(Packet(0, 7, CONTROL_MSG_BITS))  # different cluster, only 7 hops
         assert net.stats.onet_unicasts == 1
 
     def test_distance_routing_short_intercluster_stays_electrical(self, topo):
         net = AtacNetwork(topo, routing=DistanceRouting(15))
-        net.send(control_packet(3, 4))  # adjacent cores, different clusters
+        net.send(Packet(3, 4, CONTROL_MSG_BITS))  # adjacent cores, different clusters
         assert net.stats.onet_unicasts == 0
 
     def test_distance_routing_long_uses_onet(self, topo):
         net = AtacNetwork(topo, routing=DistanceRouting(6))
-        net.send(control_packet(0, 63))  # 14 hops
+        net.send(Packet(0, 63, CONTROL_MSG_BITS))  # 14 hops
         assert net.stats.onet_unicasts == 1
 
     def test_distance_threshold_boundary(self, topo):
@@ -160,7 +160,7 @@ class TestAtacRouting:
 
     def test_distance_all_never_uses_onet_for_unicasts(self, topo):
         net = AtacNetwork(topo, routing=distance_all(topo))
-        net.send(control_packet(0, 63))
+        net.send(Packet(0, 63, CONTROL_MSG_BITS))
         assert net.stats.onet_unicasts == 0
 
     def test_broadcast_always_uses_onet(self, topo):
@@ -179,11 +179,11 @@ class TestAtacTiming:
     def test_onet_unicast_beats_mesh_at_long_distance(self, topo):
         """The ONet's zero-load advantage for cross-chip traffic."""
         atac = AtacNetwork(topo, routing=DistanceRouting(6))
-        [(_, t_opt)] = atac.send(control_packet(0, 63))
+        [(_, t_opt)] = atac.send(Packet(0, 63, CONTROL_MSG_BITS))
         from repro.network.mesh import EMeshPure
 
         mesh = EMeshPure(topo)
-        [(_, t_el)] = mesh.send(control_packet(0, 63))
+        [(_, t_el)] = mesh.send(Packet(0, 63, CONTROL_MSG_BITS))
         assert t_opt < t_el
 
     def test_broadcast_reaches_all_other_cores(self, topo):
@@ -215,7 +215,7 @@ class TestAtacTiming:
 
     def test_onet_utilization_rollup(self, topo):
         net = AtacNetwork(topo, routing=DistanceRouting(0))
-        net.send(control_packet(0, 63))
+        net.send(Packet(0, 63, CONTROL_MSG_BITS))
         u = net.onet_utilization(100)
         assert 0 < u < 0.05  # 2 flits on 1 of 4 channels over 100 cycles
 

@@ -1,0 +1,97 @@
+"""Route and routing-verdict tables of freshly built networks.
+
+A mesh builds each new XY route by joining an X leg and a Y leg from a
+table shared by every mesh of the same width; the ATAC family decides
+ONet vs ENet by an inlined copy of ``RoutingPolicy.use_onet``.  These
+tests pin both against the plain definitions: the topology's XY route
+and the policy's own verdict.
+"""
+
+import pytest
+
+from repro.network.atac import AtacNetwork
+from repro.network.mesh import EMeshPure, _xy_legs
+from repro.network.routing import (
+    AdaptiveDistanceRouting,
+    ClusterRouting,
+    DistanceRouting,
+    distance_all,
+)
+from repro.network.topology import MeshTopology
+from repro.network.types import CONTROL_MSG_BITS, Packet
+
+
+def _pairs(topo):
+    n = topo.n_cores
+    return [(s, d) for s in range(n) for d in range(n) if s != d]
+
+
+@pytest.mark.parametrize("width", [4, 8, 16])
+def test_route_ports_follow_xy_route(width):
+    topo = MeshTopology(width=width, cluster_width=4)
+    net = EMeshPure(topo)
+    for src, dst in _pairs(topo):
+        path = topo.xy_route(src, dst)
+        expected = tuple(net._port(u, v) for u, v in zip(path, path[1:]))
+        assert net._route_ports_for(src, dst) == expected, (src, dst)
+
+
+def _verdict_matches_policy(net, policy):
+    """Send one unicast per core pair and compare the path each took
+    (seen as an ONet unicast or not) with ``policy.use_onet``."""
+    topo = net.topology
+    for src, dst in _pairs(topo):
+        before = net.stats.onet_unicasts
+        net.send(Packet(src, dst, CONTROL_MSG_BITS))
+        took_onet = net.stats.onet_unicasts - before == 1
+        assert took_onet == policy.use_onet(topo, src, dst), (src, dst)
+
+
+@pytest.mark.parametrize(
+    "make_policy",
+    [
+        lambda topo: ClusterRouting(),
+        lambda topo: DistanceRouting(5),
+        lambda topo: DistanceRouting(15),
+        lambda topo: DistanceRouting(25),
+        distance_all,
+    ],
+    ids=["cluster", "distance-5", "distance-15", "distance-25", "distance-all"],
+)
+def test_inlined_verdict_equals_use_onet(make_policy):
+    topo = MeshTopology(width=8, cluster_width=4)
+    policy = make_policy(topo)
+    _verdict_matches_policy(AtacNetwork(topo, routing=policy), policy)
+
+
+def test_adaptive_threshold_moves_take_effect_on_the_next_send():
+    topo = MeshTopology(width=8, cluster_width=4)
+    policy = AdaptiveDistanceRouting(rthres_min=2, rthres_max=12, rthres=2)
+    net = AtacNetwork(topo, routing=policy)
+    onet = []
+    for backlog in (100, 100, 100, 100, 0, 0):
+        policy.observe_backlog(backlog)
+        before = net.stats.onet_unicasts
+        _verdict_matches_policy(net, policy)
+        onet.append(net.stats.onet_unicasts - before)
+    assert policy.rthres == 4
+    # Raising the threshold moves pairs off the ONet; lowering it back
+    # moves them on again.
+    assert onet[0] > onet[3] and onet[3] < onet[5]
+
+
+def test_same_width_networks_share_legs_not_port_state():
+    a = EMeshPure(MeshTopology(width=8, cluster_width=4))
+    b = EMeshPure(MeshTopology(width=8, cluster_width=4))
+    assert _xy_legs(8) is _xy_legs(8)
+    pkt = Packet(0, 63, CONTROL_MSG_BITS)
+    [(_, first)] = a.send(pkt)
+    for _ in range(5):
+        a.send(pkt)
+    assert b._free_at == [0] * len(b._free_at)
+    assert b._busy == [0] * len(b._busy)
+    [(_, fresh)] = b.send(pkt)
+    assert fresh == first
+    # a's repeated sends queued behind each other; b's did not.
+    [(_, queued)] = a.send(pkt)
+    assert queued > first

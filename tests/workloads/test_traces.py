@@ -1,13 +1,15 @@
 """Unit tests for trace types and the synthetic traffic generator."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.experiments.runspec import LoadPointSpec
 from repro.network.atac import AtacNetwork
 from repro.network.mesh import EMeshPure
 from repro.network.routing import DistanceRouting
 from repro.network.topology import MeshTopology
-from repro.network.types import BROADCAST
+from repro.network.types import BROADCAST, Packet
 from repro.workloads.synthetic import SyntheticTraffic, run_load_point
 from repro.workloads.trace import BarrierOp, ComputeOp, CoreTrace, MemoryOp
 
@@ -82,6 +84,27 @@ class TestSyntheticTraffic:
         ).generate(500)
         assert all(p.dst != BROADCAST for p in pkts)
 
+    def test_matches_reference_packets_from_the_same_draws(self):
+        n, cycles, seed = 16, 400, 9
+        traffic = SyntheticTraffic(
+            n, load=0.4, broadcast_fraction=0.2, packet_bits=600, seed=seed
+        )
+        rng = np.random.default_rng(seed)
+        hits = np.flatnonzero(rng.random(cycles * n) < traffic.p_inject)
+        is_bcast = rng.random(hits.size) < 0.2
+        others = rng.integers(0, n - 1, size=hits.size)
+        expected = []
+        for hit, bcast, other in zip(hits, is_bcast, others):
+            t, src = divmod(int(hit), n)
+            dst = int(other) + (int(other) >= src)
+            expected.append(Packet(src, BROADCAST if bcast else dst, 600, t))
+        pkts = traffic.generate(cycles)
+        assert pkts == expected
+        assert any(p.dst == BROADCAST for p in pkts)
+        assert all(
+            type(v) is int for p in pkts for v in (p.src, p.dst, p.time)
+        )
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SyntheticTraffic(1, load=0.1)
@@ -131,6 +154,15 @@ class TestRunLoadPoint:
         run_load_point(net, traffic, cycles=600, warmup_cycles=100)
         assert net.stats.onet_unicasts > 0
         assert net.stats.receive_net_unicast_flits > 0
+
+    @pytest.mark.parametrize("flit_bits", [32, 64])
+    def test_measured_load_tracks_offered_load(self, flit_bits):
+        """The traffic is sized for the spec's flit width, so an 88-bit
+        packet counts 3 flits at 32-bit flits and 2 at 64-bit."""
+        point = LoadPointSpec(
+            routing="distance-5", load=0.06, mesh_width=8, flit_bits=flit_bits
+        ).execute()
+        assert point.measured_load == pytest.approx(0.06, rel=0.1)
 
     def test_warmup_validation(self):
         topo = MeshTopology(width=8, cluster_width=4)
