@@ -185,8 +185,8 @@ def _sweep(args, networks_default: tuple[str, ...]) -> int:
     runner = Runner(jobs=args.jobs)
     results = runner.run(specs)
     report = runner.last_report
-    # one energy model per network: the registry's descriptor supplies
-    # the architecture-specific wedges, so this works for any network
+    # one energy model per network: each prices the hardware its config
+    # builds, so this works for any registered network
     models = {spec.network: EnergyModel(spec.config()) for spec in specs}
     rows = []
     for spec, result in zip(specs, results):

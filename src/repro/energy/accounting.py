@@ -22,19 +22,27 @@ key                        meaning
 
 All four Table IV technology scenarios are pure post-processing over
 one performance run, exactly as in the paper.
+
+The optical, hub and receive-net wedges exist only for networks whose
+registry descriptor is ``optical``.  They price the hardware the
+config's network is built with: one photonic channel per entry of its
+``onet_links`` (Corona's broadcast ring and HERMES's hierarchy
+included) and its ``receive_net_kind``.  A model therefore prices runs
+of its own network only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.network.registry import for_display_name, receive_net_kind
-from repro.sim.config import SystemConfig
+from repro.network.engine import RECEIVE_NETS_PER_CLUSTER
+from repro.network.registry import get_network
+from repro.sim.config import SystemConfig, make_network
 from repro.sim.results import RunResult
 from repro.tech.caches import CacheModel, directory_cache, l1d_cache, l1i_cache, l2_cache
 from repro.tech.core import CorePowerModel
 from repro.tech.dsent import HubModel, LinkModel, ReceiveNetModel, RouterModel
-from repro.tech.photonics import PhotonicParams
+from repro.tech.photonics import OnetGeometry, PhotonicParams
 from repro.tech.scenarios import SCENARIO_ATACP, TechScenario
 
 #: Component keys in presentation order (Fig 7 wedges, then core, dram).
@@ -103,8 +111,8 @@ class EnergyModel:
     """Maps a :class:`RunResult` to an :class:`EnergyBreakdown`.
 
     One instance captures a technology configuration (photonic device
-    parameters + core power model); ``evaluate`` may be called for many
-    runs and scenarios.
+    parameters + core power model) for one network; ``evaluate`` may be
+    called for many runs of that network and many scenarios.
     """
 
     def __init__(
@@ -122,18 +130,23 @@ class EnergyModel:
         self.dram_energy_per_access_j = dram_energy_per_access_j
         topo = config.topology
         self.n_routers = topo.n_cores
-        self.n_hubs = topo.n_clusters
         hop_mm = topo.hop_length_mm(die_edge_mm)
         self.router = RouterModel(n_ports=5, width_bits=config.flit_bits)
         self.link = LinkModel(width_bits=config.flit_bits, length_mm=hop_mm)
         # bidirectional mesh: 2 links per adjacent pair, both directions
         self.n_links = 4 * topo.width * (topo.width - 1)
-        self.hub = HubModel(width_bits=config.flit_bits)
-        self.receive_net = ReceiveNetModel(
-            kind=receive_net_kind(config.network, config.receive_net),
-            width_bits=config.flit_bits,
-            cluster_size=topo.cluster_size,
-        )
+        network = make_network(config)
+        self._network_name = network.name
+        self._optical = get_network(config.network).optical
+        if self._optical:
+            self._n_hubs = topo.n_clusters
+            self._n_onet_links = len(network.onet_links)
+            self._hub = HubModel(width_bits=config.flit_bits)
+            self._receive_net = ReceiveNetModel(
+                kind=network.receive_net_kind,
+                width_bits=config.flit_bits,
+                cluster_size=topo.cluster_size,
+            )
         # caches (full-size models: energy reflects the real chip even
         # when the simulator runs with scaled-down cache state)
         self.l1i = l1i_cache()
@@ -152,7 +165,16 @@ class EnergyModel:
         result: RunResult,
         scenario: TechScenario = SCENARIO_ATACP,
     ) -> EnergyBreakdown:
-        """Compute the component breakdown for one run + one scenario."""
+        """Compute the component breakdown for one run + one scenario.
+
+        Raises ``ValueError`` if ``result`` ran on another network than
+        this model's config builds.
+        """
+        if result.network != self._network_name:
+            raise ValueError(
+                f"cannot price a {result.network!r} run with a "
+                f"{self._network_name!r} energy model"
+            )
         runtime = result.runtime_s
         cycle_s = 1.0 / result.freq_hz
         ns = result.network_stats
@@ -170,12 +192,10 @@ class EnergyModel:
             + self.n_links * self.link.leakage_power_w()
         )
 
-        # -- architecture-specific wedges (optical path, hubs, ...) ------
-        # The descriptor owns the architecture's extra component math;
-        # electrical meshes register none and contribute nothing here.
-        descriptor = for_display_name(result.network)
-        if descriptor.energy_components is not None:
-            comp.update(descriptor.energy_components(self, result, scenario))
+        # -- optical path, hubs and receive nets ----------------------
+        # Electrical meshes have none and contribute nothing here.
+        if self._optical:
+            comp.update(self._optical_components(result, scenario))
 
         # -- caches --------------------------------------------------------
         cc = result.cache_counters
@@ -220,3 +240,72 @@ class EnergyModel:
             network=result.network,
             runtime_s=runtime,
         )
+
+    def _optical_components(
+        self, result: RunResult, scenario: TechScenario
+    ) -> dict:
+        """Laser / ring / Tx-Rx / hub / receive-net wedges (Figure 7).
+
+        Every channel in the built network's ``onet_links`` is always
+        on in the non-power-gated laser scenario and counts toward the
+        ring-tuning inventory.
+        """
+        ns = result.network_stats
+        runtime = result.runtime_s
+        cycle_s = 1.0 / result.freq_hz
+        n_onet_links = self._n_onet_links
+        comp: dict[str, float] = {}
+        photonics = scenario.photonic_params(self.base_photonics)
+        geometry = OnetGeometry(
+            n_hubs=n_onet_links,
+            data_width_bits=self.config.flit_bits,
+            params=photonics,
+        )
+        channel = geometry.data_link(on_chip_laser=scenario.laser_power_gated)
+        # one hub "link" = flit_bits wavelength-channels in lockstep
+        uni_w = channel.unicast_power_w() * self.config.flit_bits
+        bcast_w = channel.broadcast_power_w() * self.config.flit_bits
+        active = (
+            ns.onet_unicast_cycles * uni_w
+            + ns.onet_broadcast_cycles * bcast_w
+        ) * cycle_s
+        # laser settle/re-bias energy per mode transition (the 1 ns
+        # power-up window of the on-chip Ge laser, Section II-A)
+        active += (
+            ns.onet_mode_transitions
+            * channel.transition_energy_j()
+            * self.config.flit_bits
+        )
+        if scenario.laser_power_gated:
+            comp["laser"] = active
+        else:
+            # Laser stuck at worst-case broadcast power on every channel
+            # for the whole run (ATAC+(Cons)).
+            comp["laser"] = (
+                bcast_w * n_onet_links * result.completion_cycles * cycle_s
+            )
+        comp["ring_tuning"] = (
+            geometry.ring_tuning_power_w(athermal=scenario.athermal_rings)
+            * runtime
+        )
+        bits = self.config.flit_bits
+        mod_j = photonics.modulator_energy_fj_per_bit * 1e-15 * bits
+        rx_j = photonics.receiver_energy_fj_per_bit * 1e-15 * bits
+        comp["modulator_receiver"] = (
+            (ns.onet_unicast_flits + ns.onet_broadcast_flits) * mod_j
+            + ns.onet_receiver_flits * rx_j
+            + ns.onet_select_notifications * mod_j * 0.1  # select link
+        )
+        comp["hub"] = (
+            ns.hub_flit_traversals * self._hub.flit_energy_j()
+            + runtime
+            * self._n_hubs
+            * (self._hub.clock_power_w(result.freq_hz) + self._hub.leakage_power_w())
+        )
+        comp["receive_net"] = (
+            ns.receive_net_unicast_flits * self._receive_net.unicast_energy_j()
+            + ns.receive_net_broadcast_flits * self._receive_net.broadcast_energy_j()
+            + runtime * self._n_hubs * RECEIVE_NETS_PER_CLUSTER
+            * self._receive_net.leakage_power_w()
+        )
+        return comp

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.network.engine import RECEIVE_NETS_PER_CLUSTER
 from repro.network.registry import get_network
-from repro.sim.config import SystemConfig
+from repro.sim.config import SystemConfig, make_network
 from repro.tech.caches import directory_cache, l1d_cache, l1i_cache, l2_cache
-from repro.tech.dsent import LinkModel, RouterModel
-from repro.tech.photonics import PhotonicParams
+from repro.tech.dsent import HubModel, LinkModel, ReceiveNetModel, RouterModel
+from repro.tech.photonics import OnetGeometry, PhotonicParams
 
 
 @dataclass
@@ -84,9 +85,22 @@ class AreaModel:
         )
         n_links = 4 * topo.width * (topo.width - 1)
         comp["enet"] = n * router.area_mm2() + n_links * link.area_mm2()
-        # Architecture-specific hardware (hubs, receive nets, photonics)
-        # is described by the network's registry descriptor.
-        descriptor = get_network(cfg.network)
-        if descriptor.area_components is not None:
-            comp.update(descriptor.area_components(self))
+        if get_network(cfg.network).optical:
+            # Hubs, receive nets and photonics (Figure 10), sized from
+            # the hardware the built network simulates.
+            network = make_network(cfg)
+            comp["hubs"] = topo.n_clusters * HubModel(cfg.flit_bits).area_mm2()
+            comp["receive_net"] = (
+                topo.n_clusters
+                * RECEIVE_NETS_PER_CLUSTER
+                * ReceiveNetModel(
+                    kind=network.receive_net_kind, width_bits=cfg.flit_bits,
+                    cluster_size=topo.cluster_size,
+                ).area_mm2()
+            )
+            comp["photonics"] = OnetGeometry(
+                n_hubs=len(network.onet_links),
+                data_width_bits=cfg.flit_bits,
+                params=self.photonics,
+            ).photonics_area_mm2()
         return AreaBreakdown(components=comp)

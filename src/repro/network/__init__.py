@@ -17,10 +17,13 @@ architectures that bracket the hybrid design:
 * :class:`repro.network.hermes.HermesNetwork` -- hierarchical two-level
   optical broadcast over an electrical unicast mesh.
 
-Every architecture is bound to its energy/area models and experiment
+Every architecture is bound to its timing-model factory and experiment
 axes by a :class:`repro.network.registry.NetworkDescriptor`; the rest
 of the system resolves networks through :mod:`repro.network.registry`
-rather than dispatching on name strings.
+rather than dispatching on name strings.  The energy and area models
+(:mod:`repro.energy`) price the hardware a built network exposes
+(``onet_links``, ``receive_net_kind``); this package never imports
+them or :mod:`repro.tech`.
 
 All networks share one timing methodology (packet-level wormhole
 approximation with per-port resource reservation, see
@@ -50,7 +53,6 @@ from repro.network.registry import (
     experiment_axis,
     get_network,
     network_names,
-    receive_net_kind,
     register,
 )
 from repro.network.analytic import AnalyticModel
@@ -80,7 +82,6 @@ __all__ = [
     "experiment_axis",
     "get_network",
     "network_names",
-    "receive_net_kind",
     "register",
     "AnalyticModel",
 ]

@@ -50,6 +50,8 @@ class AtacNetwork(_MeshBase):
         self.routing: RoutingPolicy = (
             routing if routing is not None else DistanceRouting(15)
         )
+        # ``receive_net_kind`` and ``onet_links`` are the hardware
+        # inventory the energy and area models price.
         self.receive_net_kind = receive_net
         n_hubs = topology.n_clusters
         self.onet_links = [

@@ -58,7 +58,8 @@ class CoronaNetwork(AtacNetwork):
         # The base class built one channel per hub; under MWSR semantics
         # onet_links[c] is the channel *read by* cluster c (writers
         # reserve it).  The broadcast ring is an extra shared channel
-        # appended so port accounting and Table-V utilization cover it.
+        # appended so port accounting, Table-V utilization and the
+        # energy and area models cover it.
         self.broadcast_channel = AdaptiveSWMRLink(
             0, topology.n_clusters, self.stats
         )

@@ -85,16 +85,17 @@ class HermesNetwork(AtacNetwork):
         )
         # Level 2: the head rebroadcasts to the region's other clusters;
         # single-cluster regions need no second level.
-        self.region_channels = tuple(
+        self.rebroadcast_channels = tuple(
             AdaptiveSWMRLink(0, len(m), self.stats)
             if len(m) >= 2 else None
             for m in self.regions
         )
         # Replace the per-hub SWMR links the base class built: HERMES's
         # optical inventory is the hierarchy's channels, and this list
-        # is what port accounting and Table-V utilization walk.
+        # is what port accounting, Table-V utilization and the energy
+        # and area models walk.
         self.onet_links = [self.global_channel] + [
-            c for c in self.region_channels if c is not None
+            c for c in self.rebroadcast_channels if c is not None
         ]
 
     @property
@@ -119,7 +120,7 @@ class HermesNetwork(AtacNetwork):
         # Reserve each region's rebroadcast exactly once, up front, so
         # per-cluster fan-out below reads a fixed schedule.
         member_ready = []
-        for channel in self.region_channels:
+        for channel in self.rebroadcast_channels:
             if channel is None:
                 member_ready.append(head_ready)
             else:

@@ -12,8 +12,8 @@ Counters also feed the paper's traffic metrics directly:
   ``received_broadcast_flits``.
 * Figure 6 (offered load, flits/cycle/core) = ``injected_flits`` /
   (cycles x cores).
-* Table V (adaptive SWMR link utilization, unicast-to-broadcast ratio)
-  = the ``onet_*`` counters.
+* Table V's unicast-to-broadcast ratio = the ``onet_*`` counters (its
+  link utilization is per channel, ``AtacNetwork.onet_utilization``).
 """
 
 from __future__ import annotations
@@ -78,21 +78,6 @@ class NetworkStats:
         if self.latency_count == 0:
             return 0.0
         return self.latency_sum / self.latency_count
-
-    @property
-    def onet_busy_cycles(self) -> int:
-        """Channel-cycles in either active laser mode (Table V numerator)."""
-        return self.onet_unicast_cycles + self.onet_broadcast_cycles
-
-    def onet_link_utilization(self, total_cycles: int, n_channels: int) -> float:
-        """Fraction of time the adaptive SWMR links spend non-idle.
-
-        Table V reports this per application: "the percentage of time in
-        unicast or broadcast modes" -- 6 %-29 % for the studied apps.
-        """
-        if total_cycles <= 0 or n_channels <= 0:
-            raise ValueError("total_cycles and n_channels must be positive")
-        return min(1.0, self.onet_busy_cycles / (total_cycles * n_channels))
 
     def unicasts_per_broadcast(self) -> float:
         """Average unicast packets between successive ONet broadcasts.

@@ -1,9 +1,10 @@
 """Full-system configuration (paper Table I) and network factory.
 
 Network architectures are resolved through
-:mod:`repro.network.registry`: validation, the factory and the
-energy/area bindings all read one :class:`NetworkDescriptor` per
-network, so adding an architecture is a single registration there.
+:mod:`repro.network.registry`: validation and the factory read one
+:class:`NetworkDescriptor` per network, and the energy/area models
+price the network :func:`make_network` builds, so adding an
+architecture is a single registration there.
 """
 
 from __future__ import annotations

@@ -162,7 +162,7 @@ class TestHermes:
         ]
         assert singletons
         for r in singletons:
-            assert net.region_channels[r] is None
+            assert net.rebroadcast_channels[r] is None
         # optical inventory: the global channel + one per multi-cluster
         # region
         multi = sum(1 for m in net.regions if len(m) >= 2)
@@ -188,7 +188,7 @@ class TestHermes:
         assert net.global_channel.broadcast_cycles > 0
         # the second level re-broadcast fired on every multi-cluster
         # region's channel
-        for channel in net.region_channels:
+        for channel in net.rebroadcast_channels:
             if channel is not None:
                 assert channel.broadcast_cycles > 0
 

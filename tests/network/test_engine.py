@@ -149,15 +149,6 @@ class TestNetworkStats:
         s.onet_broadcasts = 0
         assert s.unicasts_per_broadcast() == float("inf")
 
-    def test_link_utilization_clamped(self):
-        s = NetworkStats()
-        s.onet_unicast_cycles = 50
-        s.onet_broadcast_cycles = 10
-        assert s.onet_link_utilization(100, 1) == pytest.approx(0.6)
-        assert s.onet_link_utilization(10, 1) == 1.0
-        with pytest.raises(ValueError):
-            s.onet_link_utilization(0, 1)
-
     def test_as_dict_roundtrip(self):
         s = NetworkStats()
         s.packets_sent = 3

@@ -3,12 +3,15 @@
 Covers the registry contract itself (ordering, lookup errors, duplicate
 rejection) and the property the registry exists to guarantee: every
 registered descriptor builds a working timing + energy + area stack
-without any consumer knowing the architecture by name.
+without any consumer knowing the architecture by name, and the energy
+and area models price the hardware the built network simulates.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import functools
 import re
 from pathlib import Path
 
@@ -23,14 +26,14 @@ from repro.network.registry import (
     NetworkDescriptor,
     UnknownNetworkError,
     experiment_axis,
-    for_display_name,
     get_network,
     network_names,
     networks_for_fuzzing,
-    receive_net_kind,
     register,
 )
 from repro.sim.config import SystemConfig, make_network
+from repro.tech.photonics import OnetGeometry, PhotonicParams
+from repro.tech.scenarios import SCENARIO_CONS
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -58,8 +61,6 @@ class TestRegistryContract:
             SystemConfig(network="omninet")
         with pytest.raises(ValueError):
             RunSpec(app="radix", network="omninet")
-        with pytest.raises(ValueError):
-            for_display_name("OmniNet")
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -75,15 +76,16 @@ class TestRegistryContract:
     def test_display_name_round_trip(self):
         for name, descriptor in REGISTRY.items():
             assert get_network(name) is descriptor
-            assert for_display_name(descriptor.display_name) is descriptor
 
-    def test_receive_net_kind_helper(self):
+    def test_receive_net_kind_of_built_network(self):
+        def built(network, receive_net):
+            config = SystemConfig(network=network, receive_net=receive_net)
+            return make_network(config.scaled(8)).receive_net_kind
+
         # original ATAC is defined by its BNet regardless of the config
-        assert receive_net_kind("atac", "starnet") == "bnet"
-        assert receive_net_kind("atac+", "starnet") == "starnet"
-        assert receive_net_kind("atac+", "bnet") == "bnet"
-        with pytest.raises(UnknownNetworkError):
-            receive_net_kind("omninet", "starnet")
+        assert built("atac", "starnet") == "bnet"
+        assert built("atac+", "starnet") == "starnet"
+        assert built("atac+", "bnet") == "bnet"
 
     def test_experiment_axes(self):
         runtime = experiment_axis("runtime")
@@ -112,17 +114,44 @@ class TestRegistryContract:
         ]
         assert not unread, f"NetworkDescriptor fields nobody reads: {unread}"
 
+    def test_network_package_imports_no_pricing_code(self):
+        """Layering lint: the timing models never import the energy or
+        technology layers (those price the network, not the reverse)."""
+        offenders = []
+        for path in sorted((SRC / "network").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    modules = [node.module] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                else:
+                    continue
+                offenders += [
+                    f"{path.name}:{node.lineno} {module}"
+                    for module in modules
+                    if module.split(".")[:2] in (
+                        ["repro", "tech"], ["repro", "energy"]
+                    )
+                ]
+        assert not offenders, f"repro.network imports pricing code: {offenders}"
+
+
+@functools.cache
+def _run(name: str, mesh_width: int = 8):
+    """(config, result) of a short radix run on ``name``."""
+    spec = RunSpec(app="radix", network=name, mesh_width=mesh_width, scale=0.05)
+    return spec.config(), spec.execute()
+
+
+OPTICAL = tuple(name for name in network_names() if get_network(name).optical)
+
 
 class TestEveryDescriptorEndToEnd:
     @pytest.fixture(scope="class")
     def results(self):
-        out = {}
-        for name in network_names():
-            spec = RunSpec(
-                app="radix", network=name, mesh_width=8, scale=0.05
-            )
-            out[name] = (spec.config(), spec.execute())
-        return out
+        return {name: _run(name) for name in network_names()}
 
     @pytest.mark.parametrize("name", network_names())
     def test_builds_and_simulates(self, results, name):
@@ -137,8 +166,7 @@ class TestEveryDescriptorEndToEnd:
         config, result = results[name]
         breakdown = EnergyModel(config).evaluate(result)
         assert breakdown.total_energy_j > 0
-        descriptor = get_network(name)
-        if descriptor.energy_components is not None:
+        if get_network(name).optical:
             # architecture-specific wedges actually appeared (ring
             # tuning may be 0 under athermal scenarios, so key presence
             # is the contract there)
@@ -154,8 +182,49 @@ class TestEveryDescriptorEndToEnd:
         config, _ = results[name]
         breakdown = AreaModel(config).breakdown()
         assert breakdown.total_mm2 > 0
-        has_photonics = get_network(name).area_components is not None
+        has_photonics = get_network(name).optical
         assert ("photonics" in breakdown.components) == has_photonics
+
+    @pytest.mark.parametrize("mesh_width", (8, 16))
+    @pytest.mark.parametrize("name", OPTICAL)
+    def test_pricing_reads_the_built_optical_inventory(self, name, mesh_width):
+        """Area and ring tuning are sized by the channels the timing
+        model simulates (Corona's broadcast ring, HERMES's hierarchy)."""
+        config, result = _run(name, mesh_width)
+        geometry = OnetGeometry(
+            n_hubs=len(make_network(config).onet_links),
+            data_width_bits=config.flit_bits,
+            params=PhotonicParams(),
+        )
+        area = AreaModel(config).breakdown()
+        assert area["photonics"] == geometry.photonics_area_mm2()
+        # Cons prices the real (non-ideal) devices with thermal tuning
+        assert not SCENARIO_CONS.ideal_devices
+        cons = EnergyModel(config).evaluate(result, SCENARIO_CONS)
+        assert cons["ring_tuning"] == (
+            geometry.ring_tuning_power_w(athermal=False) * result.runtime_s
+        )
+
+    def test_atac_is_priced_with_its_bnet(self, results):
+        # the config asks for StarNet; ATAC builds (and is priced with)
+        # its BNet
+        config, result = results["atac"]
+        assert config.receive_net == "starnet"
+        bnet = dataclasses.replace(config, receive_net="bnet")
+        assert (
+            EnergyModel(config).evaluate(result).components
+            == EnergyModel(bnet).evaluate(result).components
+        )
+        area = AreaModel(config).breakdown()
+        assert area.components == AreaModel(bnet).breakdown().components
+        starnet = dataclasses.replace(config, network="atac+")
+        assert area["receive_net"] != AreaModel(starnet).breakdown()["receive_net"]
+
+    def test_energy_model_rejects_another_networks_run(self, results):
+        config, _ = results["atac+"]
+        _, mesh_result = results["emesh-bcast"]
+        with pytest.raises(ValueError, match="EMesh-BCast"):
+            EnergyModel(config).evaluate(mesh_result)
 
     def test_runspec_content_hash_distinguishes_networks(self):
         hashes = {
