@@ -27,8 +27,9 @@ import pytest
 
 # The benchmark suite measures simulator performance, so the runtime
 # invariant checker must stay off no matter what the surrounding shell
-# exports: a leaked REPRO_SANITIZE=1 would both slow every run ~2x and
-# bypass the run cache the prewarm sweep exists to fill.
+# exports: the figure drivers build their specs with spec_for, which
+# reads REPRO_SANITIZE, and a leaked 1 would both slow every run ~2x
+# and bypass the run cache the prewarm sweep exists to fill.
 os.environ.pop("REPRO_SANITIZE", None)
 
 
@@ -41,16 +42,10 @@ def _prewarm_spec_builders():
     """
     from repro.coherence.directory import Protocol
     from repro.experiments import fig04_05_06, fig10_11, fig14_15_16, fig17_table5
-    from repro.experiments.common import spec_for as _spec_for
+    from repro.experiments.common import spec_for
     from repro.experiments.fig07_08_09 import MESHES
     from repro.experiments.fig12_13 import FIG13_APPS
     from repro.workloads.splash import APP_ORDER
-
-    def spec_for(app, **kw):
-        # sanitize=False explicitly: the prewarm sweep feeds the perf
-        # benchmarks, so a stray REPRO_SANITIZE=1 must neither slow the
-        # sweep nor bypass the run cache it exists to fill.
-        return _spec_for(app, sanitize=False, **kw)
 
     def grid(apps, networks, **kw):
         return [spec_for(a, network=n, **kw) for a in apps for n in networks]

@@ -9,7 +9,7 @@ def test_fig10_area(benchmark, run_once):
     for arch, comp in out.items():
         print(f"  {arch}: " + ", ".join(f"{k}={v:.1f}" for k, v in comp.items()))
 
-    atac, mesh = out["ATAC+"], out["EMesh"]
+    atac, mesh = out["ATAC+"], out["EMesh-BCast"]
 
     # Paper shape 1: "the caches dominate the total area (~90%)".
     assert atac["cache_fraction"] > 0.70

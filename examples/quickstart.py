@@ -21,8 +21,9 @@ def simulate(network: str):
     # with the chip so the workload's miss behaviour stays representative.
     config = SystemConfig(network=network).scaled(mesh_width=16)
     # sanitize=False (the default) skips the runtime invariant checker;
-    # pass sanitize=True -- or run with REPRO_SANITIZE=1 -- to assert
-    # cross-layer coherence/network/energy invariants at ~2x cost.
+    # pass sanitize=True to assert cross-layer coherence/network/energy
+    # invariants at ~2x cost (REPRO_SANITIZE=1 reaches only the specs
+    # the experiment layer builds, not a bare ManycoreSystem).
     system = ManycoreSystem(config, sanitize=False)
     traces = generate_traces(
         APP_PROFILES["barnes"],

@@ -24,18 +24,4 @@ The package is organized bottom-up, mirroring the paper's stack:
 * :mod:`repro.experiments` -- one driver per paper table/figure.
 """
 
-import os
-
 __version__ = "1.0.0"
-
-
-def env_flag(name: str) -> bool:
-    """Whether environment variable ``name`` is on (``1``, ``true`` or
-    ``on``, any case), read at call time."""
-    return os.environ.get(name, "0").lower() in ("1", "true", "on")
-
-
-def env_int(name: str, default: int) -> int:
-    """Environment variable ``name`` as an int (``default`` when unset),
-    read at call time; range checks belong to the consumer."""
-    return int(os.environ.get(name, default))

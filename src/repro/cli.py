@@ -17,16 +17,19 @@ Usage::
     python -m repro top latest           # windowed time-series table
     python -m repro trace latest         # export Perfetto trace JSON
 
-``--jobs`` bounds the runner's worker processes for every experiment
-(it exports ``REPRO_JOBS``, which the figure drivers honour); scale
-flags map onto the same knobs as the benchmark suite's environment
-variables.  ``--sanitize`` (or ``REPRO_SANITIZE=1``) runs every
-simulation under :mod:`repro.sanitizer`, which raises a structured
+The run flags are exported as the environment variables the
+experiment layer reads, so 'run', 'sweep' and every figure driver see
+them alike: ``--jobs`` as ``REPRO_JOBS`` (read by the runner),
+``--mesh-width``/``--scale``/``--sanitize``/``--telemetry`` as
+``REPRO_MESH_WIDTH``/``REPRO_SCALE``/``REPRO_SANITIZE``/
+``REPRO_TELEMETRY`` (read by ``spec_for`` for every spec knob the
+caller leaves unset).  ``--sanitize`` runs every simulation under
+:mod:`repro.sanitizer`, which raises a structured
 ``InvariantViolation`` on any cross-layer inconsistency (~2x cost;
-see DESIGN.md section 10).  ``--telemetry`` (or ``REPRO_TELEMETRY=1``)
-records windowed counter deltas and a bounded event trace per run (see
-DESIGN.md section 12); ``repro top`` / ``repro trace`` read them back.
-``-v`` / ``--quiet`` raise or silence :mod:`repro.log` stderr output.
+see DESIGN.md section 10).  ``--telemetry`` records windowed counter
+deltas and a bounded event trace per run (see DESIGN.md section 12);
+``repro top`` / ``repro trace`` read them back.  ``-v`` / ``--quiet``
+raise or silence :mod:`repro.log` stderr output.
 """
 
 from __future__ import annotations
@@ -93,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--mesh-width", type=int, default=None,
-        help="cores per mesh edge (32 = the paper's 1024 cores; default 16)",
+        help="cores per mesh edge (32 = the paper's 1024 cores; default "
+             "16); fig10 always prices the paper's 32x32 chip",
     )
     parser.add_argument(
         "--scale", type=float, default=None,
@@ -173,8 +177,7 @@ def _sweep(args, networks_default: tuple[str, ...]) -> int:
         specs = [
             spec_for(
                 app, network=net, mesh_width=args.mesh_width,
-                scale=args.scale, seed=args.seed, sanitize=args.sanitize,
-                telemetry=args.telemetry,
+                scale=args.scale, seed=args.seed,
             )
             for app in apps for net in networks
         ]
@@ -258,8 +261,8 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         os.environ["REPRO_JOBS"] = str(args.jobs)
     if args.sanitize:
-        # Exported so figure drivers (which build their own specs) and
-        # pool workers inherit the setting, not just 'run'/'sweep'.
+        # Exported, not passed: spec_for reads it for 'run'/'sweep' and
+        # for the figure drivers (which build their own specs) alike.
         os.environ["REPRO_SANITIZE"] = "1"
     if args.telemetry:
         # Same export rationale as --sanitize.

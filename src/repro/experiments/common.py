@@ -11,6 +11,11 @@ and executed through the process-parallel :class:`Runner`:
 
 Delete ``.repro_cache/`` or set ``REPRO_CACHE=0`` to force
 re-simulation; set ``REPRO_JOBS`` to bound worker processes.
+
+:func:`spec_for` is where the environment enters a run: it fills the
+spec fields a caller leaves unset from ``REPRO_MESH_WIDTH``,
+``REPRO_SCALE``, ``REPRO_SANITIZE`` and ``REPRO_TELEMETRY``.  Below it,
+a spec and the constructor arguments are the whole input.
 """
 
 from __future__ import annotations
@@ -52,14 +57,27 @@ def default_scale() -> float:
     return float(os.environ.get("REPRO_SCALE", "0.6"))
 
 
+def _env_flag(name: str) -> bool:
+    """Whether environment variable ``name`` is ``1``, ``true`` or
+    ``on`` (any case), read at call time."""
+    return os.environ.get(name, "0").lower() in ("1", "true", "on")
+
+
 def spec_for(
     app: str,
     mesh_width: int | None = None,
     scale: float | None = None,
     **overrides,
 ) -> RunSpec:
-    """Build a :class:`RunSpec` from its own defaults plus ``overrides``,
-    resolving ``None`` size knobs from the environment at call time."""
+    """Build a :class:`RunSpec` from its own defaults plus ``overrides``.
+
+    Knobs the caller leaves unset are read from the environment at call
+    time: ``None`` size knobs from ``REPRO_MESH_WIDTH``/``REPRO_SCALE``,
+    and ``sanitize``/``telemetry`` from ``REPRO_SANITIZE``/
+    ``REPRO_TELEMETRY``.  An explicit value always wins.
+    """
+    overrides.setdefault("sanitize", _env_flag("REPRO_SANITIZE"))
+    overrides.setdefault("telemetry", _env_flag("REPRO_TELEMETRY"))
     return RunSpec(
         app=app,
         mesh_width=mesh_width if mesh_width is not None else default_mesh_width(),

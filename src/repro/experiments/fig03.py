@@ -55,7 +55,6 @@ def run(
     warmup_cycles: int = 400,
     broadcast_fraction: float = 0.001,
     seed: int = 7,
-    jobs: int | None = None,
 ) -> dict[str, list[dict]]:
     """Returns {scheme_name: [{load, latency, saturated}, ...]}."""
     topology = MeshTopology(width=mesh_width, cluster_width=4)
@@ -72,7 +71,7 @@ def run(
         )
         for routing, _ in ids for load in loads
     ]
-    points = iter(run_specs(specs, jobs=jobs))
+    points = iter(run_specs(specs))
     curves: dict[str, list[dict]] = {}
     for _, name in ids:
         curves[name] = []

@@ -26,14 +26,13 @@ def run_fig4(
     apps: tuple[str, ...] = APP_ORDER,
     mesh_width: int | None = None,
     scale: float | None = None,
-    jobs: int | None = None,
 ) -> list[dict]:
     """Rows: app, runtime per network, and runtimes normalized to ATAC+."""
     specs = [
         spec_for(app, network=net, mesh_width=mesh_width, scale=scale)
         for app in apps for net in NETWORKS
     ]
-    results = iter(run_specs(specs, jobs=jobs))
+    results = iter(run_specs(specs))
     rows = []
     for app in apps:
         row: dict = {"app": app}
@@ -49,7 +48,6 @@ def run_fig5(
     apps: tuple[str, ...] = APP_ORDER,
     mesh_width: int | None = None,
     scale: float | None = None,
-    jobs: int | None = None,
 ) -> list[dict]:
     """Receiver-side unicast/broadcast percentages on ATAC+ (Fig 5)."""
     specs = [
@@ -57,7 +55,7 @@ def run_fig5(
         for app in apps
     ]
     rows = []
-    for app, res in zip(apps, run_specs(specs, jobs=jobs)):
+    for app, res in zip(apps, run_specs(specs)):
         frac = res.receiver_broadcast_fraction
         rows.append(
             {
@@ -73,7 +71,6 @@ def run_fig6(
     apps: tuple[str, ...] = APP_ORDER,
     mesh_width: int | None = None,
     scale: float | None = None,
-    jobs: int | None = None,
 ) -> list[dict]:
     """Offered load in flits/cycle/core on ATAC+ (Fig 6)."""
     specs = [
@@ -82,7 +79,7 @@ def run_fig6(
     ]
     return [
         {"app": app, "offered_load": round(res.offered_load, 5)}
-        for app, res in zip(apps, run_specs(specs, jobs=jobs))
+        for app, res in zip(apps, run_specs(specs))
     ]
 
 

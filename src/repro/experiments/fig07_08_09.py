@@ -44,25 +44,24 @@ def _energy_model(network: str, mesh_width: int | None,
     return EnergyModel(make_config(network, mesh_width), photonics=photonics)
 
 
-def _grid(apps, networks, mesh_width, scale, jobs):
+def _grid(apps, networks, mesh_width, scale):
     """Run the (app, network) grid; returns {(app, net): RunResult}."""
     keys = [(app, net) for app in apps for net in networks]
     specs = [
         spec_for(app, network=net, mesh_width=mesh_width, scale=scale)
         for app, net in keys
     ]
-    return dict(zip(keys, run_specs(specs, jobs=jobs)))
+    return dict(zip(keys, run_specs(specs)))
 
 
 def run_fig7(
     apps: tuple[str, ...] = APP_ORDER,
     mesh_width: int | None = None,
     scale: float | None = None,
-    jobs: int | None = None,
 ) -> dict[str, dict[str, float]]:
     """Average per-component energy by architecture, normalized to
     ATAC+(Ideal)'s total; keys follow Figure 7's wedges."""
-    results = _grid(apps, RUNTIME_AXIS, mesh_width, scale, jobs)
+    results = _grid(apps, RUNTIME_AXIS, mesh_width, scale)
     totals: dict[str, dict[str, float]] = {}
     n = len(apps)
     atac_model = _energy_model("atac+", mesh_width)
@@ -96,10 +95,9 @@ def run_fig8(
     apps: tuple[str, ...] = APP_ORDER,
     mesh_width: int | None = None,
     scale: float | None = None,
-    jobs: int | None = None,
 ) -> list[dict]:
     """Per-app EDP normalized to ATAC+(Ideal); plus the average row."""
-    results = _grid(apps, RUNTIME_AXIS, mesh_width, scale, jobs)
+    results = _grid(apps, RUNTIME_AXIS, mesh_width, scale)
     atac_model = _energy_model("atac+", mesh_width)
     mesh_models = {net: _energy_model(net, mesh_width) for net in MESHES}
     rows = []
@@ -130,13 +128,12 @@ def run_fig9(
     losses_db_per_cm: tuple[float, ...] = (0.2, 1.0, 2.0, 3.0, 4.0),
     mesh_width: int | None = None,
     scale: float | None = None,
-    jobs: int | None = None,
 ) -> list[dict]:
     """Chip energy vs waveguide loss, normalized to EMesh-BCast.
 
     Per app and averaged; ATAC+ (power-gated, athermal) under each loss.
     """
-    results = _grid(apps, EDP_AXIS, mesh_width, scale, jobs)
+    results = _grid(apps, EDP_AXIS, mesh_width, scale)
     rows = []
     bcast_model = _energy_model("emesh-bcast", mesh_width)
     for app in apps:

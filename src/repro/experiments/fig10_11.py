@@ -21,11 +21,12 @@ FIG11_APPS = ("radix", "barnes", "ocean_contig", "ocean_non_contig")
 FLIT_WIDTHS = (16, 32, 64, 128, 256)
 
 
-def run_fig10(mesh_width: int | None = None) -> dict[str, dict[str, float]]:
-    """Area breakdowns (mm^2) for ATAC+ and the electrical mesh."""
+def run_fig10(mesh_width: int = 32) -> dict[str, dict[str, float]]:
+    """Area breakdowns (mm^2) for ATAC+ and the electrical mesh, on the
+    paper's 32x32 chip unless ``mesh_width`` says otherwise."""
     out = {}
     for net in experiment_axis("edp"):
-        config = make_config(net, 32 if mesh_width is None else mesh_width)
+        config = make_config(net, mesh_width)
         breakdown = AreaModel(config).breakdown()
         d = dict(breakdown.components)
         d["total"] = breakdown.total_mm2
@@ -39,7 +40,6 @@ def run_fig11(
     widths: tuple[int, ...] = FLIT_WIDTHS,
     mesh_width: int | None = None,
     scale: float | None = None,
-    jobs: int | None = None,
 ) -> list[dict]:
     """Runtime (normalized to 64-bit) and photonic area per flit width."""
     keys = [(app, w) for app in apps for w in (64, *widths)]
@@ -48,7 +48,7 @@ def run_fig11(
                  mesh_width=mesh_width, scale=scale)
         for app, w in keys
     ]
-    results = dict(zip(keys, run_specs(specs, jobs=jobs)))
+    results = dict(zip(keys, run_specs(specs)))
     rows = []
     for app in apps:
         ref = results[app, 64].completion_cycles
@@ -71,8 +71,10 @@ def photonic_area_by_width(widths: tuple[int, ...] = FLIT_WIDTHS) -> dict[int, f
 
 
 def main() -> None:
-    print("Figure 10: area breakdown (mm^2)")
-    for arch, comp in run_fig10().items():
+    width = 32  # the paper's chip, whatever --mesh-width says
+    print(f"Figure 10: area breakdown (mm^2), {width}x{width} mesh "
+          f"({width * width} cores)")
+    for arch, comp in run_fig10(width).items():
         parts = ", ".join(f"{k}={v:.1f}" for k, v in comp.items())
         print(f"  {arch}: {parts}")
     print("\nFigure 11: runtime vs flit width (normalized to 64-bit)")

@@ -23,7 +23,6 @@ def run_fig12(
     apps: tuple[str, ...] = APP_ORDER,
     mesh_width: int | None = None,
     scale: float | None = None,
-    jobs: int | None = None,
 ) -> list[dict]:
     """Chip energy with BNet vs StarNet under *cluster* routing.
 
@@ -37,7 +36,7 @@ def run_fig12(
                  mesh_width=mesh_width, scale=scale)
         for app, rn in keys
     ]
-    results = dict(zip(keys, run_specs(specs, jobs=jobs)))
+    results = dict(zip(keys, run_specs(specs)))
     rows = []
     for app in apps:
         row = {"app": app}
@@ -63,7 +62,6 @@ def run_fig13(
     thresholds: tuple[int, ...] = (5, 10, 15, 20, 25),
     mesh_width: int | None = None,
     scale: float | None = None,
-    jobs: int | None = None,
 ) -> list[dict]:
     """EDP of distance-based routing vs the Cluster baseline.
 
@@ -76,7 +74,7 @@ def run_fig13(
                  mesh_width=mesh_width, scale=scale)
         for app, t in keys
     ]
-    results = dict(zip(keys, run_specs(specs, jobs=jobs)))
+    results = dict(zip(keys, run_specs(specs)))
     rows = []
     model = EnergyModel(make_config("atac+", mesh_width))
     for app in apps:

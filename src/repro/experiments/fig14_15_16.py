@@ -31,7 +31,6 @@ def run_fig14(
     apps: tuple[str, ...] = FIG14_APPS,
     mesh_width: int | None = None,
     scale: float | None = None,
-    jobs: int | None = None,
 ) -> list[dict]:
     """EDP of {ATAC+, EMesh-BCast} x {ACKwise4, Dir4B}, normalized to
     ATAC+/ACKwise4 per app."""
@@ -46,7 +45,7 @@ def run_fig14(
                  mesh_width=mesh_width, scale=scale)
         for app, net, proto in keys
     ]
-    results = dict(zip(keys, run_specs(specs, jobs=jobs)))
+    results = dict(zip(keys, run_specs(specs)))
     rows = []
     for app in apps:
         row = {"app": app}
@@ -69,7 +68,6 @@ def run_fig15(
     sharers: tuple[int, ...] = SHARER_SWEEP,
     mesh_width: int | None = None,
     scale: float | None = None,
-    jobs: int | None = None,
 ) -> list[dict]:
     """ATAC+ completion time vs ACKwise hardware sharers, normalized to k=4."""
     keys = [(app, k) for app in apps for k in (4, *sharers)]
@@ -78,7 +76,7 @@ def run_fig15(
                  mesh_width=mesh_width, scale=scale)
         for app, k in keys
     ]
-    results = dict(zip(keys, run_specs(specs, jobs=jobs)))
+    results = dict(zip(keys, run_specs(specs)))
     rows = []
     for app in apps:
         ref = results[app, 4].completion_cycles
@@ -94,7 +92,6 @@ def run_fig16(
     sharers: tuple[int, ...] = SHARER_SWEEP,
     mesh_width: int | None = None,
     scale: float | None = None,
-    jobs: int | None = None,
 ) -> list[dict]:
     """ATAC+ chip energy breakdown vs k, averaged over apps and
     normalized to k=4 (Figure 16's 2x growth, driven by the directory)."""
@@ -105,7 +102,7 @@ def run_fig16(
                  mesh_width=mesh_width, scale=scale)
         for app, k in keys
     ]
-    results = dict(zip(keys, run_specs(specs, jobs=jobs)))
+    results = dict(zip(keys, run_specs(specs)))
     per_k: dict[int, dict[str, float]] = {}
     for k in sharers:
         model = EnergyModel(make_config("atac+", mesh_width, hardware_sharers=k))

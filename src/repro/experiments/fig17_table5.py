@@ -27,7 +27,6 @@ def run_fig17(
     ndd_fractions: tuple[float, ...] = (0.10, 0.40),
     mesh_width: int | None = None,
     scale: float | None = None,
-    jobs: int | None = None,
 ) -> list[dict]:
     """Rows of (app, network, ndd_fraction) with core/cache/network J."""
     keys = [(app, net) for app in apps for net in FIG17_NETWORKS]
@@ -35,7 +34,7 @@ def run_fig17(
         spec_for(app, network=net, mesh_width=mesh_width, scale=scale)
         for app, net in keys
     ]
-    results = dict(zip(keys, run_specs(specs, jobs=jobs)))
+    results = dict(zip(keys, run_specs(specs)))
     rows = []
     for ndd in ndd_fractions:
         core_model = CorePowerModel(ndd_fraction=ndd)
@@ -64,7 +63,6 @@ def run_table5(
     apps: tuple[str, ...] = APP_ORDER,
     mesh_width: int | None = None,
     scale: float | None = None,
-    jobs: int | None = None,
 ) -> list[dict]:
     """Table V: link utilization % and unicasts-per-broadcast on ATAC+."""
     specs = [
@@ -72,7 +70,7 @@ def run_table5(
         for app in apps
     ]
     rows = []
-    for app, res in zip(apps, run_specs(specs, jobs=jobs)):
+    for app, res in zip(apps, run_specs(specs)):
         upb = res.unicasts_per_broadcast
         rows.append(
             {

@@ -33,7 +33,6 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
-from repro import env_flag
 from repro.experiments.store import ResultStore, cache_enabled
 from repro.log import get_logger
 
@@ -66,8 +65,7 @@ def _bypass_cache_on_load(spec) -> bool:
     """
     if not hasattr(spec, "sanitize"):
         return False  # spec kind without observers (e.g. LoadPointSpec)
-    return (spec.sanitize or spec.telemetry or env_flag("REPRO_SANITIZE")
-            or env_flag("REPRO_TELEMETRY"))
+    return spec.sanitize or spec.telemetry
 
 
 @dataclass

@@ -28,7 +28,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from repro import __version__, env_flag
+from repro import __version__
 from repro.coherence.directory import Protocol
 from repro.network.registry import get_network
 from repro.sim.config import SystemConfig
@@ -177,11 +177,9 @@ class RunSpec:
         from repro.workloads.splash import APP_PROFILES, generate_traces
 
         telemetry = False
-        if self.telemetry or env_flag("REPRO_TELEMETRY"):
-            # Resolve the environment knob *here* rather than deferring
-            # to ManycoreSystem so env-requested telemetry still lands
-            # in the telemetry root (a bare default TelemetryConfig
-            # would stay in memory).
+        if self.telemetry:
+            # Persisted under the telemetry root, keyed by content hash
+            # (a bare default TelemetryConfig would stay in memory).
             from repro.telemetry import telemetry_root
             from repro.telemetry.collector import TelemetryConfig
 
@@ -192,7 +190,7 @@ class RunSpec:
             )
         config = self.config()
         system = ManycoreSystem(
-            config, sanitize=self.sanitize or None, telemetry=telemetry
+            config, sanitize=self.sanitize, telemetry=telemetry
         )
         traces = generate_traces(
             APP_PROFILES[self.app],

@@ -2,7 +2,8 @@
 
 Enable per run with ``ManycoreSystem(config, sanitize=True)`` /
 ``RunSpec(sanitize=True)``, per invocation with ``repro run
---sanitize``, or globally with ``REPRO_SANITIZE=1``.  Disabled (the
+--sanitize``, or with ``REPRO_SANITIZE=1`` for every spec that
+``spec_for`` builds (the figure drivers and the CLI).  Disabled (the
 default), none of this code is even imported on the simulation path.
 
 See DESIGN.md section 10 for the invariant catalogue and

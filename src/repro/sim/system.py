@@ -11,8 +11,8 @@ uses, with the network as the serialization point.
 from __future__ import annotations
 
 from dataclasses import fields
+from typing import TYPE_CHECKING
 
-from repro import env_flag
 from repro.coherence.directory import DirectoryController, Protocol
 from repro.coherence.l2controller import CacheCounters, L2Controller
 from repro.coherence.memory import MemoryController, MemoryTiming
@@ -27,6 +27,9 @@ from repro.sim.eventq import EventQueue
 from repro.sim.probes import end_run, install, start_run
 from repro.sim.results import RunResult
 from repro.workloads.trace import CoreTrace
+
+if TYPE_CHECKING:
+    from repro.telemetry.collector import TelemetryConfig
 
 #: Message-type partitions for handler dispatch (set membership beats a
 #: linear scan of a 9-tuple on every unicast delivery).
@@ -53,17 +56,17 @@ class ManycoreSystem:
     audited for cross-layer consistency -- SWMR, directory/cache
     agreement, sequencing order, flit conservation -- at roughly 2-3x
     simulation cost, raising :class:`InvariantViolation` on failure.
-    ``None`` (the default) defers to the ``REPRO_SANITIZE`` environment
-    variable; ``False`` is a hard off that perf-sensitive callers
-    should pass explicitly.
 
     ``telemetry`` attaches the observability collector
     (:mod:`repro.telemetry`, DESIGN.md section 12): windowed counter
     snapshots plus a bounded event trace, simulation byte-identical.
-    Accepts ``True``/``False``, a
+    Accepts ``True`` or a
     :class:`~repro.telemetry.collector.TelemetryConfig` (to control the
-    window length and output directory), or ``None`` to defer to the
-    ``REPRO_TELEMETRY`` environment variable.
+    window length and output directory).
+
+    Any falsy value means off.  The constructor reads no environment
+    variable: the experiment layer's ``spec_for`` is the one place that
+    turns ``REPRO_SANITIZE``/``REPRO_TELEMETRY`` into these arguments.
 
     Both observers are probes (:mod:`repro.sim.probes`, DESIGN.md
     section 13), installed in ``probes.ORDER``: sanitizer innermost,
@@ -73,8 +76,8 @@ class ManycoreSystem:
     """
 
     def __init__(self, config: SystemConfig, batch_broadcasts: bool = True,
-                 sanitize: bool | None = None,
-                 telemetry=None) -> None:
+                 sanitize: bool = False,
+                 telemetry: TelemetryConfig | bool = False) -> None:
         self.config = config
         self.batch_broadcasts = batch_broadcasts
         self.topology = config.topology
@@ -148,8 +151,6 @@ class ManycoreSystem:
 
         #: Installed observers, innermost first (see repro.sim.probes).
         self.probes: tuple = ()
-        if sanitize is None:
-            sanitize = env_flag("REPRO_SANITIZE")
         if sanitize:
             # Imported only when enabled: a plain run never imports
             # the sanitizer or the telemetry package.
@@ -157,8 +158,6 @@ class ManycoreSystem:
 
             install(self, Sanitizer(self))
 
-        if telemetry is None:
-            telemetry = env_flag("REPRO_TELEMETRY")
         self.telemetry = None
         if telemetry:
             from repro.telemetry.collector import (

@@ -8,9 +8,10 @@ The observability layer of DESIGN.md section 12.  Three pieces:
   with Chrome/Perfetto trace-event export;
 * :mod:`repro.telemetry.collector` -- the collector probe
   (:mod:`repro.sim.probes`), opt-in like the sanitizer:
-  ``RunSpec(telemetry=True)``, ``repro --telemetry``, or
-  ``REPRO_TELEMETRY=1``; exactly zero cost (not even an import) when
-  off, byte-identical simulation when on.
+  ``RunSpec(telemetry=True)``, or ``repro --telemetry`` /
+  ``REPRO_TELEMETRY=1`` for specs built by ``spec_for``; exactly zero
+  cost (not even an import) when off, byte-identical simulation when
+  on.
 
 ``repro trace <run>`` and ``repro top <run>``
 (:mod:`repro.telemetry.inspect`) read the artifacts back.

@@ -2,11 +2,11 @@
 
 The collector is a probe (:mod:`repro.sim.probes`, DESIGN.md section
 13) constructed only when telemetry is requested
-(``ManycoreSystem(config, telemetry=...)``, ``RunSpec(telemetry=True)``,
-``repro --telemetry`` or ``REPRO_TELEMETRY=1``), so a plain run never
-imports, branches on, or calls any of this.  It sits outside the
-sanitizer, so it records the sanitized fabric without being audited by
-it.  Its seams are observational only:
+(``ManycoreSystem(config, telemetry=...)`` or ``RunSpec(telemetry=True)``;
+``repro --telemetry`` and ``REPRO_TELEMETRY=1`` reach it through
+``spec_for``), so a plain run never imports, branches on, or calls any
+of this.  It sits outside the sanitizer, so it records the sanitized
+fabric without being audited by it.  Its seams are observational only:
 
 * message send: assigns coherence transaction ids (stamped onto
   ``CoherenceMsg.txn``) and records begin/end trace events;
@@ -33,7 +33,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro import env_int
 from repro.coherence.messages import MsgType
 from repro.network.types import BROADCAST
 from repro.sim.probes import Probe
@@ -72,10 +71,10 @@ class TelemetryConfig:
     run_id: str | None = None
     label: str = ""
     out_dir: str | Path | None = None
-    #: window length in cycles; ``None`` defers to the environment.
-    window_cycles: int | None = None
-    #: trace ring depth; ``None`` defers to the environment.
-    trace_depth: int | None = None
+    #: window length in simulated cycles.
+    window_cycles: int = DEFAULT_WINDOW_CYCLES
+    #: trace ring depth (events kept).
+    trace_depth: int = DEFAULT_TRACE_DEPTH
 
 
 class TelemetryCollector(Probe):
@@ -86,20 +85,12 @@ class TelemetryCollector(Probe):
     def __init__(self, system, config: TelemetryConfig | None = None) -> None:
         self.system = system
         self.config = config if config is not None else TelemetryConfig()
-        self.window_cycles = (
-            self.config.window_cycles
-            if self.config.window_cycles is not None
-            else env_int("REPRO_TELEMETRY_WINDOW", DEFAULT_WINDOW_CYCLES)
-        )
+        self.window_cycles = self.config.window_cycles
         if self.window_cycles < 1:
             raise ValueError(
                 f"telemetry window must be >= 1 cycle, got {self.window_cycles}"
             )
-        self.trace = TraceBuffer(
-            self.config.trace_depth
-            if self.config.trace_depth is not None
-            else env_int("REPRO_TELEMETRY_TRACE_DEPTH", DEFAULT_TRACE_DEPTH)
-        )
+        self.trace = TraceBuffer(self.config.trace_depth)
         #: closed window records, oldest first.
         self.windows: list[dict] = []
         self._prev_snapshot = None

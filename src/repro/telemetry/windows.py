@@ -28,8 +28,7 @@ from repro.network.stats import NetworkStats
 from repro.sim.results import RunResult
 from repro.telemetry import TELEMETRY_SCHEMA_VERSION
 
-#: Default window length in simulated cycles (``REPRO_TELEMETRY_WINDOW``
-#: overrides at collector construction time).
+#: Default ``TelemetryConfig.window_cycles``, in simulated cycles.
 DEFAULT_WINDOW_CYCLES = 1000
 
 #: Window record groups -> ordered counter names.  ``net`` and

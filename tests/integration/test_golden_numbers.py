@@ -19,7 +19,8 @@ review the diff like any other code change::
 
 The runs bypass the on-disk result store (``REPRO_CACHE=0``): a stale
 cache entry would make this test vacuously green exactly when the
-simulator's behaviour changed without a schema bump.
+simulator's behaviour changed without a schema bump.  They execute
+inline (``REPRO_JOBS=1``), with no worker pool.
 """
 
 import json
@@ -49,25 +50,27 @@ def computed():
     from repro.experiments.fig07_08_09 import run_fig7
     from repro.experiments.fig14_15_16 import run_fig14
 
-    saved = os.environ.get("REPRO_CACHE")
-    os.environ["REPRO_CACHE"] = "0"
+    pinned = {"REPRO_CACHE": "0", "REPRO_JOBS": "1"}
+    saved = {name: os.environ.get(name) for name in pinned}
+    os.environ.update(pinned)
     try:
         doc = {
             "fig04_runtime": run_fig4(
-                FIG4_APPS, mesh_width=MESH_WIDTH, scale=SCALE, jobs=1
+                FIG4_APPS, mesh_width=MESH_WIDTH, scale=SCALE
             ),
             "fig07_energy": run_fig7(
-                FIG7_APPS, mesh_width=MESH_WIDTH, scale=SCALE, jobs=1
+                FIG7_APPS, mesh_width=MESH_WIDTH, scale=SCALE
             ),
             "fig14_edp": run_fig14(
-                FIG14_APPS, mesh_width=MESH_WIDTH, scale=SCALE, jobs=1
+                FIG14_APPS, mesh_width=MESH_WIDTH, scale=SCALE
             ),
         }
     finally:
-        if saved is None:
-            os.environ.pop("REPRO_CACHE", None)
-        else:
-            os.environ["REPRO_CACHE"] = saved
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
     # JSON round-trip so computed and golden compare like-for-like
     # (tuples become lists, dict keys become strings)
     doc = json.loads(json.dumps(doc))

@@ -46,6 +46,20 @@ def _run(network: str, **system_kwargs):
     return system, system.run(traces, app=APP)
 
 
+def _python(script: str, *args: str, **env: str):
+    """Run ``script`` in a fresh interpreter with no inherited
+    ``REPRO_*`` variable except those in ``env``."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("REPRO_")} | env
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(SRC), env.get("PYTHONPATH")))
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+
+
 @pytest.fixture(scope="module")
 def telemetry_runs():
     """network -> (system, result), telemetry attached, every network."""
@@ -280,19 +294,6 @@ class TestConfigKnobs:
                 telemetry=TelemetryConfig(window_cycles=0),
             )
 
-    def test_env_knobs(self, monkeypatch):
-        from repro.experiments.common import make_config
-
-        config = make_config(mesh_width=4, network="emesh-pure")
-        monkeypatch.setenv("REPRO_TELEMETRY_WINDOW", "123")
-        monkeypatch.setenv("REPRO_TELEMETRY_TRACE_DEPTH", "456")
-        collector = ManycoreSystem(config, telemetry=TelemetryConfig()).telemetry
-        assert collector.window_cycles == 123
-        assert collector.trace.depth == 456
-        monkeypatch.setenv("REPRO_TELEMETRY_WINDOW", "0")
-        with pytest.raises(ValueError):
-            ManycoreSystem(config, telemetry=TelemetryConfig())
-
     def test_off_by_default_is_zero_cost(self):
         """With no flag and no ``REPRO_*`` variable, a run imports no
         observer package and every seam is the class's own."""
@@ -319,13 +320,36 @@ class TestConfigKnobs:
             assert network.send.__func__ is type(network).send
             assert type(system.eventq) is EventQueue
         """)
-        env = {k: v for k, v in os.environ.items()
-               if not k.startswith("REPRO_")}
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (str(SRC), env.get("PYTHONPATH")))
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=env,
-            capture_output=True, text=True, timeout=300,
+        proc = _python(script)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_explicit_off_beats_the_environment(self, tmp_path):
+        """Under ``REPRO_SANITIZE=1 REPRO_TELEMETRY=1``, a spec that says
+        off imports no observer, writes no telemetry, and a warm store
+        serves it: only ``spec_for`` reads those variables."""
+        script = textwrap.dedent("""
+            import sys
+            from repro.experiments.runner import Runner
+            from repro.experiments.runspec import RunSpec
+            from repro.experiments.store import ResultStore
+
+            spec = RunSpec(app="radix", network="emesh-pure", mesh_width=4,
+                           scale=0.1, sanitize=False, telemetry=False)
+            runner = Runner(jobs=1, store=ResultStore(sys.argv[1]),
+                            progress=False)
+            runner.run([spec])
+            assert runner.last_report.misses == 1, runner.last_report
+            runner.run([spec])
+            assert runner.last_report.hits == 1, runner.last_report
+            loaded = [m for m in sys.modules
+                      if m.startswith(("repro.sanitizer", "repro.telemetry"))]
+            assert not loaded, loaded
+        """)
+        telemetry_dir = tmp_path / "telemetry"
+        proc = _python(
+            script, str(tmp_path / "store"),
+            REPRO_SANITIZE="1", REPRO_TELEMETRY="1",
+            REPRO_TELEMETRY_DIR=str(telemetry_dir),
         )
         assert proc.returncode == 0, proc.stderr
+        assert not telemetry_dir.exists()
