@@ -7,7 +7,6 @@ controllers, this class is pure state.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,6 +19,13 @@ class CacheState(Enum):
     # Identity hash (see MsgType): members are singletons and states are
     # hashed on the simulator's hottest paths.
     __hash__ = object.__hash__
+
+
+#: What every set reads as until its first install.  Never written: only
+#: ``install`` adds keys, and only to a set's own dict; ``lookup``,
+#: ``set_state(..., INVALID)`` and ``invalidate`` read it or pop from it,
+#: a no-op on an empty dict.
+_EMPTY_SET: dict[int, CacheState] = {}
 
 
 class SetAssocCache:
@@ -40,10 +46,13 @@ class SetAssocCache:
             raise ValueError(f"associativity must be >= 1, got {associativity}")
         self.n_sets = n_sets
         self.associativity = associativity
-        # per-set OrderedDict: line -> CacheState, LRU order (oldest first)
-        self._sets: list[OrderedDict[int, CacheState]] = [
-            OrderedDict() for _ in range(n_sets)
-        ]
+        # Per set, a plain dict line -> CacheState whose insertion order
+        # is the LRU order (oldest first): a touch deletes the line and
+        # reinserts it, and the victim is the first key.  Every set
+        # starts as the one shared, always-empty ``_EMPTY_SET`` and gets
+        # its own dict on its first install, so a cache's memory grows
+        # with the sets a run touches, not with its geometry.
+        self._sets: list[dict[int, CacheState]] = [_EMPTY_SET] * n_sets
 
     @property
     def capacity_lines(self) -> int:
@@ -57,7 +66,8 @@ class SetAssocCache:
         if state is None:
             return CacheState.INVALID
         if touch:
-            s.move_to_end(line)
+            del s[line]
+            s[line] = state
         return state
 
     def install(self, line: int, state: CacheState) -> tuple[int, CacheState] | None:
@@ -65,14 +75,19 @@ class SetAssocCache:
         if the set overflowed, else ``None``."""
         if state is CacheState.INVALID:
             raise ValueError("cannot install a line in INVALID state")
-        s = self._sets[line % self.n_sets]
+        idx = line % self.n_sets
+        s = self._sets[idx]
+        if s is _EMPTY_SET:
+            self._sets[idx] = {line: state}
+            return None
         if line in s:
+            del s[line]
             s[line] = state
-            s.move_to_end(line)
             return None
         victim = None
         if len(s) >= self.associativity:
-            victim = s.popitem(last=False)  # LRU
+            lru = next(iter(s))
+            victim = (lru, s.pop(lru))
         s[line] = state
         return victim
 

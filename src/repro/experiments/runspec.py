@@ -82,6 +82,18 @@ def _digest(kind: str, payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
 
+def _require_two_clusters(network: str, topology) -> None:
+    """Reject an optical ``network`` on a chip of fewer than two
+    clusters: its SWMR links join cluster hubs, so they need two."""
+    if topology.n_clusters < 2:
+        raise ValueError(
+            f"network {network!r} is optical and needs at least two "
+            f"clusters; a {topology.width}x{topology.width} mesh of "
+            f"{topology.cluster_width}x{topology.cluster_width} clusters "
+            f"has {topology.n_clusters}"
+        )
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """One (application, architecture, scale, seed) simulation."""
@@ -121,7 +133,7 @@ class RunSpec:
             raise KeyError(
                 f"unknown app {self.app!r}; choose from {sorted(APP_PROFILES)}"
             )
-        get_network(self.network)  # raises UnknownNetworkError
+        descriptor = get_network(self.network)  # raises UnknownNetworkError
         if isinstance(self.protocol, str):
             object.__setattr__(self, "protocol", Protocol(self.protocol))
         if self.scale <= 0:
@@ -130,6 +142,8 @@ class RunSpec:
             raise ValueError(f"mesh_width must be >= 4, got {self.mesh_width}")
         if self.rthres < 0:
             raise ValueError(f"rthres must be >= 0, got {self.rthres}")
+        if descriptor.optical:
+            _require_two_clusters(self.network, self.config().topology)
 
     # -- identity -------------------------------------------------------
     def to_dict(self) -> dict:
@@ -231,7 +245,9 @@ class LoadPointSpec:
     flit_bits: int = 64
 
     def __post_init__(self) -> None:
-        self._parse_routing()  # validates
+        topology, _ = self._parse_routing()  # validates
+        # The load points run ATAC+ (see ``execute``).
+        _require_two_clusters("atac+", topology)
         if not 0 < self.load:
             raise ValueError(f"load must be positive, got {self.load}")
         if self.warmup_cycles >= self.cycles:

@@ -15,12 +15,13 @@ handling:
 Hot-path note: ``_traverse`` is called once per mesh packet (and once
 per EMesh-Pure broadcast destination).  Port state lives in two flat
 ``cores x 4`` integer arrays (``_free_at``, ``_busy``) indexed by
-``core * 4 + direction``; a cached route is a tuple of such indices, so
+``core * 4 + direction``; a route leg is a tuple of such indices, so
 the per-hop reservation is pure list arithmetic -- the same arithmetic
-as ``PortResource.reserve``, without the object or the call.  A route
-is built by joining two legs from a table shared by every mesh of the
-same width (:func:`_xy_legs`), so a freshly built network pays one
-tuple concatenation per new core pair, not a hop-by-hop walk.
+as ``PortResource.reserve``, without the object or the call.  A packet
+walks its X leg, then its Y leg, straight from a table shared by every
+mesh of the same width (:func:`_xy_legs`): no network keeps a table of
+the core pairs it has routed, so a fresh network routes at warm speed
+and its memory does not grow with the pairs a run touches.
 """
 
 from __future__ import annotations
@@ -86,12 +87,11 @@ class _MeshBase(Network):
         # double-reserve fault injector read it).
         self._free_at: list[int] = [0] * (topology.n_cores * 4)
         self._busy: list[int] = [0] * (topology.n_cores * 4)
-        # (src, dst) -> tuple of port indices along the XY route, in hop
-        # order.  Repeated sends between the same pair then reduce to a
-        # walk over two flat arrays -- no coordinate math.  Kept per
-        # network: a process-wide pair table outlives the networks of a
-        # sweep and grows its peak memory.
-        self._route_ports: dict[int, tuple[int, ...]] = {}
+        # The width's shared X/Y leg tables: a route is walked straight
+        # from them, so no per-network route table grows with the core
+        # pairs a run touches.
+        self._width = topology.width
+        self._xlegs, self._ylegs = _xy_legs(topology.width)
 
     def _port(self, u: int, v: int) -> int:
         """Index of the output port of router ``u`` facing neighbour ``v``."""
@@ -111,26 +111,27 @@ class _MeshBase(Network):
     def _route_ports_for(self, src: int, dst: int) -> tuple[int, ...]:
         """Port indices along the XY route src -> dst, in hop order: the
         X leg to ``dst``'s column, then the Y leg from that corner."""
-        w = self.topology.width
-        xlegs, ylegs = _xy_legs(w)
+        w = self._width
         col = dst % w
         corner = src - src % w + col
-        return xlegs[src * w + col] + ylegs[corner * w + dst // w]
+        return self._xlegs[src * w + col] + self._ylegs[corner * w + dst // w]
 
     def _traverse(self, src: int, dst: int, t: int, n_flits: int) -> int:
         """Route one packet src->dst starting at time t; returns arrival.
 
-        Reserves each output port along the (cached) XY route; counts
-        router/link flit traversals for the energy model.  Reservations
-        are inlined (same arithmetic as ``PortResource.reserve``) --
-        this loop runs once per hop of every mesh packet and the call
-        and attribute overhead dominated it.
+        Reserves each output port along the XY route -- the X leg to
+        ``dst``'s column, then the Y leg from that corner, read straight
+        from the shared leg tables -- and counts router/link flit
+        traversals for the energy model.  Reservations are inlined
+        (same arithmetic as ``PortResource.reserve``) -- this loop runs
+        once per hop of every mesh packet and the call and attribute
+        overhead dominated it.
         """
-        key = src * self._n_cores + dst
-        route = self._route_ports.get(key)
-        if route is None:
-            route = self._route_ports[key] = self._route_ports_for(src, dst)
-        hops = len(route)
+        w = self._width
+        col = dst % w
+        xleg = self._xlegs[src * w + col]
+        yleg = self._ylegs[(src - src % w + col) * w + dst // w]
+        hops = len(xleg) + len(yleg)
         s = self.stats
         s.router_flit_traversals += n_flits * (hops + 1)  # incl. ejection router
         s.link_flit_traversals += n_flits * hops
@@ -138,12 +139,13 @@ class _MeshBase(Network):
         head = t
         free_at = self._free_at
         busy = self._busy
-        for i in route:
-            free = free_at[i]
-            start = head if head > free else free
-            free_at[i] = start + n_flits
-            busy[i] += n_flits
-            head = start + HOP_LATENCY
+        for leg in (xleg, yleg):
+            for i in leg:
+                free = free_at[i]
+                start = head if head > free else free
+                free_at[i] = start + n_flits
+                busy[i] += n_flits
+                head = start + HOP_LATENCY
         # head has arrived; the tail needs the serialization time.
         return head + n_flits
 
@@ -168,20 +170,12 @@ class EMeshPure(_MeshBase):
         return [(pkt.dst, arrival)]
 
     def _bcast_plan_for(self, src: int) -> tuple:
-        routes = []
-        total_hops = 0
-        route_cache = self._route_ports
-        n = self._n_cores
-        for dst in range(n):
-            if dst == src:
-                continue
-            key = src * n + dst
-            route = route_cache.get(key)
-            if route is None:
-                route = route_cache[key] = self._route_ports_for(src, dst)
-            routes.append((dst, route))
-            total_hops += len(route)
-        return tuple(routes), total_hops
+        routes = tuple(
+            (dst, self._route_ports_for(src, dst))
+            for dst in range(self._n_cores)
+            if dst != src
+        )
+        return routes, sum(len(route) for _, route in routes)
 
     def _send_broadcast(self, pkt: Packet, n_flits: int) -> list[tuple[int, int]]:
         # The source's network interface injects one unicast per

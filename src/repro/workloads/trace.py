@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Union
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComputeOp:
     """``cycles`` of pure computation (one instruction per cycle)."""
 
@@ -33,7 +33,7 @@ class ComputeOp:
             raise ValueError(f"cycles must be >= 1, got {self.cycles}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemoryOp:
     """One memory reference.
 
@@ -54,7 +54,7 @@ class MemoryOp:
             raise ValueError(f"address must be non-negative, got {self.address}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BarrierOp:
     """Global barrier with a sequence id (barriers must be hit in order)."""
 

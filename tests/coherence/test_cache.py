@@ -1,5 +1,7 @@
 """Unit tests for the set-associative cache state model."""
 
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -150,3 +152,81 @@ class TestProperties:
         for s_idx, s in enumerate(c._sets):
             for line in s:
                 assert line % n_sets == s_idx
+
+
+class _ModelCache:
+    """Reference LRU cache: one ``OrderedDict`` per set, oldest first,
+    with the semantics ``SetAssocCache`` has always had."""
+
+    def __init__(self, n_sets: int, ways: int) -> None:
+        self.n_sets, self.ways = n_sets, ways
+        self.sets = [OrderedDict() for _ in range(n_sets)]
+
+    def lookup(self, line, touch):
+        s = self.sets[line % self.n_sets]
+        if line not in s:
+            return CacheState.INVALID
+        if touch:
+            s.move_to_end(line)
+        return s[line]
+
+    def install(self, line, state):
+        s = self.sets[line % self.n_sets]
+        if line in s:
+            s[line] = state
+            s.move_to_end(line)
+            return None
+        victim = s.popitem(last=False) if len(s) >= self.ways else None
+        s[line] = state
+        return victim
+
+    def set_state(self, line, state):
+        s = self.sets[line % self.n_sets]
+        if state is CacheState.INVALID:
+            s.pop(line, None)
+        elif line not in s:
+            raise KeyError(line)
+        else:
+            s[line] = state
+
+    def invalidate(self, line):
+        return self.sets[line % self.n_sets].pop(line, CacheState.INVALID)
+
+    def resident_lines(self):
+        return [line for s in self.sets for line in s]
+
+
+_LINES = st.integers(0, 23)
+_VALID = st.sampled_from([CacheState.SHARED, CacheState.MODIFIED])
+_OPS = st.one_of(
+    st.tuples(st.just("lookup"), _LINES, st.booleans()),
+    st.tuples(st.just("install"), _LINES, _VALID),
+    st.tuples(st.just("set_state"), _LINES, st.sampled_from(list(CacheState))),
+    st.tuples(st.just("invalidate"), _LINES),
+)
+
+
+class TestAgainstModel:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_sets=st.integers(1, 4),
+        ways=st.integers(1, 4),
+        ops=st.lists(_OPS, max_size=80),
+    )
+    def test_matches_ordered_dict_lru(self, n_sets, ways, ops):
+        cache = SetAssocCache(n_sets, ways)
+        model = _ModelCache(n_sets, ways)
+        for name, *args in ops:
+            outcomes = []
+            for impl in (cache, model):
+                try:
+                    outcomes.append(("ok", getattr(impl, name)(*args)))
+                except KeyError:
+                    outcomes.append(("KeyError", None))
+            # equal return values, including victims ``(line, state)``
+            assert outcomes[0] == outcomes[1], (name, args)
+            # equal residents, in LRU order set by set
+            assert cache.resident_lines() == model.resident_lines()
+        # a fresh cache still starts empty: no write reached a set two
+        # caches (or two sets) share
+        assert SetAssocCache(n_sets, ways).resident_lines() == []

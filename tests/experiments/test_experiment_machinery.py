@@ -8,6 +8,7 @@ from repro.cli import build_parser, main as cli_main
 from repro.coherence.directory import Protocol
 from repro.experiments import common
 from repro.experiments.common import format_table, make_config, run_app
+from repro.network.registry import REGISTRY
 
 
 @pytest.fixture(autouse=True)
@@ -140,6 +141,16 @@ class TestCli:
 
     def test_unknown_experiment_exits_2(self, capsys):
         assert cli_main(["fig99"]) == 2
+
+    @pytest.mark.parametrize(
+        "network", [d.name for d in REGISTRY.values() if d.optical]
+    )
+    def test_optical_network_on_one_cluster_exits_2(self, capsys, network):
+        argv = ["run", "--apps", "radix", "--mesh-width", "4", "--scale",
+                "0.05", "--networks", network, "--no-cache"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert "two clusters" in err and "Traceback" not in err
 
     def test_fig10_runs_quickly(self, capsys):
         # fig10 is pure area modeling: safe to run through the CLI

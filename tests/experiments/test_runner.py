@@ -1,6 +1,7 @@
 """Runner / spec / store tests: determinism, versioning, accounting."""
 
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from repro.experiments import runspec as runspec_mod
 from repro.experiments.runner import Runner, default_jobs, run_specs
 from repro.experiments.runspec import CACHE_SCHEMA_VERSION, LoadPointSpec, RunSpec
 from repro.experiments.store import ResultStore, cache_enabled
+from repro.network.registry import REGISTRY
 from repro.sim.results import RunResult
 
 #: tiny grid: 2 apps x 2 networks, small mesh, short traces
@@ -120,6 +122,24 @@ class TestRunSpec:
             RunSpec(app="barnes", network="tin-cans")
         with pytest.raises(ValueError):
             RunSpec(app="barnes", scale=0.0)
+
+    @pytest.mark.parametrize(
+        "network", [d.name for d in REGISTRY.values() if d.optical]
+    )
+    def test_optical_networks_rejected_on_one_cluster(self, network):
+        # A 4x4 mesh is one 4x4 cluster: an optical link has no peer hub.
+        with pytest.raises(ValueError, match=re.escape(repr(network)) + ".*two clusters"):
+            RunSpec(app="radix", network=network, mesh_width=4, scale=0.05)
+        RunSpec(app="radix", network=network, mesh_width=8, scale=0.05)
+
+    @pytest.mark.parametrize("network", ["emesh-pure", "emesh-bcast"])
+    def test_electrical_meshes_build_on_one_cluster(self, network):
+        RunSpec(app="radix", network=network, mesh_width=4, scale=0.05)
+
+    def test_load_point_rejected_on_one_cluster(self):
+        with pytest.raises(ValueError, match="two clusters"):
+            LoadPointSpec(routing="cluster", load=0.02, mesh_width=4)
+        LoadPointSpec(routing="cluster", load=0.02, mesh_width=8)
 
     def test_protocol_string_normalized(self):
         from repro.coherence.directory import Protocol

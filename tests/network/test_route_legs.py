@@ -1,15 +1,16 @@
 """Route and routing-verdict tables of freshly built networks.
 
-A mesh builds each new XY route by joining an X leg and a Y leg from a
-table shared by every mesh of the same width; the ATAC family decides
-ONet vs ENet by an inlined copy of ``RoutingPolicy.use_onet``.  These
-tests pin both against the plain definitions: the topology's XY route
-and the policy's own verdict.
+A mesh walks each XY route as an X leg and a Y leg read from a table
+shared by every mesh of the same width; the ATAC family decides ONet vs
+ENet by an inlined copy of ``RoutingPolicy.use_onet``.  These tests pin
+both against the plain definitions: the topology's XY route and the
+policy's own verdict.
 """
 
 import pytest
 
 from repro.network.atac import AtacNetwork
+from repro.network.engine import HOP_LATENCY
 from repro.network.mesh import EMeshPure, _xy_legs
 from repro.network.routing import (
     AdaptiveDistanceRouting,
@@ -34,6 +35,24 @@ def test_route_ports_follow_xy_route(width):
         path = topo.xy_route(src, dst)
         expected = tuple(net._port(u, v) for u, v in zip(path, path[1:]))
         assert net._route_ports_for(src, dst) == expected, (src, dst)
+
+
+@pytest.mark.parametrize("width", [4, 8])
+def test_traverse_reserves_the_xy_route(width):
+    topo = MeshTopology(width=width, cluster_width=4)
+    net = EMeshPure(topo)
+    for src, dst in _pairs(topo):
+        net._free_at[:] = [0] * len(net._free_at)
+        net._busy[:] = [0] * len(net._busy)
+        path = topo.xy_route(src, dst)
+        ports = [net._port(u, v) for u, v in zip(path, path[1:])]
+        arrival = net._traverse(src, dst, 0, 1)
+        assert arrival == len(ports) * HOP_LATENCY + 1, (src, dst)
+        # each hop's port is reserved once, one cycle later than the last
+        assert [net._free_at[i] for i in ports] == [
+            k * HOP_LATENCY + 1 for k in range(len(ports))
+        ], (src, dst)
+        assert sum(net._busy) == len(ports), (src, dst)
 
 
 def _verdict_matches_policy(net, policy):
