@@ -54,8 +54,9 @@ class MemoryController:
             reply_type = MsgType.MEM_WRITE_ACK
         else:
             raise ValueError(f"memory controller got {msg.mtype}")
-        start = self._channel.reserve(now, self.timing.serialization_cycles)
-        done = start + self.timing.serialization_cycles + self.timing.latency_cycles
+        timing = self.timing
+        cycles = timing.serialization_cycles
+        done = self._channel.reserve(now, cycles) + cycles + timing.latency_cycles
         reply = CoherenceMsg(
             mtype=reply_type,
             address=msg.address,

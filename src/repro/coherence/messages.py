@@ -64,6 +64,13 @@ DATA_BEARING = frozenset(
 )
 
 
+#: packet size of every message type, in bits
+MSG_BITS = {
+    mt: DATA_MSG_BITS if mt in DATA_BEARING else CONTROL_MSG_BITS
+    for mt in MsgType
+}
+
+
 @dataclass(slots=True)
 class CoherenceMsg:
     """One protocol message.
@@ -106,7 +113,7 @@ class CoherenceMsg:
 
     @property
     def size_bits(self) -> int:
-        return DATA_MSG_BITS if self.mtype in DATA_BEARING else CONTROL_MSG_BITS
+        return MSG_BITS[self.mtype]
 
     @property
     def is_broadcast(self) -> bool:

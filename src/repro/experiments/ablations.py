@@ -55,6 +55,8 @@ def run_adaptive_routing(
             cluster = topology.cluster_of(pkt.src)
             backlog = max(0, net.onet_links[cluster].free_at - pkt.time)
             adaptive.observe_backlog(backlog)
+        if pending_reset:
+            net.reset_stats()
         row["Adaptive"] = round(net.stats.mean_latency, 1)
         row["adaptive_final_rthres"] = adaptive.rthres
         rows.append(row)

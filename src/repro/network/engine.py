@@ -48,7 +48,9 @@ class PortResource:
             raise ValueError(f"earliest must be non-negative, got {earliest}")
         if duration < 0:
             raise ValueError(f"duration must be non-negative, got {duration}")
-        start = max(earliest, self.free_at)
+        start = self.free_at
+        if earliest > start:
+            start = earliest
         self.free_at = start + duration
         self.busy_cycles += duration
         return start
@@ -105,12 +107,13 @@ class Network(ABC):
         For unicasts the schedule has one entry; for broadcasts, one per
         core on the chip except the sender.
         """
-        if pkt.time < self._last_send_time:
+        t = pkt.time
+        if t < self._last_send_time:
             raise ValueError(
-                f"sends must be time-ordered: got t={pkt.time} after "
+                f"sends must be time-ordered: got t={t} after "
                 f"t={self._last_send_time}"
             )
-        self._last_send_time = pkt.time
+        self._last_send_time = t
         n_flits = self._n_flits_cache.get(pkt.size_bits)
         if n_flits is None:
             n_flits = self._n_flits_cache[pkt.size_bits] = pkt.n_flits(
@@ -119,14 +122,14 @@ class Network(ABC):
         s = self.stats
         s.packets_sent += 1
         s.injected_flits += n_flits
-        if pkt.dst == BROADCAST:
+        dst = pkt.dst
+        if dst == BROADCAST:
             s.broadcasts_sent += 1
             deliveries = self._send_broadcast(pkt, n_flits)
             s.received_broadcast_flits += n_flits * len(deliveries)
             # Accumulate latency inline (same arithmetic as
             # record_latency) rather than one method call per delivery
             # -- a broadcast has n_cores - 1 deliveries.
-            t = pkt.time
             lat_sum = 0
             lat_max = s.latency_max
             for _, arrival in deliveries:
@@ -142,16 +145,15 @@ class Network(ABC):
             s.latency_count += len(deliveries)
             s.latency_max = lat_max
             return deliveries
-        if pkt.dst == pkt.src:
+        s.unicasts_sent += 1
+        if dst == pkt.src:
             # Local delivery: no network resources involved.
-            s.unicasts_sent += 1
             s.received_unicast_flits += n_flits
             s.record_latency(1)
-            return [(pkt.dst, pkt.time + 1)]
-        s.unicasts_sent += 1
+            return [(dst, t + 1)]
         deliveries = self._send_unicast(pkt, n_flits)
         s.received_unicast_flits += n_flits
-        lat = deliveries[0][1] - pkt.time
+        lat = deliveries[0][1] - t
         if lat < 0:
             raise ValueError(f"latency must be non-negative, got {lat}")
         s.latency_sum += lat

@@ -13,15 +13,22 @@ handling:
   so a broadcast costs one tree traversal.
 
 Hot-path note: ``_traverse`` is called once per mesh packet (and once
-per EMesh-Pure broadcast destination).  Port state lives in two flat
-``cores x 4`` integer arrays (``_free_at``, ``_busy``) indexed by
-``core * 4 + direction``; a route leg is a tuple of such indices, so
-the per-hop reservation is pure list arithmetic -- the same arithmetic
-as ``PortResource.reserve``, without the object or the call.  A packet
-walks its X leg, then its Y leg, straight from a table shared by every
-mesh of the same width (:func:`_xy_legs`): no network keeps a table of
-the core pairs it has routed, so a fresh network routes at warm speed
-and its memory does not grow with the pairs a run touches.
+per EMesh-Pure broadcast destination).  Port state lives in flat
+integer arrays indexed by ``core * 4 + direction``: ``_free_at`` holds
+each output port's next free cycle, and a route leg is a tuple of such
+indices, so the per-hop reservation is pure list arithmetic -- the same
+arithmetic as ``PortResource.reserve``, without the object or the call.
+A packet walks its X leg, then its Y leg, straight from a table shared
+by every mesh of the same width (:func:`_xy_legs`): no network keeps a
+table of the core pairs it has routed, so a fresh network routes at
+warm speed and its memory does not grow with the pairs a run touches.
+
+Port occupancy is counted once per leg, not once per hop: a leg walk
+adds the packet's flits to that leg's slot in ``_xleg_flits`` or
+``_yleg_flits``, and ``_busy`` holds only the per-port writes that are
+not leg walks (EMesh-BCast tree edges, fault injection).
+:meth:`_MeshBase.port_busy` expands the leg counts back into per-port
+totals for the end-of-run port audit.
 """
 
 from __future__ import annotations
@@ -80,18 +87,35 @@ class _MeshBase(Network):
     def __init__(self, topology: MeshTopology, flit_bits: int = 64) -> None:
         super().__init__(topology, flit_bits)
         self._n_cores = topology.n_cores
-        # Flat port-state arrays: entry core*4 + direction is the output
-        # port of that core's router facing that neighbour.  ``_free_at``
-        # is the cycle the port next becomes free; ``_busy`` accumulates
-        # occupied cycles (the sanitizer's port audit and the
-        # double-reserve fault injector read it).
+        # Flat port-state array: entry core*4 + direction is the output
+        # port of that core's router facing that neighbour, holding the
+        # cycle the port next becomes free.
         self._free_at: list[int] = [0] * (topology.n_cores * 4)
-        self._busy: list[int] = [0] * (topology.n_cores * 4)
         # The width's shared X/Y leg tables: a route is walked straight
         # from them, so no per-network route table grows with the core
         # pairs a run touches.
         self._width = topology.width
         self._xlegs, self._ylegs = _xy_legs(topology.width)
+        # Occupied cycles, counted once per leg walk: slot k of
+        # ``_xleg_flits`` is the flits sent down ``_xlegs[k]`` (likewise
+        # for Y).  ``_busy`` takes the per-port writes that are not leg
+        # walks.  ``port_busy`` sums the three per port.
+        self._xleg_flits: list[int] = [0] * len(self._xlegs)
+        self._yleg_flits: list[int] = [0] * len(self._ylegs)
+        self._busy: list[int] = [0] * (topology.n_cores * 4)
+
+    def port_busy(self) -> list[int]:
+        """Occupied cycles of every output port, indexed like ``_free_at``:
+        the direct ``_busy`` writes plus each leg's flits on every port
+        of that leg (the sanitizer's port audit reads this)."""
+        busy = list(self._busy)
+        for legs, flits in ((self._xlegs, self._xleg_flits),
+                            (self._ylegs, self._yleg_flits)):
+            for leg, n in zip(legs, flits):
+                if n:
+                    for i in leg:
+                        busy[i] += n
+        return busy
 
     def _port(self, u: int, v: int) -> int:
         """Index of the output port of router ``u`` facing neighbour ``v``."""
@@ -108,13 +132,12 @@ class _MeshBase(Network):
             raise ValueError(f"cores {u} and {v} are not mesh neighbours")
         return u * 4 + d
 
-    def _route_ports_for(self, src: int, dst: int) -> tuple[int, ...]:
-        """Port indices along the XY route src -> dst, in hop order: the
-        X leg to ``dst``'s column, then the Y leg from that corner."""
+    def _leg_indices(self, src: int, dst: int) -> tuple[int, int]:
+        """``(xi, yi)``: the XY route src -> dst is ``_xlegs[xi]`` (to
+        ``dst``'s column) followed by ``_ylegs[yi]`` (from that corner)."""
         w = self._width
         col = dst % w
-        corner = src - src % w + col
-        return self._xlegs[src * w + col] + self._ylegs[corner * w + dst // w]
+        return src * w + col, (src - src % w + col) * w + dst // w
 
     def _traverse(self, src: int, dst: int, t: int, n_flits: int) -> int:
         """Route one packet src->dst starting at time t; returns arrival.
@@ -122,32 +145,47 @@ class _MeshBase(Network):
         Reserves each output port along the XY route -- the X leg to
         ``dst``'s column, then the Y leg from that corner, read straight
         from the shared leg tables -- and counts router/link flit
-        traversals for the energy model.  Reservations are inlined
-        (same arithmetic as ``PortResource.reserve``) -- this loop runs
-        once per hop of every mesh packet and the call and attribute
-        overhead dominated it.
+        traversals for the energy model.  Occupancy is counted once per
+        leg (``_xleg_flits``/``_yleg_flits``), not per hop, so a hop is
+        one ``_free_at`` read and write.  Reservations are inlined (same
+        arithmetic as ``PortResource.reserve``) -- this loop runs once
+        per hop of every mesh packet and the call and attribute overhead
+        dominated it.
         """
         w = self._width
         col = dst % w
-        xleg = self._xlegs[src * w + col]
-        yleg = self._ylegs[(src - src % w + col) * w + dst // w]
+        xi = src * w + col
+        yi = (src - src % w + col) * w + dst // w
+        xleg = self._xlegs[xi]
+        yleg = self._ylegs[yi]
         hops = len(xleg) + len(yleg)
         s = self.stats
         s.router_flit_traversals += n_flits * (hops + 1)  # incl. ejection router
         s.link_flit_traversals += n_flits * hops
         s.router_arbitrations += hops + 1
-        head = t
+        self._xleg_flits[xi] += n_flits
+        self._yleg_flits[yi] += n_flits
         free_at = self._free_at
-        busy = self._busy
-        for leg in (xleg, yleg):
-            for i in leg:
-                free = free_at[i]
-                start = head if head > free else free
-                free_at[i] = start + n_flits
-                busy[i] += n_flits
-                head = start + HOP_LATENCY
+        hop = HOP_LATENCY
+        head = t
+        for i in xleg:
+            free = free_at[i]
+            if free > head:
+                head = free
+            free_at[i] = head + n_flits
+            head += hop
+        for i in yleg:
+            free = free_at[i]
+            if free > head:
+                head = free
+            free_at[i] = head + n_flits
+            head += hop
         # head has arrived; the tail needs the serialization time.
         return head + n_flits
+
+    def _send_unicast(self, pkt: Packet, n_flits: int) -> list[tuple[int, int]]:
+        arrival = self._traverse(pkt.src, pkt.dst, pkt.time, n_flits)
+        return [(pkt.dst, arrival)]
 
 
 class EMeshPure(_MeshBase):
@@ -155,57 +193,66 @@ class EMeshPure(_MeshBase):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # src -> ((dst, route-ports), ...) for every dst, plus the total
-        # hop count, built on a source's first broadcast.  A broadcast
-        # here is N-1 unicast traversals, so the per-destination route
-        # lookup is the dominant cost without this.
+        # src -> ((dst, xi, yi), ...) for every dst -- the leg indices of
+        # each route -- plus the total hop count, built on a source's
+        # first broadcast.  A broadcast here is N-1 unicast traversals,
+        # so the per-destination route lookup is the dominant cost
+        # without this.
         self._bcast_plan: dict[int, tuple] = {}
 
     @property
     def name(self) -> str:
         return "EMesh-Pure"
 
-    def _send_unicast(self, pkt: Packet, n_flits: int) -> list[tuple[int, int]]:
-        arrival = self._traverse(pkt.src, pkt.dst, pkt.time, n_flits)
-        return [(pkt.dst, arrival)]
-
     def _bcast_plan_for(self, src: int) -> tuple:
-        routes = tuple(
-            (dst, self._route_ports_for(src, dst))
+        legs = tuple(
+            (dst, *self._leg_indices(src, dst))
             for dst in range(self._n_cores)
             if dst != src
         )
-        return routes, sum(len(route) for _, route in routes)
+        xlegs, ylegs = self._xlegs, self._ylegs
+        return legs, sum(len(xlegs[xi]) + len(ylegs[yi]) for _, xi, yi in legs)
 
     def _send_broadcast(self, pkt: Packet, n_flits: int) -> list[tuple[int, int]]:
         # The source's network interface injects one unicast per
         # destination; they contend for the source's output ports and
         # serialize there, which is exactly the EMesh-Pure penalty.
-        # Same reservation math as _traverse, run over the precomputed
-        # per-source plan (destinations in ascending order, as always).
+        # Same reservation math and leg counting as _traverse, run over
+        # the precomputed per-source plan (destinations in ascending
+        # order, as always).
         src = pkt.src
         plan = self._bcast_plan.get(src)
         if plan is None:
             plan = self._bcast_plan[src] = self._bcast_plan_for(src)
-        routes, total_hops = plan
+        legs, total_hops = plan
         s = self.stats
-        n_dsts = len(routes)
+        n_dsts = len(legs)
         s.router_flit_traversals += n_flits * (total_hops + n_dsts)
         s.link_flit_traversals += n_flits * total_hops
         s.router_arbitrations += total_hops + n_dsts
         t = pkt.time
         free_at = self._free_at
-        busy = self._busy
+        xlegs, ylegs = self._xlegs, self._ylegs
+        xleg_flits, yleg_flits = self._xleg_flits, self._yleg_flits
+        hop = HOP_LATENCY
         deliveries = []
         append = deliveries.append
-        for dst, route in routes:
+        for dst, xi, yi in legs:
+            xleg_flits[xi] += n_flits
+            yleg_flits[yi] += n_flits
             head = t
-            for i in route:
+            for i in xlegs[xi]:
                 free = free_at[i]
-                start = head if head > free else free
-                free_at[i] = start + n_flits
-                busy[i] += n_flits
-                head = start + HOP_LATENCY
+                if free > head:
+                    head = free
+                free_at[i] = head + n_flits
+                head += hop
+            for i in ylegs[yi]:
+                free = free_at[i]
+                if free > head:
+                    head = free
+                free_at[i] = head + n_flits
+                head += hop
             append((dst, head + n_flits))
         return deliveries
 
@@ -224,10 +271,6 @@ class EMeshBCast(_MeshBase):
     @property
     def name(self) -> str:
         return "EMesh-BCast"
-
-    def _send_unicast(self, pkt: Packet, n_flits: int) -> list[tuple[int, int]]:
-        arrival = self._traverse(pkt.src, pkt.dst, pkt.time, n_flits)
-        return [(pkt.dst, arrival)]
 
     def _bcast_plan_for(self, src: int) -> tuple:
         """Flatten the XY spanning tree rooted at ``src`` for replay.
@@ -280,12 +323,14 @@ class EMeshBCast(_MeshBase):
         heads = [0] * (n_edges + 1)
         heads[0] = pkt.time
         slot = 1
+        hop = HOP_LATENCY
         for parent_slot, i in edges:
             head = heads[parent_slot]
             free = free_at[i]
-            start = head if head > free else free
-            free_at[i] = start + n_flits
+            if free > head:
+                head = free
+            free_at[i] = head + n_flits
             busy[i] += n_flits
-            heads[slot] = start + HOP_LATENCY
+            heads[slot] = head + hop
             slot += 1
         return [(core, heads[slot] + n_flits) for core, slot in order]

@@ -38,6 +38,12 @@ class LaserMode(Enum):
     BROADCAST = "broadcast"
 
 
+#: the modes as module constants: ``transmit`` runs per optical message
+_IDLE, _UNICAST, _BROADCAST = (
+    LaserMode.IDLE, LaserMode.UNICAST, LaserMode.BROADCAST,
+)
+
+
 class AdaptiveSWMRLink:
     """One hub's SWMR channel: single writer, C-1 candidate readers."""
 
@@ -66,7 +72,7 @@ class AdaptiveSWMRLink:
         self.n_hubs = n_hubs
         self.stats = stats if stats is not None else NetworkStats()
         self.free_at = 0
-        self.last_mode = LaserMode.IDLE
+        self.last_mode = _IDLE
         self.unicast_cycles = 0
         self.broadcast_cycles = 0
         self.mode_transitions = 0
@@ -103,25 +109,27 @@ class AdaptiveSWMRLink:
         # cycle later.  The laser retarget/power-up also fits in that
         # cycle (both are 1 ns operations, Section IV-A).
         prev_free_at = self.free_at
-        data_start = max(time + SELECT_DATA_LAG, self.free_at)
+        data_start = time + SELECT_DATA_LAG
+        if prev_free_at > data_start:
+            data_start = prev_free_at
         self.free_at = data_start + n_flits
         hub_arrival = data_start + ONET_LINK_DELAY + n_flits
 
-        mode = LaserMode.BROADCAST if broadcast else LaserMode.UNICAST
+        mode = _BROADCAST if broadcast else _UNICAST
         if data_start > prev_free_at:
             # There was an idle gap: the laser dropped to IDLE after the
             # previous message (one transition, unless it was already
             # idle) and now powers back up (another).
-            transitions = (0 if self.last_mode is LaserMode.IDLE else 1) + 1
+            transitions = 1 if self.last_mode is _IDLE else 2
         else:
             # Back-to-back messages: the laser re-biases only if the
             # mode actually changes.
             transitions = 0 if mode is self.last_mode else 1
         self.mode_transitions += transitions
-        self.stats.onet_mode_transitions += transitions
         self.last_mode = mode
 
         s = self.stats
+        s.onet_mode_transitions += transitions
         s.onet_select_notifications += 1
         if broadcast:
             self.broadcast_cycles += n_flits

@@ -79,8 +79,8 @@ def port_problems(network) -> list[str]:
     A port's accumulated ``busy_cycles`` can never exceed the span it
     has been reserved to (``free_at``); an overlap -- a double
     reservation -- breaks that bound.  Duck-typed so it covers
-    :class:`PortResource`, the mesh's flat port arrays, and the ONet
-    links alike.
+    :class:`PortResource`, the mesh's flat port arrays (read through
+    its ``port_busy()``), and the ONet links alike.
     """
     problems: list[str] = []
 
@@ -96,9 +96,9 @@ def port_problems(network) -> list[str]:
             )
 
     free_arr = getattr(network, "_free_at", None)
-    busy_arr = getattr(network, "_busy", None)
-    if free_arr is not None and busy_arr is not None:
-        for i, (f, b) in enumerate(zip(free_arr, busy_arr)):
+    port_busy = getattr(network, "port_busy", None)
+    if free_arr is not None and port_busy is not None:
+        for i, (f, b) in enumerate(zip(free_arr, port_busy())):
             if b < 0 or f < 0 or b > f:
                 check(f"mesh port {i}", f, b)
     for i, link in enumerate(getattr(network, "onet_links", ())):

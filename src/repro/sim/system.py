@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 from repro.coherence.directory import DirectoryController, Protocol
 from repro.coherence.l2controller import CacheCounters, L2Controller
 from repro.coherence.memory import MemoryController, MemoryTiming
-from repro.coherence.messages import CoherenceMsg, MsgType
+from repro.coherence.messages import MSG_BITS, CoherenceMsg, MsgType
 from repro.coherence.sequencing import DirectorySequencer
 from repro.network.atac import AtacNetwork
 from repro.network.types import BROADCAST, Packet
@@ -31,14 +31,14 @@ from repro.workloads.trace import CoreTrace
 if TYPE_CHECKING:
     from repro.telemetry.collector import TelemetryConfig
 
-#: Message-type partitions for handler dispatch (set membership beats a
-#: linear scan of a 9-tuple on every unicast delivery).
-_MEMCTRL_TYPES = frozenset((MsgType.MEM_READ, MsgType.MEM_WRITE))
-_DIRECTORY_TYPES = frozenset((
+#: Message types delivered to a memory controller or to a home
+#: directory; every other unicast goes to an L2 controller.
+_MEMCTRL_TYPES = (MsgType.MEM_READ, MsgType.MEM_WRITE)
+_DIRECTORY_TYPES = (
     MsgType.SH_REQ, MsgType.EX_REQ, MsgType.EVICT_NOTIFY,
     MsgType.DIRTY_WB, MsgType.INV_ACK, MsgType.FLUSH_REP,
     MsgType.WB_REP, MsgType.MEM_DATA, MsgType.MEM_WRITE_ACK,
-))
+)
 
 
 class ManycoreSystem:
@@ -148,6 +148,15 @@ class ManycoreSystem:
         self.barriers: BarrierManager | None = None
         # Reused injection packet (see _inject).
         self._pkt = Packet(src=0, dst=0, size_bits=1, time=0)
+        # Per message type: the controllers (by core) that handle it on
+        # delivery, and its packet size.  ``_inject`` reads ``.handle``
+        # off the controller per message, so a patched handler is seen.
+        owners = {mt: self.caches for mt in MsgType}
+        owners.update(dict.fromkeys(_MEMCTRL_TYPES, self.memctrls))
+        owners.update(dict.fromkeys(_DIRECTORY_TYPES, self.directories))
+        self._inject_table = {
+            mt: (owners[mt], MSG_BITS[mt]) for mt in MsgType
+        }
 
         #: Installed observers, innermost first (see repro.sim.probes).
         self.probes: tuple = ()
@@ -209,11 +218,12 @@ class ManycoreSystem:
         # the packet synchronously and never retains it, and _inject
         # runs once per protocol message, so the per-message dataclass
         # construction (and its validation) was pure overhead.
+        mtype = msg.mtype
         pkt = self._pkt
+        owners, pkt.size_bits = self._inject_table[mtype]
         pkt.src = msg.sender
-        pkt.size_bits = msg.size_bits
         pkt.time = now
-        if msg.mtype is MsgType.INV_BCAST:
+        if mtype is MsgType.INV_BCAST:
             pkt.dst = BROADCAST
             deliveries = self.network.send(pkt)
             if self.batch_broadcasts:
@@ -252,8 +262,7 @@ class ManycoreSystem:
             return
         pkt.dst = msg.dest
         [(core, arrival)] = self.network.send(pkt)
-        handler = self._handler_for(core, msg)
-        self.eventq.schedule(arrival, handler.handle, msg)
+        self.eventq.schedule(arrival, owners[core].handle, msg)
 
     def _deliver_broadcast_group(
         self, batch: tuple[CoherenceMsg, list[int]], now: int
@@ -264,14 +273,6 @@ class ManycoreSystem:
         caches = self.caches
         for core in cores:
             caches[core].handle_broadcast(msg, now)
-
-    def _handler_for(self, core: int, msg: CoherenceMsg):
-        mt = msg.mtype
-        if mt in _MEMCTRL_TYPES:
-            return self.memctrls[core]
-        if mt in _DIRECTORY_TYPES:
-            return self.directories[core]
-        return self.caches[core]
 
     # ------------------------------------------------------------------
     # Running workloads

@@ -124,6 +124,9 @@ def run_load_point(
             network.reset_stats()
             pending_reset = False
         network.send(pkt)
+    if pending_reset:
+        # No packet came after warm-up: the measured window is empty.
+        network.reset_stats()
     stats = network.stats
     mean = stats.mean_latency
     return LoadSweepPoint(

@@ -226,3 +226,13 @@ class TestExperimentFunctionsTinyScale:
         assert all(r["total_j"] > 0 for r in rows)
         rows5 = run_table5(apps=("lu_contig",), mesh_width=8, scale=0.1)
         assert rows5[0]["link_utilization_pct"] >= 0
+
+    def test_adaptive_ablation_without_post_warmup_packets(self):
+        """All five packets of this run fall in the warm-up window, so
+        every policy, the adaptive loop included, measures nothing."""
+        from repro.experiments.ablations import run_adaptive_routing
+
+        [row] = run_adaptive_routing(mesh_width=8, loads=(0.0004,),
+                                     cycles=600, warmup_cycles=500, seed=2)
+        assert row["Adaptive"] == 0.0
+        assert [row[f"Distance-{r}"] for r in (5, 15, 25)] == [0.0] * 3

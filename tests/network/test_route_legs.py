@@ -34,7 +34,8 @@ def test_route_ports_follow_xy_route(width):
     for src, dst in _pairs(topo):
         path = topo.xy_route(src, dst)
         expected = tuple(net._port(u, v) for u, v in zip(path, path[1:]))
-        assert net._route_ports_for(src, dst) == expected, (src, dst)
+        xi, yi = net._leg_indices(src, dst)
+        assert net._xlegs[xi] + net._ylegs[yi] == expected, (src, dst)
 
 
 @pytest.mark.parametrize("width", [4, 8])
@@ -43,7 +44,8 @@ def test_traverse_reserves_the_xy_route(width):
     net = EMeshPure(topo)
     for src, dst in _pairs(topo):
         net._free_at[:] = [0] * len(net._free_at)
-        net._busy[:] = [0] * len(net._busy)
+        net._xleg_flits[:] = [0] * len(net._xleg_flits)
+        net._yleg_flits[:] = [0] * len(net._yleg_flits)
         path = topo.xy_route(src, dst)
         ports = [net._port(u, v) for u, v in zip(path, path[1:])]
         arrival = net._traverse(src, dst, 0, 1)
@@ -52,7 +54,7 @@ def test_traverse_reserves_the_xy_route(width):
         assert [net._free_at[i] for i in ports] == [
             k * HOP_LATENCY + 1 for k in range(len(ports))
         ], (src, dst)
-        assert sum(net._busy) == len(ports), (src, dst)
+        assert sum(net.port_busy()) == len(ports), (src, dst)
 
 
 def _verdict_matches_policy(net, policy):

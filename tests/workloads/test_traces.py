@@ -170,3 +170,15 @@ class TestRunLoadPoint:
         traffic = SyntheticTraffic(64, load=0.1)
         with pytest.raises(ValueError):
             run_load_point(net, traffic, cycles=100, warmup_cycles=100)
+
+    def test_no_packet_after_warmup_measures_nothing(self):
+        """Warm-up traffic is never reported, even when no packet
+        follows the warm-up window to trigger the stats reset."""
+        topo = MeshTopology(width=8, cluster_width=4)
+        traffic = SyntheticTraffic(64, load=0.0004, seed=2)
+        times = [p.time for p in traffic.generate(600)]
+        assert times and max(times) < 500
+        pt = run_load_point(AtacNetwork(topo), traffic, cycles=600,
+                            warmup_cycles=500)
+        assert (pt.packets, pt.measured_load, pt.mean_latency) == (0, 0.0, 0.0)
+        assert pt.max_latency == 0
