@@ -29,7 +29,9 @@ RECEIVE_NET_KINDS = ("starnet", "bnet")
 class ReceiveNetwork:
     """The per-cluster hub-to-cores delivery stage (BNet or StarNet)."""
 
-    __slots__ = ("kind", "cluster", "cluster_size", "stats", "_ports")
+    __slots__ = (
+        "kind", "cluster", "cluster_size", "stats", "_ports", "_port_of_local",
+    )
 
     def __init__(
         self,
@@ -47,15 +49,21 @@ class ReceiveNetwork:
         self.cluster_size = cluster_size
         self.stats = stats if stats is not None else NetworkStats()
         self._ports = [PortResource() for _ in range(RECEIVE_NETS_PER_CLUSTER)]
+        self._assign_ports()
 
-    def _port_for(self, local_index: int) -> PortResource:
-        """Static core-to-network assignment (preserves per-core FIFO)."""
-        if not 0 <= local_index < self.cluster_size:
-            raise ValueError(
-                f"local core index {local_index} outside cluster of "
-                f"{self.cluster_size}"
-            )
-        return self._ports[local_index % len(self._ports)]
+    def _assign_ports(self) -> None:
+        """Static core-to-network assignment (preserves per-core FIFO):
+        ``_port_of_local[i]`` is the port serving local core ``i``."""
+        ports = self._ports
+        self._port_of_local = tuple(
+            ports[i % len(ports)] for i in range(self.cluster_size)
+        )
+
+    def replace_port(self, j: int, port: PortResource) -> None:
+        """Put ``port`` in place of receive network ``j`` for unicasts
+        and broadcasts alike."""
+        self._ports[j] = port
+        self._assign_ports()
 
     def deliver_unicast(self, time: int, n_flits: int, local_index: int = 0) -> int:
         """Deliver a message to one core; returns arrival time.
@@ -63,7 +71,12 @@ class ReceiveNetwork:
         ``local_index`` is the target core's index within the cluster,
         used to pick its statically-assigned receive network.
         """
-        start = self._port_for(local_index).reserve(time, n_flits)
+        if not 0 <= local_index < self.cluster_size:
+            raise ValueError(
+                f"local core index {local_index} outside cluster of "
+                f"{self.cluster_size}"
+            )
+        start = self._port_of_local[local_index].reserve(time, n_flits)
         self.stats.receive_net_unicast_flits += n_flits
         return start + RECEIVE_NET_DELAY + n_flits
 

@@ -28,7 +28,6 @@ network.
 from __future__ import annotations
 
 from repro.network.atac import AtacNetwork
-from repro.network.engine import HUB_DELAY
 from repro.network.onet import AdaptiveSWMRLink
 from repro.network.routing import ClusterRouting
 from repro.network.topology import MeshTopology
@@ -76,16 +75,12 @@ class CoronaNetwork(AtacNetwork):
         if src_cluster == dst_cluster:
             arrival = self._traverse(pkt.src, pkt.dst, pkt.time, n_flits)
             return [(pkt.dst, arrival)]
-        at_hub = self._to_hub(pkt.src, pkt.time, n_flits)
         # MWSR: reserve the *destination's* channel; the token round
         # precedes the reservation, queueing behind other writers is
         # the channel's own serialization.
-        _, hub_arrival = self.onet_links[dst_cluster].transmit(
-            at_hub + TOKEN_DELAY, n_flits, broadcast=False
-        )
-        self.stats.hub_flit_traversals += n_flits
-        arrival = self.receive_nets[dst_cluster].deliver_unicast(
-            hub_arrival + HUB_DELAY, n_flits, self._local_index[pkt.dst]
+        arrival = self._optical_unicast(
+            pkt.src, pkt.dst, pkt.time, n_flits,
+            self.onet_links[dst_cluster], TOKEN_DELAY,
         )
         return [(pkt.dst, arrival)]
 
