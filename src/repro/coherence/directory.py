@@ -145,19 +145,13 @@ class DirectoryController:
             e = self.entries[address] = DirectoryEntry()
         return e
 
-    def _seq_for_unicast(self) -> int | None:
-        if self.sequencer is None:
-            return None
-        return self.sequencer.current_seq(self.slice_id)
-
-    def _send(self, mtype: MsgType, address: int, dest: int, now: int,
-              requester: int | None = None, seq: int | None = None) -> None:
-        if seq is None:
-            seq = self._seq_for_unicast()
+    def _send(self, mtype: MsgType, address: int, dest: int, now: int) -> None:
+        sequencer = self.sequencer
+        seq = None if sequencer is None else sequencer.current_seq(self.slice_id)
         self.fabric.send_msg(
             CoherenceMsg(
                 mtype=mtype, address=address, sender=self.core, dest=dest,
-                seq=seq, requester=requester,
+                seq=seq,
             ),
             now,
         )
@@ -208,15 +202,13 @@ class DirectoryController:
         if entry.state is DirState.MODIFIED:
             # Owner must write back and demote; data comes via home.
             txn.waiting_owner = True
-            self._send(MsgType.WB_REQ, address, entry.owner, now,
-                       requester=txn.requester)
+            self._send(MsgType.WB_REQ, address, entry.owner, now)
         else:
             # Clean data comes from memory (UNCACHED or SHARED).
             txn.waiting_mem = True
             self.stats.mem_reads += 1
             self._send(MsgType.MEM_READ, address,
-                       self.fabric.memctrl_for(self.core), now,
-                       requester=txn.requester)
+                       self.fabric.memctrl_for(self.core), now)
 
     # -- exclusive (write) requests --------------------------------------
     def _start_exclusive(
@@ -224,15 +216,13 @@ class DirectoryController:
     ) -> None:
         if entry.state is DirState.MODIFIED:
             txn.waiting_owner = True
-            self._send(MsgType.FLUSH_REQ, address, entry.owner, now,
-                       requester=txn.requester)
+            self._send(MsgType.FLUSH_REQ, address, entry.owner, now)
             return
         if entry.state is DirState.UNCACHED:
             txn.waiting_mem = True
             self.stats.mem_reads += 1
             self._send(MsgType.MEM_READ, address,
-                       self.fabric.memctrl_for(self.core), now,
-                       requester=txn.requester)
+                       self.fabric.memctrl_for(self.core), now)
             return
         # SHARED: invalidate the other sharers.
         overflowed = entry.global_bit
@@ -246,7 +236,6 @@ class DirectoryController:
                 CoherenceMsg(
                     mtype=MsgType.INV_BCAST, address=address,
                     sender=self.core, dest=-1, seq=seq,
-                    requester=txn.requester,
                 ),
                 now,
             )
@@ -262,8 +251,7 @@ class DirectoryController:
             txn.pending_acks = len(targets)
             for t in targets:
                 self.stats.invalidations_unicast += 1
-                self._send(MsgType.INV_REQ, address, t, now,
-                           requester=txn.requester)
+                self._send(MsgType.INV_REQ, address, t, now)
         # Data: upgrades (requester already a sharer) have the line;
         # otherwise fetch from memory in parallel with the invalidations.
         requester_has_data = (
@@ -273,8 +261,7 @@ class DirectoryController:
             txn.waiting_mem = True
             self.stats.mem_reads += 1
             self._send(MsgType.MEM_READ, address,
-                       self.fabric.memctrl_for(self.core), now,
-                       requester=txn.requester)
+                       self.fabric.memctrl_for(self.core), now)
 
     # -- modified-line eviction -------------------------------------------
     def _dirty_wb(self, msg: CoherenceMsg, now: int) -> None:

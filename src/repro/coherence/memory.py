@@ -62,7 +62,6 @@ class MemoryController:
             address=msg.address,
             sender=self.core,
             dest=msg.sender,
-            requester=msg.requester,
         )
         self.fabric.send_msg(reply, done)
 

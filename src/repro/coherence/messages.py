@@ -31,13 +31,11 @@ class MsgType(Enum):
     INV_BCAST = auto()     # broadcast invalidate (the protocol's only bcast)
     FLUSH_REQ = auto()     # owner must give up M copy + data
     WB_REQ = auto()        # owner must write back data, demote M -> S
-    FWD_REQ = auto()       # sharer asked to forward data to the requester
 
     # responses
     INV_ACK = auto()
     FLUSH_REP = auto()     # data (owner -> home)
     WB_REP = auto()        # data (owner -> home)
-    FWD_DATA = auto()      # data (sharer -> requester)
     SH_REP = auto()        # data (home -> requester), grants S
     EX_REP = auto()        # data (home -> requester), grants M
     WB_ACK = auto()        # home acknowledges a DIRTY_WB
@@ -55,7 +53,6 @@ DATA_BEARING = frozenset(
         MsgType.DIRTY_WB,
         MsgType.FLUSH_REP,
         MsgType.WB_REP,
-        MsgType.FWD_DATA,
         MsgType.SH_REP,
         MsgType.EX_REP,
         MsgType.MEM_WRITE,
@@ -87,9 +84,6 @@ class CoherenceMsg:
         Directory-slice sequence number (Section IV-C1); carried by
         broadcasts and by directory->core unicasts so receivers can
         detect reordering.  ``None`` when sequencing is disabled.
-    requester:
-        For forwarded/invalidation flows: the core the transaction is
-        ultimately serving.
     """
 
     mtype: MsgType
@@ -97,7 +91,6 @@ class CoherenceMsg:
     sender: int
     dest: int
     seq: int | None = None
-    requester: int | None = None
     #: WB_REP only: False when the demoted owner had already evicted the
     #: line (served from its writeback buffer) and keeps no shared copy.
     retained: bool = True
@@ -110,11 +103,3 @@ class CoherenceMsg:
     def __post_init__(self) -> None:
         if self.address < 0:
             raise ValueError(f"address must be non-negative, got {self.address}")
-
-    @property
-    def size_bits(self) -> int:
-        return MSG_BITS[self.mtype]
-
-    @property
-    def is_broadcast(self) -> bool:
-        return self.mtype is MsgType.INV_BCAST

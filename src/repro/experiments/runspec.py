@@ -142,8 +142,11 @@ class RunSpec:
             raise ValueError(f"mesh_width must be >= 4, got {self.mesh_width}")
         if self.rthres < 0:
             raise ValueError(f"rthres must be >= 0, got {self.rthres}")
+        # Building the topology validates the mesh and cluster geometry
+        # (the mesh width must be a multiple of the cluster width).
+        topology = self.config().topology
         if descriptor.optical:
-            _require_two_clusters(self.network, self.config().topology)
+            _require_two_clusters(self.network, topology)
 
     # -- identity -------------------------------------------------------
     def to_dict(self) -> dict:

@@ -144,28 +144,23 @@ class AtacNetwork(_MeshBase):
 
     # ------------------------------------------------------------------
     def _deliver_clusters(
-        self,
-        src: int,
-        src_cluster: int,
-        at_hub: int,
-        hub_arrival: int,
-        n_flits: int,
+        self, src: int, at_hub: int, ready: list[int], n_flits: int
     ) -> list[tuple[int, int]]:
         """Fan a broadcast out of the optical stage into every cluster's
-        receive network (shared by the ATAC-family broadcast paths)."""
+        receive network (the one fan-out of the ATAC-family broadcast
+        paths).  ``ready[c]`` is when cluster ``c``'s hub has the message;
+        the sender's own cluster is fed directly from its hub at
+        ``at_hub`` (its own modulated light is not re-detected)."""
         topo = self.topology
+        src_cluster = self._cluster_of_core[src]
         deliveries: list[tuple[int, int]] = []
         append = deliveries.append
-        n_clusters = topo.n_clusters
-        receive_nets = self.receive_nets
-        remote_ready = hub_arrival + HUB_DELAY
         # Every cluster but the sender's crosses its receive-side hub.
-        self.stats.hub_flit_traversals += n_flits * (n_clusters - 1)
-        for cluster in range(n_clusters):
-            # The sender's own cluster is fed directly from the hub
-            # (its own modulated light is not re-detected).
-            ready = at_hub if cluster == src_cluster else remote_ready
-            arrival = receive_nets[cluster].deliver_broadcast(ready, n_flits)
+        self.stats.hub_flit_traversals += n_flits * (topo.n_clusters - 1)
+        for cluster, rnet in enumerate(self.receive_nets):
+            arrival = rnet.deliver_broadcast(
+                at_hub if cluster == src_cluster else ready[cluster], n_flits
+            )
             for core in topo.cluster_cores(cluster):
                 if core != src:
                     append((core, arrival))
@@ -173,14 +168,12 @@ class AtacNetwork(_MeshBase):
 
     def _send_broadcast(self, pkt: Packet, n_flits: int) -> list[tuple[int, int]]:
         src = pkt.src
-        src_cluster = self._cluster_of_core[src]
         at_hub = self._to_hub(src, pkt.time, n_flits)
-        _, hub_arrival = self.onet_links[src_cluster].transmit(
+        _, hub_arrival = self.onet_links[self._cluster_of_core[src]].transmit(
             at_hub, n_flits, broadcast=True
         )
-        return self._deliver_clusters(
-            src, src_cluster, at_hub, hub_arrival, n_flits
-        )
+        ready = [hub_arrival + HUB_DELAY] * self.topology.n_clusters
+        return self._deliver_clusters(src, at_hub, ready, n_flits)
 
     # ------------------------------------------------------------------
     def onet_utilization(self, total_cycles: int) -> float:

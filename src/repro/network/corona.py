@@ -28,6 +28,7 @@ network.
 from __future__ import annotations
 
 from repro.network.atac import AtacNetwork
+from repro.network.engine import HUB_DELAY
 from repro.network.onet import AdaptiveSWMRLink
 from repro.network.routing import ClusterRouting
 from repro.network.topology import MeshTopology
@@ -87,11 +88,9 @@ class CoronaNetwork(AtacNetwork):
     # ------------------------------------------------------------------
     def _send_broadcast(self, pkt: Packet, n_flits: int) -> list[tuple[int, int]]:
         src = pkt.src
-        src_cluster = self._cluster_of_core[src]
         at_hub = self._to_hub(src, pkt.time, n_flits)
         _, hub_arrival = self.broadcast_channel.transmit(
             at_hub + TOKEN_DELAY, n_flits, broadcast=True
         )
-        return self._deliver_clusters(
-            src, src_cluster, at_hub, hub_arrival, n_flits
-        )
+        ready = [hub_arrival + HUB_DELAY] * self.topology.n_clusters
+        return self._deliver_clusters(src, at_hub, ready, n_flits)

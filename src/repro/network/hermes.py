@@ -72,12 +72,6 @@ class HermesNetwork(AtacNetwork):
             receive_net=receive_net,
         )
         self.regions = hermes_regions(topology)
-        region_of = [0] * topology.n_clusters
-        for r, members in enumerate(self.regions):
-            for cluster in members:
-                region_of[cluster] = r
-        self._region_of_cluster = tuple(region_of)
-        self._head_of_region = tuple(m[0] for m in self.regions)
         # Level 1: all hubs write, all region heads read.  The channel's
         # reader count only feeds the receiver-energy counters.
         self.global_channel = AdaptiveSWMRLink(
@@ -109,42 +103,23 @@ class HermesNetwork(AtacNetwork):
     # ------------------------------------------------------------------
 
     def _send_broadcast(self, pkt: Packet, n_flits: int) -> list[tuple[int, int]]:
-        topo = self.topology
         src = pkt.src
-        src_cluster = self._cluster_of_core[src]
         at_hub = self._to_hub(src, pkt.time, n_flits)
         _, head_arrival = self.global_channel.transmit(
             at_hub, n_flits, broadcast=True
         )
         head_ready = head_arrival + HUB_DELAY
-        # Reserve each region's rebroadcast exactly once, up front, so
-        # per-cluster fan-out below reads a fixed schedule.
-        member_ready = []
-        for channel in self.rebroadcast_channels:
-            if channel is None:
-                member_ready.append(head_ready)
-            else:
+        # Reserve each region's rebroadcast exactly once: a region head
+        # has the message from level 1, its other clusters from level 2.
+        ready = [0] * self.topology.n_clusters
+        for (head, *members), channel in zip(
+            self.regions, self.rebroadcast_channels
+        ):
+            ready[head] = head_ready
+            if channel is not None:
                 _, region_arrival = channel.transmit(
                     head_ready, n_flits, broadcast=True
                 )
-                member_ready.append(region_arrival + HUB_DELAY)
-        deliveries: list[tuple[int, int]] = []
-        append = deliveries.append
-        receive_nets = self.receive_nets
-        # Every cluster but the sender's crosses its receive-side hub.
-        self.stats.hub_flit_traversals += n_flits * (topo.n_clusters - 1)
-        for cluster in range(topo.n_clusters):
-            region = self._region_of_cluster[cluster]
-            if cluster == src_cluster:
-                # Fed directly from its own hub (as in ATAC, a sender's
-                # modulated light is not re-detected).
-                ready = at_hub
-            elif cluster == self._head_of_region[region]:
-                ready = head_ready
-            else:
-                ready = member_ready[region]
-            arrival = receive_nets[cluster].deliver_broadcast(ready, n_flits)
-            for core in topo.cluster_cores(cluster):
-                if core != src:
-                    append((core, arrival))
-        return deliveries
+                for cluster in members:
+                    ready[cluster] = region_arrival + HUB_DELAY
+        return self._deliver_clusters(src, at_hub, ready, n_flits)

@@ -6,14 +6,14 @@ clusters of 4x4 cores (Section III-A).  All geometric questions --
 serves core 512?", "what is the XY route?" -- are answered here, for
 any square mesh whose edge is a multiple of the cluster edge.
 
-Geometry is pure and a :class:`MeshTopology` is immutable, so the
-expensive accessors (``xy_route``, ``broadcast_tree``,
-``cluster_cores``, ``compute_cores``) are memoized per instance: the
-timing engines ask the same geometric questions once per *packet*, and
-rebuilding a 30-node route list or a 1024-node spanning tree each time
-dominated the simulator's profile.  Memoized accessors return
-**tuples** (and tuple-valued tree dicts) so a cache hit can safely
-hand out the same object without aliasing bugs.
+Geometry is pure and a :class:`MeshTopology` is immutable.  The timing
+engines never ask for routes or spanning trees: a mesh walks its own
+per-width port legs (:mod:`repro.network.mesh`), so ``xy_route`` and
+``broadcast_tree`` are plain geometry functions, the definitions the
+tests check the engines against.  What the engines do read per packet
+or per broadcast -- ``cluster_cores``, the core-role lists and
+``broadcast_order`` -- is memoized per instance as **tuples**, so a
+cache hit can hand out the same object without aliasing bugs.
 """
 
 from __future__ import annotations
@@ -39,10 +39,7 @@ class MeshTopology:
     # Per-instance memo tables.  Excluded from __eq__/__hash__/__repr__
     # so two topologies with equal dimensions stay equal; ``hash=False``
     # plus ``compare=False`` keeps the frozen dataclass hashable.
-    _route_cache: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False, hash=False
-    )
-    _tree_cache: dict = field(
+    _order_cache: dict = field(
         default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
     _cluster_cache: dict = field(
@@ -178,16 +175,7 @@ class MeshTopology:
 
     # -- routing ----------------------------------------------------------
     def xy_route(self, src: int, dst: int) -> tuple[int, ...]:
-        """Dimension-ordered (X then Y) route, inclusive of endpoints.
-
-        Memoized per (src, dst): repeated sends between the same pair --
-        the common case under any locality-bearing workload -- return
-        the identical tuple with no list building.
-        """
-        key = src * self.n_cores + dst
-        cached = self._route_cache.get(key)
-        if cached is not None:
-            return cached
+        """Dimension-ordered (X then Y) route, inclusive of endpoints."""
         sx, sy = self.coords(src)
         dx, dy = self.coords(dst)
         path = [src]
@@ -200,22 +188,16 @@ class MeshTopology:
         while y != dy:
             y += step
             path.append(self.core_at(x, y))
-        route = tuple(path)
-        self._route_cache[key] = route
-        return route
+        return tuple(path)
 
     def broadcast_tree(self, src: int) -> dict[int, tuple[int, ...]]:
         """XY-dimension-ordered multicast tree rooted at ``src``.
 
-        Returns ``{node: (children...)}``, memoized per root (the same
-        dict object on every hit -- treat it as read-only).  The tree
-        first spans the root's row (X dimension), then each row node
-        spans its column (Y dimension) -- the standard mesh multicast
-        used by routers with native broadcast support (EMesh-BCast).
+        Returns ``{node: (children...)}``.  The tree first spans the
+        root's row (X dimension), then each row node spans its column
+        (Y dimension) -- the standard mesh multicast used by routers
+        with native broadcast support (EMesh-BCast).
         """
-        cached = self._tree_cache.get(src)
-        if cached is not None:
-            return cached
         children: dict[int, list[int]] = {src: []}
         sx, sy = self.coords(src)
         # span the row
@@ -240,9 +222,7 @@ class MeshTopology:
                     children.setdefault(node, [])
                     prev = node
                     y += direction
-        tree = {node: tuple(ch) for node, ch in children.items()}
-        self._tree_cache[src] = tree
-        return tree
+        return {node: tuple(ch) for node, ch in children.items()}
 
     def broadcast_order(self, src: int) -> tuple[int, ...]:
         """Canonical delivery order of a broadcast from ``src`` (memoized).
@@ -253,9 +233,9 @@ class MeshTopology:
         simulator behaviour -- it decides event-queue tie-breaks among
         same-cycle arrivals -- so it is pinned here as part of the
         determinism contract, independent of how the timing engine
-        chooses to traverse the tree.
+        walks the tree.
         """
-        cached = self._tree_cache.get(("order", src))
+        cached = self._order_cache.get(src)
         if cached is not None:
             return cached
         tree = self.broadcast_tree(src)
@@ -267,7 +247,7 @@ class MeshTopology:
                 order.append(child)
                 stack.append(child)
         result = tuple(order)
-        self._tree_cache[("order", src)] = result
+        self._order_cache[src] = result
         return result
 
     # -- link geometry ------------------------------------------------------

@@ -126,14 +126,17 @@ class _MeshDoubleReserve(Probe):
 
     kind = "fault"
 
-    def __init__(self, state: dict, busy: list[int]) -> None:
+    def __init__(self, state: dict, network) -> None:
         self.state = state
-        self.busy = busy
+        self.counts = network._xleg_flits
+        # The one-hop X leg from core 0 to column 1 crosses port 0 (core
+        # 0's east port) alone, so its count credits exactly that port.
+        self.slot = network._xlegs.index((0,))
 
     def net_send(self, inner, pkt):
         if not self.state["fired"]:
             self.state["fired"] = True
-            self.busy[0] += 1_000_000
+            self.counts[self.slot] += 1_000_000
         return inner(pkt)
 
 
@@ -142,8 +145,8 @@ def _double_reserve(system) -> dict:
 
     On hybrid (ATAC) networks the first receive-net port is replaced
     with a double-booking implementation; on the pure-mesh networks the
-    equivalent accounting corruption is applied to port 0's counters
-    directly (the mesh keeps flat arrays, not port objects).  Either
+    equivalent accounting corruption is applied to port 0's occupancy
+    count directly (the mesh keeps flat arrays, not port objects).  Either
     way the end-of-run port audit sees ``busy_cycles`` > reserved span.
     """
     state = {"fault": "double-reserve", "fired": False}
@@ -152,5 +155,5 @@ def _double_reserve(system) -> dict:
     if receive_nets:
         receive_nets[0].replace_port(0, _DoubleReservedPort(state))
     else:
-        install(system, _MeshDoubleReserve(state, network._busy))
+        install(system, _MeshDoubleReserve(state, network))
     return state

@@ -38,7 +38,6 @@ from repro.network.types import BROADCAST
 from repro.sim.probes import Probe
 from repro.telemetry import TELEMETRY_SCHEMA_VERSION
 from repro.telemetry.trace import (
-    DEFAULT_TRACE_DEPTH,
     TRACE_SCHEMA_VERSION,
     TraceBuffer,
     event_to_dict,
@@ -73,8 +72,6 @@ class TelemetryConfig:
     out_dir: str | Path | None = None
     #: window length in simulated cycles.
     window_cycles: int = DEFAULT_WINDOW_CYCLES
-    #: trace ring depth (events kept).
-    trace_depth: int = DEFAULT_TRACE_DEPTH
 
 
 class TelemetryCollector(Probe):
@@ -90,7 +87,7 @@ class TelemetryCollector(Probe):
             raise ValueError(
                 f"telemetry window must be >= 1 cycle, got {self.window_cycles}"
             )
-        self.trace = TraceBuffer(self.config.trace_depth)
+        self.trace = TraceBuffer()
         #: closed window records, oldest first.
         self.windows: list[dict] = []
         self._prev_snapshot = None

@@ -33,7 +33,7 @@ TRACE_SCHEMA_VERSION = 1
 #: Recorded event kinds (pinned by ``tests/telemetry/test_schema_pins.py``).
 TRACE_KINDS = ("pkt", "bcast", "txn_begin", "txn_end", "barrier", "laser")
 
-#: Default ring depth (``TelemetryConfig.trace_depth``).
+#: Ring depth of every run's trace (events kept).
 DEFAULT_TRACE_DEPTH = 65536
 
 #: Perfetto track (tid) per kind; async transaction events share one.

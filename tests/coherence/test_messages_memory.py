@@ -7,6 +7,7 @@ from repro.coherence.messages import (
     CONTROL_MSG_BITS,
     DATA_BEARING,
     DATA_MSG_BITS,
+    MSG_BITS,
     CoherenceMsg,
     MsgType,
 )
@@ -43,16 +44,10 @@ class TestMessageSizes:
         assert DATA_MSG_BITS + 16 <= 10 * 64
 
     def test_data_bearing_classification(self):
-        msg = CoherenceMsg(MsgType.SH_REP, address=1, sender=0, dest=1)
-        assert msg.size_bits == DATA_MSG_BITS
-        req = CoherenceMsg(MsgType.SH_REQ, address=1, sender=0, dest=1)
-        assert req.size_bits == CONTROL_MSG_BITS
+        assert MSG_BITS[MsgType.SH_REP] == DATA_MSG_BITS
+        assert MSG_BITS[MsgType.SH_REQ] == CONTROL_MSG_BITS
         for mt in DATA_BEARING:
-            assert CoherenceMsg(mt, 1, 0, 1).size_bits == DATA_MSG_BITS
-
-    def test_only_inv_bcast_is_broadcast(self):
-        assert CoherenceMsg(MsgType.INV_BCAST, 1, 0, -1).is_broadcast
-        assert not CoherenceMsg(MsgType.INV_REQ, 1, 0, 1).is_broadcast
+            assert MSG_BITS[mt] == DATA_MSG_BITS
 
     def test_negative_address_rejected(self):
         with pytest.raises(ValueError):

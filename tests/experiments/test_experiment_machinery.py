@@ -152,6 +152,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert "two clusters" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("network", ["emesh-pure", "emesh-bcast", "atac+"])
+    def test_ragged_mesh_exits_2(self, capsys, network):
+        argv = ["run", "--apps", "radix", "--mesh-width", "6", "--scale",
+                "0.05", "--networks", network, "--no-cache"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "mesh width 6 not a multiple of cluster width 4\n"
+
     def test_fig10_runs_quickly(self, capsys):
         # fig10 is pure area modeling: safe to run through the CLI
         assert cli_main(["fig10", "--mesh-width", "8", "--scale", "0.1"]) == 0

@@ -136,6 +136,13 @@ class TestRunSpec:
     def test_electrical_meshes_build_on_one_cluster(self, network):
         RunSpec(app="radix", network=network, mesh_width=4, scale=0.05)
 
+    @pytest.mark.parametrize("network", [d.name for d in REGISTRY.values()])
+    def test_every_network_rejects_a_ragged_mesh(self, network):
+        # A 6-wide mesh is no whole number of 4x4 clusters, for an
+        # electrical network as much as for an optical one.
+        with pytest.raises(ValueError, match="not a multiple of cluster width"):
+            RunSpec(app="radix", network=network, mesh_width=6)
+
     def test_load_point_rejected_on_one_cluster(self):
         with pytest.raises(ValueError, match="two clusters"):
             LoadPointSpec(routing="cluster", load=0.02, mesh_width=4)

@@ -220,11 +220,11 @@ class TestHermes:
         net = HermesNetwork(topo)
         src = topo.cluster_cores(0)[0]
         deliveries = dict(net.send(_pkt(src, BROADCAST)))
-        head = net._head_of_region[net._region_of_cluster[1]]
+        heads = {region[0] for region in net.regions}
+        head = next(region[0] for region in net.regions if 1 in region)
         # pick a cluster that is neither the sender's nor a region head
         member = next(
-            c for c in range(topo.n_clusters)
-            if c != 0 and c != net._head_of_region[net._region_of_cluster[c]]
+            c for c in range(topo.n_clusters) if c != 0 and c not in heads
         )
         head_arrival = deliveries[topo.cluster_cores(head)[1]]
         member_arrival = deliveries[topo.cluster_cores(member)[1]]

@@ -1,8 +1,8 @@
 """Per-port occupancy of the meshes against a per-hop reference.
 
-A mesh counts port occupancy once per route leg and keeps direct
-per-port writes only for EMesh-BCast tree edges and fault injection;
-``port_busy()`` expands the legs back into per-port totals.  These tests
+A mesh counts port occupancy once per route leg walk -- unicasts and
+both kinds of broadcast alike -- and ``port_busy()`` expands the legs
+back into per-port totals.  These tests
 drive random unicast and broadcast traffic and require ``port_busy()``
 to equal a plain accumulation over every hop of ``topology.xy_route``
 and every broadcast tree edge, with the sanitizer's port audit clean.

@@ -21,6 +21,8 @@ from repro.network.routing import (
 from repro.network.topology import MeshTopology
 from repro.network.types import CONTROL_MSG_BITS, Packet
 
+from tests.network.test_port_busy import _port_index
+
 
 def _pairs(topo):
     n = topo.n_cores
@@ -33,9 +35,14 @@ def test_route_ports_follow_xy_route(width):
     net = EMeshPure(topo)
     for src, dst in _pairs(topo):
         path = topo.xy_route(src, dst)
-        expected = tuple(net._port(u, v) for u, v in zip(path, path[1:]))
-        xi, yi = net._leg_indices(src, dst)
-        assert net._xlegs[xi] + net._ylegs[yi] == expected, (src, dst)
+        expected = tuple(
+            _port_index(width, u, v) for u, v in zip(path, path[1:])
+        )
+        # X leg to dst's column, then the Y leg from that corner to dst
+        corner = src - src % width + dst % width
+        xleg = net._xlegs[src * width + dst % width]
+        yleg = net._ylegs[corner * width + dst // width]
+        assert xleg + yleg == expected, (src, dst)
 
 
 @pytest.mark.parametrize("width", [4, 8])
@@ -47,7 +54,7 @@ def test_traverse_reserves_the_xy_route(width):
         net._xleg_flits[:] = [0] * len(net._xleg_flits)
         net._yleg_flits[:] = [0] * len(net._yleg_flits)
         path = topo.xy_route(src, dst)
-        ports = [net._port(u, v) for u, v in zip(path, path[1:])]
+        ports = [_port_index(width, u, v) for u, v in zip(path, path[1:])]
         arrival = net._traverse(src, dst, 0, 1)
         assert arrival == len(ports) * HOP_LATENCY + 1, (src, dst)
         # each hop's port is reserved once, one cycle later than the last
@@ -110,7 +117,7 @@ def test_same_width_networks_share_legs_not_port_state():
     for _ in range(5):
         a.send(pkt)
     assert b._free_at == [0] * len(b._free_at)
-    assert b._busy == [0] * len(b._busy)
+    assert b.port_busy() == [0] * len(b._free_at)
     [(_, fresh)] = b.send(pkt)
     assert fresh == first
     # a's repeated sends queued behind each other; b's did not.
