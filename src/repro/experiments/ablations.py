@@ -23,6 +23,18 @@ from repro.network.topology import MeshTopology
 from repro.workloads.synthetic import SyntheticTraffic, run_load_point
 
 
+class _BacklogFeedback(AtacNetwork):
+    """ATAC+ that feeds its adaptive policy the sender hub's ONet
+    backlog after every send."""
+
+    def send(self, src: int, dst: int, size_bits: int,
+             t: int) -> list[tuple[int, int]]:
+        deliveries = super().send(src, dst, size_bits, t)
+        link = self.onet_links[self.topology.cluster_of(src)]
+        self.routing.observe_backlog(max(0, link.free_at - t))
+        return deliveries
+
+
 def run_adaptive_routing(
     mesh_width: int = 32,
     loads: tuple[float, ...] = (0.02, 0.06, 0.10, 0.16),
@@ -35,29 +47,15 @@ def run_adaptive_routing(
     rows = []
     for load in loads:
         row: dict = {"load": load}
-        for rthres in (5, 15, 25):
-            net = AtacNetwork(topology, routing=DistanceRouting(rthres))
+        adaptive = AdaptiveDistanceRouting(rthres_min=5, rthres_max=25)
+        nets = {f"Distance-{r}": AtacNetwork(topology, routing=DistanceRouting(r))
+                for r in (5, 15, 25)}
+        nets["Adaptive"] = _BacklogFeedback(topology, routing=adaptive)
+        for name, net in nets.items():
             traffic = SyntheticTraffic(topology.n_cores, load=load, seed=seed)
             pt = run_load_point(net, traffic, cycles=cycles,
                                 warmup_cycles=warmup_cycles)
-            row[f"Distance-{rthres}"] = round(pt.mean_latency, 1)
-        adaptive = AdaptiveDistanceRouting(rthres_min=5, rthres_max=25)
-        net = AtacNetwork(topology, routing=adaptive)
-        traffic = SyntheticTraffic(topology.n_cores, load=load, seed=seed)
-        # feed hub backlog into the controller between packets
-        packets = traffic.generate(cycles)
-        pending_reset = True
-        for pkt in packets:
-            if pending_reset and pkt.time >= warmup_cycles:
-                net.reset_stats()
-                pending_reset = False
-            net.send(pkt)
-            cluster = topology.cluster_of(pkt.src)
-            backlog = max(0, net.onet_links[cluster].free_at - pkt.time)
-            adaptive.observe_backlog(backlog)
-        if pending_reset:
-            net.reset_stats()
-        row["Adaptive"] = round(net.stats.mean_latency, 1)
+            row[name] = round(pt.mean_latency, 1)
         row["adaptive_final_rthres"] = adaptive.rthres
         rows.append(row)
     return rows

@@ -37,15 +37,10 @@ def routing_schemes(topology: MeshTopology):
 
 def scheme_ids(topology: MeshTopology) -> list[tuple[str, str]]:
     """(canonical spec routing, display name) per Figure 3 scheme."""
-    out = []
-    for scheme in routing_schemes(topology):
-        if scheme.name == "Cluster":
-            out.append(("cluster", scheme.name))
-        elif scheme.name == "Distance-All":
-            out.append(("distance-all", scheme.name))
-        else:
-            out.append((f"distance-{scheme.rthres}", scheme.name))
-    return out
+    # "Cluster", "Distance-<t>" and "Distance-All" lower-case to the
+    # canonical routing strings LoadPointSpec parses.
+    return [(scheme.name.lower(), scheme.name)
+            for scheme in routing_schemes(topology)]
 
 
 def run(
@@ -57,34 +52,19 @@ def run(
     seed: int = 7,
 ) -> dict[str, list[dict]]:
     """Returns {scheme_name: [{load, latency, saturated}, ...]}."""
-    topology = MeshTopology(width=mesh_width, cluster_width=4)
-    ids = scheme_ids(topology)
+    ids = scheme_ids(MeshTopology(width=mesh_width, cluster_width=4))
     specs = [
-        LoadPointSpec(
-            routing=routing,
-            load=load,
-            mesh_width=mesh_width,
-            broadcast_fraction=broadcast_fraction,
-            cycles=cycles,
-            warmup_cycles=warmup_cycles,
-            seed=seed,
-        )
+        LoadPointSpec(routing, load, mesh_width, seed=seed, cycles=cycles,
+                      warmup_cycles=warmup_cycles,
+                      broadcast_fraction=broadcast_fraction)
         for routing, _ in ids for load in loads
     ]
     points = iter(run_specs(specs))
-    curves: dict[str, list[dict]] = {}
-    for _, name in ids:
-        curves[name] = []
-        for load in loads:
-            pt = next(points)
-            curves[name].append(
-                {
-                    "load": load,
-                    "latency": round(pt.mean_latency, 1),
-                    "saturated": pt.saturated,
-                }
-            )
-    return curves
+    return {
+        name: [{"load": load, "latency": round(pt.mean_latency, 1),
+                "saturated": pt.saturated} for load, pt in zip(loads, points)]
+        for _, name in ids
+    }
 
 
 def best_scheme_per_load(curves: dict[str, list[dict]]) -> dict[float, str]:
@@ -97,10 +77,11 @@ def best_scheme_per_load(curves: dict[str, list[dict]]) -> dict[float, str]:
     return best
 
 
-def main() -> None:
-    curves = run()
+def main(mesh_width: int = 32) -> None:
+    curves = run(mesh_width)
     loads = [p["load"] for p in next(iter(curves.values()))]
-    print("Figure 3: mean latency (cycles) vs offered load (flits/cycle/core)")
+    print(f"Figure 3 ({mesh_width}x{mesh_width} mesh): mean latency (cycles) "
+          "vs offered load (flits/cycle/core)")
     header = "load    " + "  ".join(f"{name:>14s}" for name in curves)
     print(header)
     for i, load in enumerate(loads):

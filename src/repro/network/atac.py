@@ -33,7 +33,6 @@ from repro.network.mesh import _MeshBase
 from repro.network.onet import AdaptiveSWMRLink
 from repro.network.routing import ClusterRouting, DistanceRouting, RoutingPolicy
 from repro.network.topology import MeshTopology
-from repro.network.types import Packet
 
 
 class AtacNetwork(_MeshBase):
@@ -101,13 +100,11 @@ class AtacNetwork(_MeshBase):
         return t + HUB_DELAY
 
     # ------------------------------------------------------------------
-    def _send_unicast(self, pkt: Packet, n_flits: int) -> list[tuple[int, int]]:
+    def _send_unicast(self, src: int, dst: int, t: int,
+                      n_flits: int) -> list[tuple[int, int]]:
         # RoutingPolicy.use_onet, inlined over the per-core tables:
         # inter-cluster and at least ``rthres`` hops apart.  ``rthres``
         # is read per send, so an adaptive policy's moves apply at once.
-        src = pkt.src
-        dst = pkt.dst
-        t = pkt.time
         src_cluster = self._cluster_of_core[src]
         if src_cluster == self._cluster_of_core[dst]:
             return [(dst, self._traverse(src, dst, t, n_flits))]
@@ -166,9 +163,9 @@ class AtacNetwork(_MeshBase):
                     append((core, arrival))
         return deliveries
 
-    def _send_broadcast(self, pkt: Packet, n_flits: int) -> list[tuple[int, int]]:
-        src = pkt.src
-        at_hub = self._to_hub(src, pkt.time, n_flits)
+    def _send_broadcast(self, src: int, t: int,
+                        n_flits: int) -> list[tuple[int, int]]:
+        at_hub = self._to_hub(src, t, n_flits)
         _, hub_arrival = self.onet_links[self._cluster_of_core[src]].transmit(
             at_hub, n_flits, broadcast=True
         )

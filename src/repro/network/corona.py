@@ -32,7 +32,6 @@ from repro.network.engine import HUB_DELAY
 from repro.network.onet import AdaptiveSWMRLink
 from repro.network.routing import ClusterRouting
 from repro.network.topology import MeshTopology
-from repro.network.types import Packet
 
 #: cycles to acquire a channel's optical token before writing to it.
 TOKEN_DELAY = 2
@@ -70,25 +69,22 @@ class CoronaNetwork(AtacNetwork):
         return "Corona"
 
     # ------------------------------------------------------------------
-    def _send_unicast(self, pkt: Packet, n_flits: int) -> list[tuple[int, int]]:
-        src_cluster = self._cluster_of_core[pkt.src]
-        dst_cluster = self._cluster_of_core[pkt.dst]
-        if src_cluster == dst_cluster:
-            arrival = self._traverse(pkt.src, pkt.dst, pkt.time, n_flits)
-            return [(pkt.dst, arrival)]
+    def _send_unicast(self, src: int, dst: int, t: int,
+                      n_flits: int) -> list[tuple[int, int]]:
+        dst_cluster = self._cluster_of_core[dst]
+        if self._cluster_of_core[src] == dst_cluster:
+            return [(dst, self._traverse(src, dst, t, n_flits))]
         # MWSR: reserve the *destination's* channel; the token round
         # precedes the reservation, queueing behind other writers is
         # the channel's own serialization.
-        arrival = self._optical_unicast(
-            pkt.src, pkt.dst, pkt.time, n_flits,
-            self.onet_links[dst_cluster], TOKEN_DELAY,
-        )
-        return [(pkt.dst, arrival)]
+        return [(dst, self._optical_unicast(
+            src, dst, t, n_flits, self.onet_links[dst_cluster], TOKEN_DELAY
+        ))]
 
     # ------------------------------------------------------------------
-    def _send_broadcast(self, pkt: Packet, n_flits: int) -> list[tuple[int, int]]:
-        src = pkt.src
-        at_hub = self._to_hub(src, pkt.time, n_flits)
+    def _send_broadcast(self, src: int, t: int,
+                        n_flits: int) -> list[tuple[int, int]]:
+        at_hub = self._to_hub(src, t, n_flits)
         _, hub_arrival = self.broadcast_channel.transmit(
             at_hub + TOKEN_DELAY, n_flits, broadcast=True
         )

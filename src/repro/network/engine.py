@@ -18,6 +18,10 @@ This reproduces the two behaviours the paper's evaluations depend on:
 The approximation versus flit-accurate wormhole is that buffers are
 unbounded (virtual-cut-through-like); DESIGN.md section 7 flags this
 and ``benchmarks`` cross-validate zero-load latency analytically.
+
+A packet is four scalars, not a record: ``Network.send(src, dst,
+size_bits, t)`` hands ``_send_unicast(src, dst, t, n_flits)`` or
+``_send_broadcast(src, t, n_flits)`` the size in flits.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import fields, replace
 
 from repro.network.stats import NetworkStats
 from repro.network.topology import MeshTopology
-from repro.network.types import BROADCAST, Packet
+from repro.network.types import BROADCAST
 
 
 class PortResource:
@@ -71,9 +75,10 @@ RECEIVE_NETS_PER_CLUSTER = 2      # "Total StarNets per Cluster"
 class Network(ABC):
     """Common interface of EMesh-Pure, EMesh-BCast and ATAC/ATAC+.
 
-    ``send`` must be called with non-decreasing ``packet.time`` values
-    (the event-driven simulator guarantees this); each call reserves
-    resources and immediately returns the delivery schedule.
+    ``send(src, dst, size_bits, t)`` takes plain scalars and must be
+    called with non-decreasing ``t`` (the event-driven simulator
+    guarantees this); each call reserves resources and immediately
+    returns the delivery schedule.
     """
 
     def __init__(self, topology: MeshTopology, flit_bits: int = 64) -> None:
@@ -84,7 +89,8 @@ class Network(ABC):
         self.stats = NetworkStats()
         self._last_send_time = 0
         # size_bits -> flit count; traffic uses a couple of distinct
-        # message sizes, so the ceil-divide is paid once per size.
+        # message sizes, so the size check and the ceil-divide are paid
+        # once per size.
         self._n_flits_cache: dict[int, int] = {}
 
     @property
@@ -93,66 +99,67 @@ class Network(ABC):
         """Architecture label as used in the paper's figures."""
 
     @abstractmethod
-    def _send_unicast(self, pkt: Packet, n_flits: int) -> list[tuple[int, int]]:
+    def _send_unicast(self, src: int, dst: int, t: int,
+                      n_flits: int) -> list[tuple[int, int]]:
         """Deliver a unicast; returns [(dst_core, arrival_time)]."""
 
     @abstractmethod
-    def _send_broadcast(self, pkt: Packet, n_flits: int) -> list[tuple[int, int]]:
+    def _send_broadcast(self, src: int, t: int,
+                        n_flits: int) -> list[tuple[int, int]]:
         """Deliver a broadcast; returns [(core, arrival_time), ...] for
         every core except the source."""
 
-    def send(self, pkt: Packet) -> list[tuple[int, int]]:
-        """Inject a packet; returns the delivery schedule.
-
-        For unicasts the schedule has one entry; for broadcasts, one per
-        core on the chip except the sender.
+    def send(self, src: int, dst: int, size_bits: int,
+             t: int) -> list[tuple[int, int]]:
+        """Inject ``size_bits`` from core ``src`` to core ``dst`` (or
+        :data:`BROADCAST`) at cycle ``t``; returns the delivery schedule:
+        one entry for a unicast, one per core but the sender for a
+        broadcast.  A negative ``src``, a negative ``dst`` other than
+        ``BROADCAST`` (either would index the per-core tables from their
+        end) and a non-positive ``size_bits`` raise ``ValueError``.
         """
-        t = pkt.time
         if t < self._last_send_time:
             raise ValueError(
                 f"sends must be time-ordered: got t={t} after "
                 f"t={self._last_send_time}"
             )
-        self._last_send_time = t
-        n_flits = self._n_flits_cache.get(pkt.size_bits)
-        if n_flits is None:
-            n_flits = self._n_flits_cache[pkt.size_bits] = pkt.n_flits(
-                self.flit_bits
+        # BROADCAST (-1) is the one negative destination allowed.
+        if src < 0 or dst < BROADCAST:
+            raise ValueError(
+                f"src must be a core id and dst a core id or BROADCAST, "
+                f"got src={src}, dst={dst}"
             )
+        n_flits = self._n_flits_cache.get(size_bits)
+        if n_flits is None:
+            if size_bits <= 0:
+                raise ValueError(f"size_bits must be positive, got {size_bits}")
+            n_flits = self._n_flits_cache[size_bits] = -(-size_bits // self.flit_bits)
+        self._last_send_time = t
         s = self.stats
         s.packets_sent += 1
         s.injected_flits += n_flits
-        dst = pkt.dst
         if dst == BROADCAST:
             s.broadcasts_sent += 1
-            deliveries = self._send_broadcast(pkt, n_flits)
-            s.received_broadcast_flits += n_flits * len(deliveries)
-            # Accumulate latency inline (same arithmetic as
-            # record_latency) rather than one method call per delivery
-            # -- a broadcast has n_cores - 1 deliveries.
-            lat_sum = 0
-            lat_max = s.latency_max
-            for _, arrival in deliveries:
-                lat = arrival - t
-                if lat < 0:
+            deliveries = self._send_broadcast(src, t, n_flits)
+            n = len(deliveries)
+            s.received_broadcast_flits += n_flits * n
+            if n:
+                # One pass each in C, not a method call per delivery: a
+                # broadcast has n_cores - 1 of them.
+                arrivals = [arrival for _, arrival in deliveries]
+                if min(arrivals) < t:
                     raise ValueError(
-                        f"latency must be non-negative, got {lat}"
+                        f"latency must be non-negative, got {min(arrivals) - t}"
                     )
-                lat_sum += lat
-                if lat > lat_max:
-                    lat_max = lat
-            s.latency_sum += lat_sum
-            s.latency_count += len(deliveries)
-            s.latency_max = lat_max
+                s.latency_sum += sum(arrivals) - n * t
+                s.latency_count += n
+                s.latency_max = max(s.latency_max, max(arrivals) - t)
             return deliveries
         s.unicasts_sent += 1
-        if dst == pkt.src:
-            # Local delivery: no network resources involved.
-            s.received_unicast_flits += n_flits
-            s.record_latency(1)
-            return [(dst, t + 1)]
-        deliveries = self._send_unicast(pkt, n_flits)
         s.received_unicast_flits += n_flits
+        # A self-send is delivered locally, with no network resources.
+        deliveries = ([(dst, t + 1)] if dst == src
+                      else self._send_unicast(src, dst, t, n_flits))
         lat = deliveries[0][1] - t
         if lat < 0:
             raise ValueError(f"latency must be non-negative, got {lat}")

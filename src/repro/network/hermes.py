@@ -28,7 +28,6 @@ from repro.network.engine import HUB_DELAY
 from repro.network.onet import AdaptiveSWMRLink
 from repro.network.routing import distance_all
 from repro.network.topology import MeshTopology
-from repro.network.types import Packet
 
 #: edge length, in clusters, of a square broadcast region.
 REGION_WIDTH = 2
@@ -102,9 +101,9 @@ class HermesNetwork(AtacNetwork):
     # rule never picks the ONet and a unicast is a plain ENet traversal.
     # ------------------------------------------------------------------
 
-    def _send_broadcast(self, pkt: Packet, n_flits: int) -> list[tuple[int, int]]:
-        src = pkt.src
-        at_hub = self._to_hub(src, pkt.time, n_flits)
+    def _send_broadcast(self, src: int, t: int,
+                        n_flits: int) -> list[tuple[int, int]]:
+        at_hub = self._to_hub(src, t, n_flits)
         _, head_arrival = self.global_channel.transmit(
             at_hub, n_flits, broadcast=True
         )

@@ -38,7 +38,6 @@ from functools import cache
 
 from repro.network.engine import HOP_LATENCY, Network
 from repro.network.topology import MeshTopology
-from repro.network.types import Packet
 
 #: Output-port direction indices in the flat port array.
 _EAST, _WEST, _SOUTH, _NORTH = 0, 1, 2, 3
@@ -158,9 +157,9 @@ class _MeshBase(Network):
         # head has arrived; the tail needs the serialization time.
         return head + n_flits
 
-    def _send_unicast(self, pkt: Packet, n_flits: int) -> list[tuple[int, int]]:
-        arrival = self._traverse(pkt.src, pkt.dst, pkt.time, n_flits)
-        return [(pkt.dst, arrival)]
+    def _send_unicast(self, src: int, dst: int, t: int,
+                      n_flits: int) -> list[tuple[int, int]]:
+        return [(dst, self._traverse(src, dst, t, n_flits))]
 
 
 class EMeshPure(_MeshBase):
@@ -170,15 +169,14 @@ class EMeshPure(_MeshBase):
     def name(self) -> str:
         return "EMesh-Pure"
 
-    def _send_broadcast(self, pkt: Packet, n_flits: int) -> list[tuple[int, int]]:
+    def _send_broadcast(self, src: int, t: int,
+                        n_flits: int) -> list[tuple[int, int]]:
         # The source's network interface injects one unicast per
         # destination, in ascending order; they contend for the source's
         # output ports and serialize there, which is exactly the
         # EMesh-Pure penalty.  Each is _traverse's leg walk, inlined:
         # destination (row, col) takes X leg src -> col, then the Y leg
         # from that column's corner to row.
-        src = pkt.src
-        t = pkt.time
         w = self._width
         row0 = src - src % w
         free_at = self._free_at
@@ -229,7 +227,8 @@ class EMeshBCast(_MeshBase):
     def name(self) -> str:
         return "EMesh-BCast"
 
-    def _send_broadcast(self, pkt: Packet, n_flits: int) -> list[tuple[int, int]]:
+    def _send_broadcast(self, src: int, t: int,
+                        n_flits: int) -> list[tuple[int, int]]:
         # The XY spanning tree (``topology.broadcast_tree``) is the
         # source's east and west row legs plus, from every row node, its
         # south and north column legs.  Each tree edge is an
@@ -240,7 +239,6 @@ class EMeshBCast(_MeshBase):
         # emitted in the topology's canonical ``broadcast_order``: that
         # order decides event-queue tie-breaks downstream and is frozen
         # as part of the determinism contract.
-        src = pkt.src
         w = self._width
         n = self._n_cores
         s = self.stats
@@ -250,7 +248,7 @@ class EMeshBCast(_MeshBase):
         free_at = self._free_at
         hop = HOP_LATENCY
         heads = [0] * n
-        heads[src] = pkt.time
+        heads[src] = t
         row0 = src - src % w
         # (leg table, its counts, core step per hop, nodes the legs start at)
         for legs, counts, step, roots in (

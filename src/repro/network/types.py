@@ -26,24 +26,14 @@ DATA_MSG_BITS = 600
 
 @dataclass(slots=True)
 class Packet:
-    """One network packet.
+    """One network packet, as a validated value.  The simulator never
+    builds one (``Network.send`` takes the four fields as scalars); it
+    serves callers that want one record per packet, such as oracles."""
 
-    Attributes
-    ----------
-    src:
-        Source core id.
-    dst:
-        Destination core id, or :data:`BROADCAST`.
-    size_bits:
-        Payload + header size; converted to flits by each network.
-    time:
-        Injection time (cycles).
-    """
-
-    src: int
-    dst: int
-    size_bits: int = CONTROL_MSG_BITS
-    time: int = 0
+    src: int                            # source core id
+    dst: int                            # destination core id, or BROADCAST
+    size_bits: int = CONTROL_MSG_BITS   # payload + header
+    time: int = 0                       # injection cycle
 
     def __post_init__(self) -> None:
         if self.src < 0:

@@ -281,12 +281,9 @@ class Sanitizer(Probe):
     # ------------------------------------------------------------------
     # Network-send seam
     # ------------------------------------------------------------------
-    def net_send(self, inner, pkt):
-        t = pkt.time
-        src = pkt.src
-        dst = pkt.dst
-        deliveries = inner(pkt)
-        n_flits = self.system.network._n_flits_cache[pkt.size_bits]
+    def net_send(self, inner, src, dst, size_bits, t):
+        deliveries = inner(src, dst, size_bits, t)
+        n_flits = self.system.network._n_flits_cache[size_bits]
         sh = self._shadow
         sh["packets_sent"] += 1
         sh["injected_flits"] += n_flits

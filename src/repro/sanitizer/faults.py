@@ -133,11 +133,11 @@ class _MeshDoubleReserve(Probe):
         # 0's east port) alone, so its count credits exactly that port.
         self.slot = network._xlegs.index((0,))
 
-    def net_send(self, inner, pkt):
+    def net_send(self, inner, src, dst, size_bits, t):
         if not self.state["fired"]:
             self.state["fired"] = True
             self.counts[self.slot] += 1_000_000
-        return inner(pkt)
+        return inner(src, dst, size_bits, t)
 
 
 def _double_reserve(system) -> dict:

@@ -6,7 +6,8 @@ seam methods; :func:`install` wraps each around the callable the seam
 currently holds, which the method receives as ``inner``:
 
 * ``send_msg(inner, msg, time)`` wraps ``system.send_msg``;
-* ``net_send(inner, pkt)`` wraps ``system.network.send``;
+* ``net_send(inner, src, dst, size_bits, t)`` wraps
+  ``system.network.send``;
 * ``arrive(inner, barrier_id, now, resume)`` wraps
   ``system.barriers.arrive`` once ``run()`` has built the manager;
 * ``event_queue()`` returns the queue that replaces ``system.eventq``

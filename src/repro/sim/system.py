@@ -19,7 +19,7 @@ from repro.coherence.memory import MemoryController, MemoryTiming
 from repro.coherence.messages import MSG_BITS, CoherenceMsg, MsgType
 from repro.coherence.sequencing import DirectorySequencer
 from repro.network.atac import AtacNetwork
-from repro.network.types import BROADCAST, Packet
+from repro.network.types import BROADCAST
 from repro.sim.barrier import BarrierManager
 from repro.sim.config import SystemConfig, make_network
 from repro.sim.core_model import CoreModel
@@ -146,8 +146,6 @@ class ManycoreSystem:
             )
         self.cores: dict[int, CoreModel] = {}
         self.barriers: BarrierManager | None = None
-        # Reused injection packet (see _inject).
-        self._pkt = Packet(src=0, dst=0, size_bits=1, time=0)
         # Per message type: the controllers (by core) that handle it on
         # delivery, and its packet size.  ``_inject`` reads ``.handle``
         # off the controller per message, so a patched handler is seen.
@@ -214,18 +212,11 @@ class ManycoreSystem:
         eventq.schedule(time if time > now else now, self._inject, msg)
 
     def _inject(self, msg: CoherenceMsg, now: int) -> None:
-        # One pooled Packet, refilled per injection: Network.send reads
-        # the packet synchronously and never retains it, and _inject
-        # runs once per protocol message, so the per-message dataclass
-        # construction (and its validation) was pure overhead.
         mtype = msg.mtype
-        pkt = self._pkt
-        owners, pkt.size_bits = self._inject_table[mtype]
-        pkt.src = msg.sender
-        pkt.time = now
+        owners, size_bits = self._inject_table[mtype]
         if mtype is MsgType.INV_BCAST:
-            pkt.dst = BROADCAST
-            deliveries = self.network.send(pkt)
+            deliveries = self.network.send(msg.sender, BROADCAST,
+                                           size_bits, now)
             if self.batch_broadcasts:
                 # Batched fan-out: one heap event per distinct arrival
                 # time instead of one per core.  Within one arrival the
@@ -260,8 +251,8 @@ class ManycoreSystem:
                     now + 1, self.caches[msg.sender].handle, msg
                 )
             return
-        pkt.dst = msg.dest
-        [(core, arrival)] = self.network.send(pkt)
+        [(core, arrival)] = self.network.send(msg.sender, msg.dest,
+                                              size_bits, now)
         self.eventq.schedule(arrival, owners[core].handle, msg)
 
     def _deliver_broadcast_group(

@@ -125,13 +125,10 @@ class TelemetryCollector(Probe):
                 )
         inner(msg, time)
 
-    def net_send(self, inner, pkt):
-        # The injection packet is pooled (refilled per protocol message),
-        # so its fields are read within this call and never retained.
-        src, dst, ts = pkt.src, pkt.dst, pkt.time
+    def net_send(self, inner, src, dst, size_bits, ts):
         stats = self.system.network.stats
         transitions_before = stats.onet_mode_transitions
-        deliveries = inner(pkt)
+        deliveries = inner(src, dst, size_bits, ts)
         transitions = stats.onet_mode_transitions - transitions_before
         if transitions:
             cluster_of = getattr(self.system.network, "_cluster_of_core", None)
@@ -154,7 +151,7 @@ class TelemetryCollector(Probe):
         else:
             self.trace.record(
                 "pkt", ts, last_arrival - ts, f"pkt {src}->{dst}", None,
-                {"src": src, "dst": dst, "bits": pkt.size_bits},
+                {"src": src, "dst": dst, "bits": size_bits},
             )
         return deliveries
 

@@ -8,19 +8,21 @@ that traffic and drives any :class:`repro.network.engine.Network`.
 Injection is Bernoulli per core per cycle at a rate chosen so the
 *offered load* (flits/cycle/core) matches the request; destinations are
 uniform over the other cores; a small fraction of packets are
-broadcasts.  Traffic is pre-generated with NumPy and replayed in time
-order (the engine requires ordered sends).
+broadcasts.  Traffic is pre-generated with NumPy as time, source and
+destination columns and replayed in time order (the engine requires
+ordered sends), one scalar ``Network.send`` per packet.
 """
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from repro.network.engine import Network
-from repro.network.types import BROADCAST, Packet
+from repro.network.types import BROADCAST
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,33 @@ class LoadSweepPoint:
     max_latency: int
     packets: int
     saturated: bool              # latency diverged past the cutoff
+
+
+@dataclass(slots=True)
+class TrafficColumns:
+    """One run's packets as columns, in injection-time order: packet
+    ``i`` goes from ``srcs[i]`` to ``dsts[i]`` (a core or
+    :data:`BROADCAST`) at cycle ``times[i]``.  ``len()`` counts packets."""
+
+    times: list[int]
+    srcs: list[int]
+    dsts: list[int]
+    size_bits: int
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+
+def check_columns(times, srcs, dsts, n_cores: int, cycles: int) -> None:
+    """Raise ``ValueError`` unless every packet's time is in ``[0,
+    cycles)``, its source a core and its destination a core or
+    :data:`BROADCAST`: one vectorized pass over NumPy columns."""
+    bad = ((times < 0) | (times >= cycles) | (srcs < 0) | (srcs >= n_cores)
+           | (dsts < BROADCAST) | (dsts >= n_cores))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"generated packet {i} out of range: time={times[i]}, "
+                         f"src={srcs[i]}, dst={dsts[i]}")
 
 
 class SyntheticTraffic:
@@ -69,17 +98,19 @@ class SyntheticTraffic:
             raise ValueError(
                 f"broadcast_fraction must be in [0,1], got {broadcast_fraction}"
             )
+        if packet_bits <= 0:
+            raise ValueError(f"packet_bits must be positive, got {packet_bits}")
         self.n_cores = n_cores
         self.load = load
         self.broadcast_fraction = broadcast_fraction
         self.packet_bits = packet_bits
         self.flit_bits = flit_bits
         self.seed = seed
-        flits_per_packet = max(1, math.ceil(packet_bits / flit_bits))
+        flits_per_packet = -(-packet_bits // flit_bits)
         #: per-core per-cycle packet injection probability
         self.p_inject = min(1.0, load / flits_per_packet)
 
-    def generate(self, cycles: int) -> list[Packet]:
+    def generate(self, cycles: int) -> TrafficColumns:
         """All packets for a run of ``cycles``, in injection-time order."""
         if cycles < 1:
             raise ValueError(f"cycles must be >= 1, got {cycles}")
@@ -94,11 +125,10 @@ class SyntheticTraffic:
         dsts = rng.integers(0, self.n_cores - 1, size=hits.size)
         dsts = np.where(dsts >= srcs, dsts + 1, dsts)
         dsts = np.where(is_bcast, BROADCAST, dsts)
-        bits = self.packet_bits
-        return [
-            Packet(src, dst, bits, t)
-            for t, src, dst in zip(times.tolist(), srcs.tolist(), dsts.tolist())
-        ]
+        check_columns(times, srcs, dsts, self.n_cores, cycles)
+        return TrafficColumns(
+            times.tolist(), srcs.tolist(), dsts.tolist(), self.packet_bits
+        )
 
 
 def run_load_point(
@@ -116,17 +146,18 @@ def run_load_point(
     """
     if warmup_cycles >= cycles:
         raise ValueError("warmup_cycles must be < cycles")
-    packets = traffic.generate(cycles)
+    cols = traffic.generate(cycles)
     measured_cycles = cycles - warmup_cycles
-    pending_reset = warmup_cycles > 0
-    for pkt in packets:
-        if pending_reset and pkt.time >= warmup_cycles:
-            network.reset_stats()
-            pending_reset = False
-        network.send(pkt)
-    if pending_reset:
-        # No packet came after warm-up: the measured window is empty.
+    send = network.send
+    bits = cols.size_bits
+    packets = zip(cols.times, cols.srcs, cols.dsts)
+    # The warm-up packets, then a reset, then the measured window.
+    for t, src, dst in islice(packets, bisect_left(cols.times, warmup_cycles)):
+        send(src, dst, bits, t)
+    if warmup_cycles > 0:
         network.reset_stats()
+    for t, src, dst in packets:
+        send(src, dst, bits, t)
     stats = network.stats
     mean = stats.mean_latency
     return LoadSweepPoint(

@@ -25,17 +25,21 @@ class TestMessageSizes:
         """512 data + 64 addr + 20 ids + 4 type = 600 bits."""
         assert DATA_MSG_BITS == 512 + 64 + 20 + 4
 
-    def test_control_fits_two_flits(self):
-        from repro.network.types import Packet
+    @staticmethod
+    def _flits(size_bits):
+        """Flits one send of ``size_bits`` injects at the 64-bit width."""
+        from repro.network.mesh import EMeshPure
+        from repro.network.topology import MeshTopology
 
-        pkt = Packet(src=0, dst=1, size_bits=CONTROL_MSG_BITS)
-        assert pkt.n_flits(64) == 2
+        net = EMeshPure(MeshTopology(width=4, cluster_width=4))
+        net.send(0, 1, size_bits, 0)
+        return net.stats.injected_flits
+
+    def test_control_fits_two_flits(self):
+        assert self._flits(CONTROL_MSG_BITS) == 2
 
     def test_data_needs_ten_flits(self):
-        from repro.network.types import Packet
-
-        pkt = Packet(src=0, dst=1, size_bits=DATA_MSG_BITS)
-        assert pkt.n_flits(64) == 10
+        assert self._flits(DATA_MSG_BITS) == 10
 
     def test_sequence_number_adds_no_flits(self):
         """'adding 16 bits for the sequence number does not create any

@@ -160,6 +160,42 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "mesh width 6 not a multiple of cluster width 4\n"
 
+    @pytest.fixture
+    def fig3_widths(self, monkeypatch):
+        """Stand in for the Fig 3 sweep: record the mesh width of every
+        load point it is handed and return an idle point for each."""
+        from repro.experiments import fig03
+        from repro.workloads.synthetic import LoadSweepPoint
+
+        widths = []
+
+        def run_specs(specs):
+            widths.extend(spec.mesh_width for spec in specs)
+            return [LoadSweepPoint(s.load, s.load, 1.0, 1, 1, False)
+                    for s in specs]
+
+        monkeypatch.setattr(fig03, "run_specs", run_specs)
+        return widths
+
+    @pytest.mark.parametrize("flag,width", [
+        ([], 32), (["--mesh-width", "8"], 8),
+    ], ids=["default", "w8"])
+    def test_fig3_runs_at_the_mesh_width(self, capsys, fig3_widths, flag, width):
+        assert cli_main(["fig3", "--no-cache", *flag]) == 0
+        assert set(fig3_widths) == {width} and len(fig3_widths) == 48
+        assert f"Figure 3 ({width}x{width} mesh)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("width,message", [
+        (6, "mesh width 6 not a multiple of cluster width 4\n"),
+        (4, "network 'atac+' is optical and needs at least two clusters; "
+            "a 4x4 mesh of 4x4 clusters has 1\n"),
+    ], ids=["ragged", "one-cluster"])
+    def test_fig3_bad_mesh_width_exits_2(self, capsys, fig3_widths, width,
+                                         message):
+        assert cli_main(["fig3", "--mesh-width", str(width), "--no-cache"]) == 2
+        assert fig3_widths == []
+        assert capsys.readouterr().err == message
+
     def test_fig10_runs_quickly(self, capsys):
         # fig10 is pure area modeling: safe to run through the CLI
         assert cli_main(["fig10", "--mesh-width", "8", "--scale", "0.1"]) == 0

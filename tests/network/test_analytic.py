@@ -13,9 +13,7 @@ from repro.network.atac import AtacNetwork
 from repro.network.mesh import EMeshBCast, EMeshPure
 from repro.network.routing import ClusterRouting, DistanceRouting
 from repro.network.topology import MeshTopology
-from repro.network.types import (
-    BROADCAST, CONTROL_MSG_BITS, DATA_MSG_BITS, Packet,
-)
+from repro.network.types import BROADCAST, CONTROL_MSG_BITS, DATA_MSG_BITS
 
 
 @pytest.fixture
@@ -36,7 +34,7 @@ class TestMeshCrossValidation:
         topo = MeshTopology(width=8, cluster_width=4)
         model = AnalyticModel(topo)
         net = EMeshPure(topo)
-        [(_, arrival)] = net.send(Packet(src=src, dst=dst, size_bits=size))
+        [(_, arrival)] = net.send(src, dst, size, 0)
         assert arrival == model.mesh_unicast_latency(src, dst, size)
 
     @settings(max_examples=20, deadline=None)
@@ -45,7 +43,7 @@ class TestMeshCrossValidation:
         topo = MeshTopology(width=8, cluster_width=4)
         model = AnalyticModel(topo)
         net = EMeshBCast(topo)
-        deliveries = net.send(Packet(src=src, dst=BROADCAST, size_bits=88))
+        deliveries = net.send(src, BROADCAST, 88, 0)
         worst = max(a for _, a in deliveries)
         assert worst == model.mesh_broadcast_latency(src, 88)
 
@@ -60,20 +58,20 @@ class TestAtacCrossValidation:
         if src == dst:
             return
         net = AtacNetwork(topo, routing=routing)
-        [(_, arrival)] = net.send(Packet(src, dst, CONTROL_MSG_BITS))
+        [(_, arrival)] = net.send(src, dst, CONTROL_MSG_BITS, 0)
         assert arrival == model.atac_unicast_latency(routing, src, dst, 88)
 
     def test_cluster_routing_agrees(self, topo, model):
         routing = ClusterRouting()
         net = AtacNetwork(topo, routing=routing)
-        [(_, arrival)] = net.send(Packet(0, 63, DATA_MSG_BITS))
+        [(_, arrival)] = net.send(0, 63, DATA_MSG_BITS, 0)
         assert arrival == model.atac_unicast_latency(routing, 0, 63, 600)
 
     def test_optical_broadcast_bound(self, topo, model):
         """Engine broadcast arrivals are within a StarNet-queueing slack
         of the analytic single-message latency."""
         net = AtacNetwork(topo)
-        deliveries = net.send(Packet(src=5, dst=BROADCAST, size_bits=88))
+        deliveries = net.send(5, BROADCAST, 88, 0)
         analytic = model.optical_broadcast_latency(5, 88)
         arrivals = [a for _, a in deliveries]
         assert min(arrivals) <= analytic

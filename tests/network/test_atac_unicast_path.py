@@ -20,22 +20,19 @@ from repro.network.corona import TOKEN_DELAY, CoronaNetwork
 from repro.network.engine import HUB_DELAY
 from repro.network.routing import ClusterRouting, DistanceRouting, distance_all
 from repro.network.topology import MeshTopology
-from repro.network.types import (
-    BROADCAST, CONTROL_MSG_BITS, DATA_MSG_BITS, Packet,
-)
+from repro.network.types import BROADCAST, CONTROL_MSG_BITS, DATA_MSG_BITS
 
 
 class StagedAtac(AtacNetwork):
     """ATAC whose unicasts compose the stage methods one by one."""
 
-    def _send_unicast(self, pkt, n_flits):
+    def _send_unicast(self, src, dst, t, n_flits):
         topo = self.topology
-        src, dst = pkt.src, pkt.dst
         if not self.routing.use_onet(topo, src, dst):
-            return [(dst, self._traverse(src, dst, pkt.time, n_flits))]
+            return [(dst, self._traverse(src, dst, t, n_flits))]
         src_cluster = topo.cluster_of(src)
         dst_cluster = topo.cluster_of(dst)
-        at_hub = self._to_hub(src, pkt.time, n_flits)
+        at_hub = self._to_hub(src, t, n_flits)
         _, hub_arrival = self.onet_links[src_cluster].transmit(
             at_hub, n_flits, broadcast=False
         )
@@ -50,13 +47,12 @@ class StagedAtac(AtacNetwork):
 class StagedCorona(CoronaNetwork):
     """Corona whose unicasts compose the stage methods one by one."""
 
-    def _send_unicast(self, pkt, n_flits):
+    def _send_unicast(self, src, dst, t, n_flits):
         topo = self.topology
-        src, dst = pkt.src, pkt.dst
         dst_cluster = topo.cluster_of(dst)
         if topo.cluster_of(src) == dst_cluster:
-            return [(dst, self._traverse(src, dst, pkt.time, n_flits))]
-        at_hub = self._to_hub(src, pkt.time, n_flits)
+            return [(dst, self._traverse(src, dst, t, n_flits))]
+        at_hub = self._to_hub(src, t, n_flits)
         _, hub_arrival = self.onet_links[dst_cluster].transmit(
             at_hub + TOKEN_DELAY, n_flits, broadcast=False
         )
@@ -110,8 +106,8 @@ POLICIES = {
 
 def _assert_same(fast, staged, traffic):
     for src, dst, bits, t in traffic:
-        got = fast.send(Packet(src, dst, bits, t))
-        want = staged.send(Packet(src, dst, bits, t))
+        got = fast.send(src, dst, bits, t)
+        want = staged.send(src, dst, bits, t)
         assert got == want, (src, dst, t)
     assert asdict(fast.stats) == asdict(staged.stats)
     assert _link_state(fast) == _link_state(staged)

@@ -24,16 +24,12 @@ from repro.network.engine import (
 from repro.network.hermes import HermesNetwork, hermes_regions
 from repro.network.routing import ClusterRouting
 from repro.network.topology import MeshTopology
-from repro.network.types import BROADCAST, Packet
+from repro.network.types import BROADCAST
 
 
 @pytest.fixture
 def topo():
     return MeshTopology(width=8, cluster_width=4)  # 4 clusters of 16
-
-
-def _pkt(src, dst, time=0, size_bits=64):
-    return Packet(src=src, dst=dst, size_bits=size_bits, time=time)
 
 
 def _idle_at_hub(topo, src, flits=1):
@@ -53,7 +49,7 @@ class TestCorona:
     def test_intra_cluster_unicast_stays_electrical(self, topo):
         net = CoronaNetwork(topo)
         src, dst = topo.cluster_cores(0)[0], topo.cluster_cores(0)[5]
-        net.send(_pkt(src, dst))
+        net.send(src, dst, 64, 0)
         assert net.stats.onet_unicast_flits == 0
         assert net.stats.hub_flit_traversals == 0
         assert net.stats.router_flit_traversals > 0
@@ -62,7 +58,7 @@ class TestCorona:
         net = CoronaNetwork(topo)
         src = topo.cluster_cores(0)[0]
         dst = topo.cluster_cores(3)[0]
-        [(core, arrival)] = net.send(_pkt(src, dst))
+        [(core, arrival)] = net.send(src, dst, 64, 0)
         assert core == dst and arrival > 0
         # there is no electrical inter-cluster path on this fabric
         assert net.stats.onet_unicast_flits == 1
@@ -76,7 +72,7 @@ class TestCorona:
             (topo.cluster_cores(0)[5], topo.cluster_cores(3)[0]),
             (topo.cluster_cores(2)[15], topo.cluster_cores(1)[9]),
         ]:
-            [(_, arrival)] = CoronaNetwork(topo).send(_pkt(src, dst))
+            [(_, arrival)] = CoronaNetwork(topo).send(src, dst, 64, 0)
             assert arrival == model.atac_unicast_latency(
                 ClusterRouting(), src, dst, size_bits=64
             ) + TOKEN_DELAY
@@ -86,7 +82,7 @@ class TestCorona:
         own cluster is fed straight from its hub."""
         net = CoronaNetwork(topo)
         src = topo.cluster_cores(1)[6]
-        deliveries = dict(net.send(_pkt(src, BROADCAST)))
+        deliveries = dict(net.send(src, BROADCAST, 64, 0))
         at_hub = _idle_at_hub(topo, src)
         remote = at_hub + TOKEN_DELAY + _CHANNEL + HUB_DELAY + _RECEIVE
         assert remote == AnalyticModel(topo).optical_broadcast_latency(
@@ -101,34 +97,34 @@ class TestCorona:
         dst = topo.cluster_cores(3)[0]
         # two writers from different clusters target cluster 3 at t=0:
         # MWSR means they contend on the *destination's* channel
-        [(_, first)] = net.send(_pkt(topo.cluster_cores(0)[0], dst))
+        [(_, first)] = net.send(topo.cluster_cores(0)[0], dst, 64, 0)
         [(_, second)] = net.send(
-            _pkt(topo.cluster_cores(1)[0], topo.cluster_cores(3)[1])
+            topo.cluster_cores(1)[0], topo.cluster_cores(3)[1], 64, 0
         )
         solo = CoronaNetwork(topo)
         [(_, unqueued)] = solo.send(
-            _pkt(topo.cluster_cores(1)[0], topo.cluster_cores(3)[1])
+            topo.cluster_cores(1)[0], topo.cluster_cores(3)[1], 64, 0
         )
         assert second > unqueued  # queued behind the first writer
 
     def test_different_destinations_do_not_serialize(self, topo):
         net = CoronaNetwork(topo)
         [(_, a1)] = net.send(
-            _pkt(topo.cluster_cores(0)[0], topo.cluster_cores(2)[0])
+            topo.cluster_cores(0)[0], topo.cluster_cores(2)[0], 64, 0
         )
         [(_, a2)] = net.send(
-            _pkt(topo.cluster_cores(1)[0], topo.cluster_cores(3)[0])
+            topo.cluster_cores(1)[0], topo.cluster_cores(3)[0], 64, 0
         )
         solo = CoronaNetwork(topo)
         [(_, unqueued)] = solo.send(
-            _pkt(topo.cluster_cores(1)[0], topo.cluster_cores(3)[0])
+            topo.cluster_cores(1)[0], topo.cluster_cores(3)[0], 64, 0
         )
         assert a2 == unqueued  # separate MWSR channels, no contention
 
     def test_broadcast_covers_chip_via_broadcast_channel(self, topo):
         net = CoronaNetwork(topo)
         src = topo.cluster_cores(0)[0]
-        deliveries = net.send(_pkt(src, BROADCAST))
+        deliveries = net.send(src, BROADCAST, 64, 0)
         assert {c for c, _ in deliveries} == set(range(topo.n_cores)) - {src}
         assert net.broadcast_channel.broadcast_cycles > 0
         # unicast channels stayed dark
@@ -175,7 +171,7 @@ class TestHermes:
         for t, dst in enumerate(
             (topo.cluster_cores(3)[0], topo.cluster_cores(1)[7])
         ):
-            net.send(_pkt(src, dst, time=t))
+            net.send(src, dst, 64, t)
         assert net.stats.onet_unicast_flits == 0
         assert net.stats.hub_flit_traversals == 0
         assert net.stats.router_flit_traversals > 0
@@ -183,7 +179,7 @@ class TestHermes:
     def test_broadcast_covers_chip_through_the_hierarchy(self, topo):
         net = HermesNetwork(topo)
         src = topo.cluster_cores(2)[4]
-        deliveries = net.send(_pkt(src, BROADCAST))
+        deliveries = net.send(src, BROADCAST, 64, 0)
         assert {c for c, _ in deliveries} == set(range(topo.n_cores)) - {src}
         assert net.global_channel.broadcast_cycles > 0
         # the second level re-broadcast fired on every multi-cluster
@@ -201,7 +197,7 @@ class TestHermes:
         net = HermesNetwork(topo)
         src_cluster = 4  # a non-head member of the first region
         src = topo.cluster_cores(src_cluster)[5]
-        deliveries = dict(net.send(_pkt(src, BROADCAST)))
+        deliveries = dict(net.send(src, BROADCAST, 64, 0))
         at_hub = _idle_at_hub(topo, src)
         head_ready = at_hub + _CHANNEL + HUB_DELAY
         member_ready = head_ready + _CHANNEL + HUB_DELAY
@@ -219,7 +215,7 @@ class TestHermes:
     def test_non_head_clusters_wait_for_the_rebroadcast(self, topo):
         net = HermesNetwork(topo)
         src = topo.cluster_cores(0)[0]
-        deliveries = dict(net.send(_pkt(src, BROADCAST)))
+        deliveries = dict(net.send(src, BROADCAST, 64, 0))
         heads = {region[0] for region in net.regions}
         head = next(region[0] for region in net.regions if 1 in region)
         # pick a cluster that is neither the sender's nor a region head

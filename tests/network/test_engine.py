@@ -1,11 +1,19 @@
 """Unit tests for the resource-reservation timing engine."""
 
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.network import engine
+from repro.network.atac import AtacNetwork
+from repro.network.corona import CoronaNetwork
 from repro.network.engine import PortResource
+from repro.network.hermes import HermesNetwork
+from repro.network.mesh import EMeshBCast, EMeshPure
 from repro.network.stats import NetworkStats
+from repro.network.topology import MeshTopology
+from repro.network.types import BROADCAST
 
 
 class TestPortResource:
@@ -155,3 +163,42 @@ class TestNetworkStats:
         d = s.as_dict()
         assert d["packets_sent"] == 3
         assert "onet_broadcast_cycles" in d
+
+
+@pytest.fixture(
+    params=[EMeshPure, EMeshBCast, AtacNetwork, CoronaNetwork, HermesNetwork],
+    ids=lambda cls: cls.__name__,
+)
+def net(request):
+    return request.param(MeshTopology(width=8, cluster_width=4))
+
+
+class TestSendRejections:
+    """``send`` takes bare scalars, so it is the one place a bad packet
+    is caught; a rejected send leaves the network untouched."""
+
+    @staticmethod
+    def _rejected(net, *args, match):
+        before = asdict(net.stats)
+        with pytest.raises(ValueError, match=match):
+            net.send(*args)
+        assert asdict(net.stats) == before
+
+    def test_negative_src(self, net):
+        # -1 would otherwise index the per-core tables from their end
+        self._rejected(net, -1, 5, 88, 0, match="src=-1")
+
+    def test_negative_dst_other_than_broadcast(self, net):
+        self._rejected(net, 0, -2, 88, 0, match="dst=-2")
+        assert len(net.send(0, BROADCAST, 88, 0)) == 63
+
+    @pytest.mark.parametrize("size_bits", [0, -64])
+    def test_non_positive_size(self, net, size_bits):
+        self._rejected(net, 0, 5, size_bits, 0, match="size_bits")
+        net.send(0, 5, 88, 0)  # a cached size does not let a bad one by
+        self._rejected(net, 0, 5, size_bits, 0, match="size_bits")
+
+    def test_out_of_order_time(self, net):
+        net.send(0, 5, 88, 10)
+        self._rejected(net, 0, 5, 88, 9, match="time-ordered")
+        net.send(0, 5, 88, 10)  # the guard kept t=10, not the rejected 9

@@ -21,9 +21,7 @@ import pytest
 from repro.network.engine import HOP_LATENCY, Network, PortResource
 from repro.network.mesh import EMeshBCast, EMeshPure
 from repro.network.topology import MeshTopology
-from repro.network.types import (
-    BROADCAST, CONTROL_MSG_BITS, DATA_MSG_BITS, Packet,
-)
+from repro.network.types import BROADCAST, CONTROL_MSG_BITS, DATA_MSG_BITS
 
 from tests.network.test_port_busy import _port_index
 
@@ -60,15 +58,14 @@ class ReplayMesh(Network):
         self._count(len(path), len(path) - 1, n_flits)
         return head + n_flits
 
-    def _send_unicast(self, pkt, n_flits):
-        return [(pkt.dst, self._route(pkt.src, pkt.dst, pkt.time, n_flits))]
+    def _send_unicast(self, src, dst, t, n_flits):
+        return [(dst, self._route(src, dst, t, n_flits))]
 
-    def _send_broadcast(self, pkt, n_flits):
+    def _send_broadcast(self, src, t, n_flits):
         topo = self.topology
-        src = pkt.src
         if not self.tree_broadcast:
             return [
-                (dst, self._route(src, dst, pkt.time, n_flits))
+                (dst, self._route(src, dst, t, n_flits))
                 for dst in range(topo.n_cores) if dst != src
             ]
         parent_of = {
@@ -76,7 +73,7 @@ class ReplayMesh(Network):
             for parent, children in topo.broadcast_tree(src).items()
             for child in children
         }
-        heads = {src: pkt.time}
+        heads = {src: t}
         order = topo.broadcast_order(src)
         for core in order:  # a parent always precedes its children
             parent = parent_of[core]
@@ -115,8 +112,8 @@ def test_mesh_matches_per_edge_replay(kind, width):
     net = cls(topo)
     ref = ReplayMesh(topo, tree_broadcast)
     for src, dst, bits, t in _traffic(topo.n_cores, 600, seed=width):
-        got = net.send(Packet(src, dst, bits, t))
-        want = ref.send(Packet(src, dst, bits, t))
+        got = net.send(src, dst, bits, t)
+        want = ref.send(src, dst, bits, t)
         assert got == want, (src, dst, t)
     assert net.stats.broadcasts_sent > 0
     assert asdict(net.stats) == asdict(ref.stats)

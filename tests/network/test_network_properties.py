@@ -21,7 +21,7 @@ def _packets(draw_times, srcs, dsts, sizes):
         t += dt
         if s == d:
             d = (d + 1) % 64
-        pkts.append(Packet(src=s, dst=d, size_bits=sz, time=t))
+        pkts.append((s, d, sz, t))
     return pkts
 
 
@@ -42,15 +42,15 @@ def test_every_packet_delivered_to_every_target(net_cls, stream):
     times, srcs, dsts, sizes = stream
     net = net_cls(_topo())
     pkts = _packets(times, srcs, dsts, sizes)
-    for pkt in pkts:
-        deliveries = net.send(pkt)
-        if pkt.dst == BROADCAST:
+    for src, dst, size, t in pkts:
+        deliveries = net.send(src, dst, size, t)
+        if dst == BROADCAST:
             assert len(deliveries) == 63
-            assert {c for c, _ in deliveries} == set(range(64)) - {pkt.src}
+            assert {c for c, _ in deliveries} == set(range(64)) - {src}
         else:
-            assert [c for c, _ in deliveries] == [pkt.dst]
+            assert [c for c, _ in deliveries] == [dst]
         for _, arrival in deliveries:
-            assert arrival > pkt.time
+            assert arrival > t
 
 
 @settings(max_examples=25, deadline=None)
@@ -59,12 +59,12 @@ def test_atac_delivery_conservation(stream):
     times, srcs, dsts, sizes = stream
     net = AtacNetwork(_topo(), routing=DistanceRouting(6))
     pkts = _packets(times, srcs, dsts, sizes)
-    for pkt in pkts:
-        deliveries = net.send(pkt)
-        expected = 63 if pkt.dst == BROADCAST else 1
+    for src, dst, size, t in pkts:
+        deliveries = net.send(src, dst, size, t)
+        expected = 63 if dst == BROADCAST else 1
         assert len(deliveries) == expected
         for _, arrival in deliveries:
-            assert arrival > pkt.time
+            assert arrival > t
 
 
 @settings(max_examples=25, deadline=None)
@@ -87,7 +87,7 @@ def test_per_pair_fifo_order(pairs):
             if src == dst:
                 continue
             t += 1
-            [(_, arrival)] = net.send(Packet(src=src, dst=dst, size_bits=size, time=t))
+            [(_, arrival)] = net.send(src, dst, size, t)
             key = (src, dst)
             if key in last_arrival:
                 assert arrival > last_arrival[key], (
@@ -122,10 +122,9 @@ def test_stats_flit_conservation(load_seed, n):
             if dst >= src:
                 dst += 1
         size = rng.choice([88, 600])
-        pkt = Packet(src=src, dst=dst, size_bits=size, time=t)
-        flits = pkt.n_flits(64)
+        flits = Packet(src=src, dst=dst, size_bits=size, time=t).n_flits(64)
         total_flits += flits
-        deliveries = net.send(pkt)
+        deliveries = net.send(src, dst, size, t)
         if dst == BROADCAST:
             rx_bcast += flits * len(deliveries)
         else:

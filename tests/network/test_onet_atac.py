@@ -8,7 +8,7 @@ from repro.network.onet import AdaptiveSWMRLink, LaserMode
 from repro.network.routing import ClusterRouting, DistanceRouting, distance_all
 from repro.network.stats import NetworkStats
 from repro.network.topology import MeshTopology
-from repro.network.types import BROADCAST, CONTROL_MSG_BITS, Packet
+from repro.network.types import BROADCAST, CONTROL_MSG_BITS
 
 
 @pytest.fixture
@@ -134,22 +134,22 @@ class TestReceiveNetwork:
 class TestAtacRouting:
     def test_cluster_routing_intra_stays_electrical(self, topo):
         net = AtacNetwork(topo, routing=ClusterRouting())
-        net.send(Packet(0, 9, CONTROL_MSG_BITS))  # same cluster
+        net.send(0, 9, CONTROL_MSG_BITS, 0)  # same cluster
         assert net.stats.onet_unicasts == 0
 
     def test_cluster_routing_inter_uses_onet(self, topo):
         net = AtacNetwork(topo, routing=ClusterRouting())
-        net.send(Packet(0, 7, CONTROL_MSG_BITS))  # different cluster, only 7 hops
+        net.send(0, 7, CONTROL_MSG_BITS, 0)  # different cluster, only 7 hops
         assert net.stats.onet_unicasts == 1
 
     def test_distance_routing_short_intercluster_stays_electrical(self, topo):
         net = AtacNetwork(topo, routing=DistanceRouting(15))
-        net.send(Packet(3, 4, CONTROL_MSG_BITS))  # adjacent cores, different clusters
+        net.send(3, 4, CONTROL_MSG_BITS, 0)  # adjacent cores, different clusters
         assert net.stats.onet_unicasts == 0
 
     def test_distance_routing_long_uses_onet(self, topo):
         net = AtacNetwork(topo, routing=DistanceRouting(6))
-        net.send(Packet(0, 63, CONTROL_MSG_BITS))  # 14 hops
+        net.send(0, 63, CONTROL_MSG_BITS, 0)  # 14 hops
         assert net.stats.onet_unicasts == 1
 
     def test_distance_threshold_boundary(self, topo):
@@ -160,13 +160,13 @@ class TestAtacRouting:
 
     def test_distance_all_never_uses_onet_for_unicasts(self, topo):
         net = AtacNetwork(topo, routing=distance_all(topo))
-        net.send(Packet(0, 63, CONTROL_MSG_BITS))
+        net.send(0, 63, CONTROL_MSG_BITS, 0)
         assert net.stats.onet_unicasts == 0
 
     def test_broadcast_always_uses_onet(self, topo):
         for routing in (ClusterRouting(), DistanceRouting(15), distance_all(topo)):
             net = AtacNetwork(topo, routing=routing)
-            net.send(Packet(src=0, dst=BROADCAST, size_bits=88))
+            net.send(0, BROADCAST, 88, 0)
             assert net.stats.onet_broadcasts == 1
 
     def test_routing_names(self, topo):
@@ -179,29 +179,29 @@ class TestAtacTiming:
     def test_onet_unicast_beats_mesh_at_long_distance(self, topo):
         """The ONet's zero-load advantage for cross-chip traffic."""
         atac = AtacNetwork(topo, routing=DistanceRouting(6))
-        [(_, t_opt)] = atac.send(Packet(0, 63, CONTROL_MSG_BITS))
+        [(_, t_opt)] = atac.send(0, 63, CONTROL_MSG_BITS, 0)
         from repro.network.mesh import EMeshPure
 
         mesh = EMeshPure(topo)
-        [(_, t_el)] = mesh.send(Packet(0, 63, CONTROL_MSG_BITS))
+        [(_, t_el)] = mesh.send(0, 63, CONTROL_MSG_BITS, 0)
         assert t_opt < t_el
 
     def test_broadcast_reaches_all_other_cores(self, topo):
         net = AtacNetwork(topo)
-        deliveries = net.send(Packet(src=0, dst=BROADCAST, size_bits=88))
+        deliveries = net.send(0, BROADCAST, 88, 0)
         assert {d for d, _ in deliveries} == set(range(64)) - {0}
 
     def test_broadcast_arrival_spread_is_small(self, topo):
         """Optical broadcast: all clusters hear the ring at once; only
         local delivery variance remains."""
         net = AtacNetwork(topo)
-        deliveries = net.send(Packet(src=0, dst=BROADCAST, size_bits=88))
+        deliveries = net.send(0, BROADCAST, 88, 0)
         arrivals = [a for _, a in deliveries]
         assert max(arrivals) - min(arrivals) <= 10
 
     def test_own_cluster_gets_broadcast_without_onet_receive(self, topo):
         net = AtacNetwork(topo)
-        deliveries = dict(net.send(Packet(src=0, dst=BROADCAST, size_bits=88)))
+        deliveries = dict(net.send(0, BROADCAST, 88, 0))
         own = min(deliveries[c] for c in topo.cluster_cores(0) if c != 0)
         other = min(deliveries[c] for c in topo.cluster_cores(3))
         assert own <= other
@@ -215,7 +215,7 @@ class TestAtacTiming:
 
     def test_onet_utilization_rollup(self, topo):
         net = AtacNetwork(topo, routing=DistanceRouting(0))
-        net.send(Packet(0, 63, CONTROL_MSG_BITS))
+        net.send(0, 63, CONTROL_MSG_BITS, 0)
         u = net.onet_utilization(100)
         assert 0 < u < 0.05  # 2 flits on 1 of 4 channels over 100 cycles
 

@@ -17,9 +17,7 @@ import pytest
 from repro.network.atac import AtacNetwork
 from repro.network.mesh import EMeshBCast, EMeshPure
 from repro.network.topology import MeshTopology
-from repro.network.types import (
-    BROADCAST, CONTROL_MSG_BITS, DATA_MSG_BITS, Packet,
-)
+from repro.network.types import BROADCAST, CONTROL_MSG_BITS, DATA_MSG_BITS
 from repro.sanitizer.invariants import port_problems
 
 NETWORKS = {"emesh-pure": EMeshPure, "emesh-bcast": EMeshBCast,
@@ -47,7 +45,7 @@ def _random_packets(n_cores, count, seed):
             dst = rng.randrange(n_cores - 1)
             dst += dst >= src
         bits = rng.choice((CONTROL_MSG_BITS, DATA_MSG_BITS))
-        packets.append(Packet(src, dst, bits, t))
+        packets.append((src, dst, bits, t))
     return packets
 
 
@@ -72,17 +70,17 @@ def test_port_busy_equals_per_hop_accumulation(kind, width):
         for u, v in zip(path, path[1:]):
             reference[_port_index(width, u, v)] += n_flits
 
-    for pkt in _random_packets(topo.n_cores, 3000, seed=width):
-        net.send(pkt)
-        n_flits = pkt.n_flits(net.flit_bits)
-        if pkt.dst != BROADCAST or kind == "atac+":
+    for src, dst, bits, t in _random_packets(topo.n_cores, 3000, seed=width):
+        net.send(src, dst, bits, t)
+        n_flits = -(-bits // net.flit_bits)
+        if dst != BROADCAST or kind == "atac+":
             continue
         if kind == "emesh-pure":
-            for dst in range(topo.n_cores):
-                if dst != pkt.src:
-                    add_route(pkt.src, dst, n_flits)
+            for other in range(topo.n_cores):
+                if other != src:
+                    add_route(src, other, n_flits)
         else:
-            for node, children in topo.broadcast_tree(pkt.src).items():
+            for node, children in topo.broadcast_tree(src).items():
                 for child in children:
                     reference[_port_index(width, node, child)] += n_flits
     for src, dst, n_flits in traversals:

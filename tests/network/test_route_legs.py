@@ -19,7 +19,7 @@ from repro.network.routing import (
     distance_all,
 )
 from repro.network.topology import MeshTopology
-from repro.network.types import CONTROL_MSG_BITS, Packet
+from repro.network.types import CONTROL_MSG_BITS
 
 from tests.network.test_port_busy import _port_index
 
@@ -70,7 +70,7 @@ def _verdict_matches_policy(net, policy):
     topo = net.topology
     for src, dst in _pairs(topo):
         before = net.stats.onet_unicasts
-        net.send(Packet(src, dst, CONTROL_MSG_BITS))
+        net.send(src, dst, CONTROL_MSG_BITS, 0)
         took_onet = net.stats.onet_unicasts - before == 1
         assert took_onet == policy.use_onet(topo, src, dst), (src, dst)
 
@@ -112,14 +112,14 @@ def test_same_width_networks_share_legs_not_port_state():
     a = EMeshPure(MeshTopology(width=8, cluster_width=4))
     b = EMeshPure(MeshTopology(width=8, cluster_width=4))
     assert _xy_legs(8) is _xy_legs(8)
-    pkt = Packet(0, 63, CONTROL_MSG_BITS)
-    [(_, first)] = a.send(pkt)
+    pkt = (0, 63, CONTROL_MSG_BITS, 0)
+    [(_, first)] = a.send(*pkt)
     for _ in range(5):
-        a.send(pkt)
+        a.send(*pkt)
     assert b._free_at == [0] * len(b._free_at)
     assert b.port_busy() == [0] * len(b._free_at)
-    [(_, fresh)] = b.send(pkt)
+    [(_, fresh)] = b.send(*pkt)
     assert fresh == first
     # a's repeated sends queued behind each other; b's did not.
-    [(_, queued)] = a.send(pkt)
+    [(_, queued)] = a.send(*pkt)
     assert queued > first
