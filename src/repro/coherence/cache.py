@@ -21,6 +21,10 @@ class CacheState(Enum):
     __hash__ = object.__hash__
 
 
+#: Bound once: an enum member read through its class costs about ten
+#: times a module-global read, and every miss returns this one.
+_INVALID = CacheState.INVALID
+
 #: What every set reads as until its first install.  Never written: only
 #: ``install`` adds keys, and only to a set's own dict; ``lookup``,
 #: ``set_state(..., INVALID)`` and ``invalidate`` read it or pop from it,
@@ -64,7 +68,7 @@ class SetAssocCache:
         s = self._sets[line % self.n_sets]
         state = s.get(line)
         if state is None:
-            return CacheState.INVALID
+            return _INVALID
         if touch:
             del s[line]
             s[line] = state
@@ -73,7 +77,7 @@ class SetAssocCache:
     def install(self, line: int, state: CacheState) -> tuple[int, CacheState] | None:
         """Insert/overwrite a line; returns the evicted ``(line, state)``
         if the set overflowed, else ``None``."""
-        if state is CacheState.INVALID:
+        if state is _INVALID:
             raise ValueError("cannot install a line in INVALID state")
         idx = line % self.n_sets
         s = self._sets[idx]
@@ -94,7 +98,7 @@ class SetAssocCache:
     def set_state(self, line: int, state: CacheState) -> None:
         """Change the state of a resident line (or drop it via INVALID)."""
         s = self._sets[line % self.n_sets]
-        if state is CacheState.INVALID:
+        if state is _INVALID:
             s.pop(line, None)
             return
         if line not in s:
@@ -104,7 +108,7 @@ class SetAssocCache:
     def invalidate(self, line: int) -> CacheState:
         """Drop a line; returns its previous state (INVALID if absent)."""
         s = self._sets[line % self.n_sets]
-        return s.pop(line, CacheState.INVALID)
+        return s.pop(line, _INVALID)
 
     def resident_lines(self) -> list[int]:
         """All resident line ids (test helper)."""

@@ -54,6 +54,34 @@ class DirState(Enum):
     MODIFIED = "M"
 
 
+# Enum members bound once as module globals: reading one through its
+# class costs about ten times as much, and the handlers test several per
+# message.  ``handle`` tests the common types first.
+_SH_REQ = MsgType.SH_REQ
+_EX_REQ = MsgType.EX_REQ
+_DIRTY_WB = MsgType.DIRTY_WB
+_INV_ACK = MsgType.INV_ACK
+_MEM_DATA = MsgType.MEM_DATA
+_EVICT_NOTIFY = MsgType.EVICT_NOTIFY
+_FLUSH_REP = MsgType.FLUSH_REP
+_WB_REP = MsgType.WB_REP
+_MEM_WRITE_ACK = MsgType.MEM_WRITE_ACK
+_INV_REQ = MsgType.INV_REQ
+_INV_BCAST = MsgType.INV_BCAST
+_FLUSH_REQ = MsgType.FLUSH_REQ
+_WB_REQ = MsgType.WB_REQ
+_SH_REP = MsgType.SH_REP
+_EX_REP = MsgType.EX_REP
+_WB_ACK = MsgType.WB_ACK
+_MEM_READ = MsgType.MEM_READ
+_MEM_WRITE = MsgType.MEM_WRITE
+_UNCACHED = DirState.UNCACHED
+_SHARED = DirState.SHARED
+_MODIFIED = DirState.MODIFIED
+_ACKWISE = Protocol.ACKWISE
+_DIRKB = Protocol.DIRKB
+
+
 @dataclass(slots=True)
 class DirectoryEntry:
     """One directory line's stable state."""
@@ -65,7 +93,7 @@ class DirectoryEntry:
     owner: int | None = None
 
     def reset(self) -> None:
-        self.state = DirState.UNCACHED
+        self.state = _UNCACHED
         self.sharers.clear()
         self.global_bit = False
         self.count = 0
@@ -137,21 +165,17 @@ class DirectoryController:
         self.busy: dict[int, _Transaction] = {}
         self.queues: dict[int, deque[CoherenceMsg]] = {}
         self.stats = DirectoryStats()
+        #: the memory controller this slice reads and writes lines at
+        self.memctrl = fabric.memctrl_for(core)
 
     # ------------------------------------------------------------------
-    def _entry(self, address: int) -> DirectoryEntry:
-        e = self.entries.get(address)
-        if e is None:
-            e = self.entries[address] = DirectoryEntry()
-        return e
-
     def _send(self, mtype: MsgType, address: int, dest: int, now: int) -> None:
         sequencer = self.sequencer
-        seq = None if sequencer is None else sequencer.current_seq(self.slice_id)
         self.fabric.send_msg(
             CoherenceMsg(
-                mtype=mtype, address=address, sender=self.core, dest=dest,
-                seq=seq,
+                mtype, address, self.core, dest,
+                None if sequencer is None
+                else sequencer.current_seq(self.slice_id),
             ),
             now,
         )
@@ -160,20 +184,20 @@ class DirectoryController:
     def handle(self, msg: CoherenceMsg, now: int) -> None:
         """Entry point for every message addressed to this directory."""
         mt = msg.mtype
-        if mt in (MsgType.SH_REQ, MsgType.EX_REQ, MsgType.DIRTY_WB):
+        if mt is _SH_REQ or mt is _EX_REQ or mt is _DIRTY_WB:
             if msg.address in self.busy:
                 self.queues.setdefault(msg.address, deque()).append(msg)
                 return
             self._start(msg, now + self.dir_latency)
-        elif mt is MsgType.EVICT_NOTIFY:
-            self._evict_notify(msg, now)
-        elif mt is MsgType.INV_ACK:
+        elif mt is _INV_ACK:
             self._ack(msg, now)
-        elif mt in (MsgType.FLUSH_REP, MsgType.WB_REP):
-            self._owner_reply(msg, now)
-        elif mt is MsgType.MEM_DATA:
+        elif mt is _MEM_DATA:
             self._mem_data(msg, now)
-        elif mt is MsgType.MEM_WRITE_ACK:
+        elif mt is _EVICT_NOTIFY:
+            self._evict_notify(msg, now)
+        elif mt is _FLUSH_REP or mt is _WB_REP:
+            self._owner_reply(msg, now)
+        elif mt is _MEM_WRITE_ACK:
             pass  # fire-and-forget memory updates
         else:
             raise ValueError(f"directory at core {self.core} got {mt}")
@@ -182,47 +206,51 @@ class DirectoryController:
     def _start(self, msg: CoherenceMsg, now: int) -> None:
         """Begin a serialized transaction for a line."""
         self.stats.lookups += 1
-        if msg.mtype is MsgType.DIRTY_WB:
-            self._dirty_wb(msg, now)
+        address = msg.address
+        entry = self.entries.get(address)
+        if entry is None:
+            entry = self.entries[address] = DirectoryEntry()
+        mtype = msg.mtype
+        if mtype is _DIRTY_WB:
+            self._dirty_wb(entry, msg, now)
             return
-        entry = self._entry(msg.address)
-        txn = _Transaction(mtype=msg.mtype, requester=msg.sender)
-        self.busy[msg.address] = txn
-        if msg.mtype is MsgType.SH_REQ:
-            self._start_shared(entry, txn, msg.address, now)
+        txn = _Transaction(mtype, msg.sender)
+        self.busy[address] = txn
+        if mtype is _SH_REQ:
+            self._start_shared(entry, txn, address, now)
         else:
-            self._start_exclusive(entry, txn, msg.address, now)
-        if txn.complete:  # degenerate: nothing to wait for
-            self._finish(msg.address, now)
+            self._start_exclusive(entry, txn, address, now)
+        # txn.complete, inlined; degenerate: nothing to wait for
+        if (txn.pending_acks == 0 and not txn.waiting_mem
+                and not txn.waiting_owner):
+            self._finish(address, now)
 
     # -- shared (read) requests ----------------------------------------
     def _start_shared(
         self, entry: DirectoryEntry, txn: _Transaction, address: int, now: int
     ) -> None:
-        if entry.state is DirState.MODIFIED:
+        if entry.state is _MODIFIED:
             # Owner must write back and demote; data comes via home.
             txn.waiting_owner = True
-            self._send(MsgType.WB_REQ, address, entry.owner, now)
+            self._send(_WB_REQ, address, entry.owner, now)
         else:
             # Clean data comes from memory (UNCACHED or SHARED).
             txn.waiting_mem = True
             self.stats.mem_reads += 1
-            self._send(MsgType.MEM_READ, address,
-                       self.fabric.memctrl_for(self.core), now)
+            self._send(_MEM_READ, address, self.memctrl, now)
 
     # -- exclusive (write) requests --------------------------------------
     def _start_exclusive(
         self, entry: DirectoryEntry, txn: _Transaction, address: int, now: int
     ) -> None:
-        if entry.state is DirState.MODIFIED:
+        if entry.state is _MODIFIED:
             txn.waiting_owner = True
-            self._send(MsgType.FLUSH_REQ, address, entry.owner, now)
+            self._send(_FLUSH_REQ, address, entry.owner, now)
             return
-        if entry.state is DirState.UNCACHED:
+        if entry.state is _UNCACHED:
             txn.waiting_mem = True
             self.stats.mem_reads += 1
-            self._send(MsgType.MEM_READ, address,
-                       self.fabric.memctrl_for(self.core), now)
+            self._send(_MEM_READ, address, self.memctrl, now)
             return
         # SHARED: invalidate the other sharers.
         overflowed = entry.global_bit
@@ -233,13 +261,10 @@ class DirectoryController:
                 seq = self.sequencer.next_broadcast_seq(self.slice_id)
             self.stats.invalidations_broadcast += 1
             self.fabric.send_msg(
-                CoherenceMsg(
-                    mtype=MsgType.INV_BCAST, address=address,
-                    sender=self.core, dest=-1, seq=seq,
-                ),
+                CoherenceMsg(_INV_BCAST, address, self.core, -1, seq),
                 now,
             )
-            if self.protocol is Protocol.ACKWISE:
+            if self.protocol is _ACKWISE:
                 # Only true sharers respond; the count says how many.
                 txn.pending_acks = entry.count
             else:
@@ -251,7 +276,7 @@ class DirectoryController:
             txn.pending_acks = len(targets)
             for t in targets:
                 self.stats.invalidations_unicast += 1
-                self._send(MsgType.INV_REQ, address, t, now)
+                self._send(_INV_REQ, address, t, now)
         # Data: upgrades (requester already a sharer) have the line;
         # otherwise fetch from memory in parallel with the invalidations.
         requester_has_data = (
@@ -260,27 +285,28 @@ class DirectoryController:
         if not requester_has_data:
             txn.waiting_mem = True
             self.stats.mem_reads += 1
-            self._send(MsgType.MEM_READ, address,
-                       self.fabric.memctrl_for(self.core), now)
+            self._send(_MEM_READ, address, self.memctrl, now)
 
     # -- modified-line eviction -------------------------------------------
-    def _dirty_wb(self, msg: CoherenceMsg, now: int) -> None:
-        entry = self._entry(msg.address)
-        if entry.state is DirState.MODIFIED and entry.owner == msg.sender:
+    def _dirty_wb(
+        self, entry: DirectoryEntry, msg: CoherenceMsg, now: int
+    ) -> None:
+        if entry.state is _MODIFIED and entry.owner == msg.sender:
             entry.reset()
             self.stats.updates += 1
             self.stats.mem_writes += 1
-            self._send(MsgType.MEM_WRITE, msg.address,
-                       self.fabric.memctrl_for(self.core), now)
+            self._send(_MEM_WRITE, msg.address, self.memctrl, now)
         # else: stale (a flush beat the writeback); just free the buffer.
-        self._send(MsgType.WB_ACK, msg.address, msg.sender, now)
+        self._send(_WB_ACK, msg.address, msg.sender, now)
         self._drain_queue(msg.address, now)
 
     # -- clean-line eviction notices ----------------------------------------
     def _evict_notify(self, msg: CoherenceMsg, now: int) -> None:
-        if self.protocol is Protocol.DIRKB:
+        if self.protocol is _DIRKB:
             raise ValueError("Dir_kB uses silent evictions; EVICT_NOTIFY invalid")
-        entry = self._entry(msg.address)
+        entry = self.entries.get(msg.address)
+        if entry is None:
+            entry = self.entries[msg.address] = DirectoryEntry()
         txn = self.busy.get(msg.address)
         if txn is not None and txn.pending_acks > 0:
             if txn.broadcast:
@@ -304,7 +330,7 @@ class DirectoryController:
             entry.sharers.remove(core)
         if entry.global_bit and entry.count > 0:
             entry.count -= 1
-        if entry.state is DirState.SHARED:
+        if entry.state is _SHARED:
             remaining = entry.count if entry.global_bit else len(entry.sharers)
             if remaining == 0:
                 entry.reset()
@@ -316,7 +342,8 @@ class DirectoryController:
             return  # late ack for an already-satisfied broadcast (Dir_kB drift)
         txn.pending_acks -= 1
         self.stats.acks_received += 1
-        if txn.complete:
+        if (txn.pending_acks == 0 and not txn.waiting_mem
+                and not txn.waiting_owner):
             self._finish(msg.address, now)
 
     def _owner_reply(self, msg: CoherenceMsg, now: int) -> None:
@@ -326,15 +353,13 @@ class DirectoryController:
                 f"unexpected owner reply {msg.mtype} for line {msg.address}"
             )
         txn.waiting_owner = False
-        if msg.mtype is MsgType.WB_REP:
+        if msg.mtype is _WB_REP:
             # The line is now clean: update memory.
             self.stats.mem_writes += 1
-            self._send(MsgType.MEM_WRITE, msg.address,
-                       self.fabric.memctrl_for(self.core), now)
-            entry = self._entry(msg.address)
+            self._send(_MEM_WRITE, msg.address, self.memctrl, now)
             if not msg.retained:
                 # Owner evicted concurrently; it is no longer a sharer.
-                entry.owner = None
+                self.entries[msg.address].owner = None
         if txn.complete:
             self._finish(msg.address, now)
 
@@ -343,30 +368,31 @@ class DirectoryController:
         if txn is None or not txn.waiting_mem:
             raise RuntimeError(f"unexpected MEM_DATA for line {msg.address}")
         txn.waiting_mem = False
-        if txn.complete:
+        if txn.pending_acks == 0 and not txn.waiting_owner:
             self._finish(msg.address, now)
 
     # -- transaction completion ---------------------------------------------
     def _finish(self, address: int, now: int) -> None:
         txn = self.busy.pop(address)
-        entry = self._entry(address)
+        entry = self.entries[address]
         self.stats.updates += 1
-        if txn.mtype is MsgType.SH_REQ:
-            old_owner = entry.owner if entry.state is DirState.MODIFIED else None
-            if entry.state is DirState.MODIFIED:
+        if txn.mtype is _SH_REQ:
+            state = entry.state
+            if state is _MODIFIED:
                 # WB_REQ path: owner demoted to S (if it kept the line).
-                entry.state = DirState.SHARED
+                old_owner = entry.owner
+                entry.state = _SHARED
                 entry.sharers = [old_owner] if old_owner is not None else []
                 entry.owner = None
-            if entry.state is DirState.UNCACHED:
-                entry.state = DirState.SHARED
+            elif state is _UNCACHED:
+                entry.state = _SHARED
             self._add_sharer(entry, txn.requester)
-            self._send(MsgType.SH_REP, address, txn.requester, now)
+            self._send(_SH_REP, address, txn.requester, now)
         else:
             entry.reset()
-            entry.state = DirState.MODIFIED
+            entry.state = _MODIFIED
             entry.owner = txn.requester
-            self._send(MsgType.EX_REP, address, txn.requester, now)
+            self._send(_EX_REP, address, txn.requester, now)
         self._drain_queue(address, now)
 
     def _add_sharer(self, entry: DirectoryEntry, core: int) -> None:
@@ -380,7 +406,7 @@ class DirectoryController:
             return
         # Pointer overflow.
         entry.global_bit = True
-        if self.protocol is Protocol.ACKWISE:
+        if self.protocol is _ACKWISE:
             # Switch to count-only tracking: known sharers + the new one.
             entry.count = len(entry.sharers) + 1
         # Dir_kB keeps its k stale pointers and just marks the bcast bit.

@@ -28,6 +28,27 @@ from repro.coherence.cache import CacheState, SetAssocCache
 from repro.coherence.messages import CoherenceMsg, MsgType
 from repro.coherence.sequencing import SequenceTracker
 
+# Enum members bound once as module globals: reading one through its
+# class costs about ten times as much, and every access, reply and
+# broadcast delivery tests several.
+_INVALID = CacheState.INVALID
+_SHARED = CacheState.SHARED
+_MODIFIED = CacheState.MODIFIED
+_INV_BCAST = MsgType.INV_BCAST
+_INV_REQ = MsgType.INV_REQ
+_FLUSH_REQ = MsgType.FLUSH_REQ
+_WB_REQ = MsgType.WB_REQ
+_SH_REQ = MsgType.SH_REQ
+_EX_REQ = MsgType.EX_REQ
+_SH_REP = MsgType.SH_REP
+_EX_REP = MsgType.EX_REP
+_WB_ACK = MsgType.WB_ACK
+_INV_ACK = MsgType.INV_ACK
+_FLUSH_REP = MsgType.FLUSH_REP
+_WB_REP = MsgType.WB_REP
+_DIRTY_WB = MsgType.DIRTY_WB
+_EVICT_NOTIFY = MsgType.EVICT_NOTIFY
+
 
 @dataclass(slots=True)
 class CacheCounters:
@@ -64,7 +85,7 @@ class CacheCounters:
         return cls(**{k: v for k, v in d.items() if k in known})
 
 
-@dataclass
+@dataclass(slots=True)
 class _Mshr:
     """The single outstanding miss of an in-order core."""
 
@@ -98,6 +119,9 @@ class L2Controller:
         # Protocol-constant, read on every broadcast delivery: resolved
         # once instead of through the fabric property per message.
         self._all_ack: bool = bool(fabric.all_cores_ack_broadcasts)
+        #: directory slice of each core, indexed by core id: a broadcast
+        #: or directory request is sequenced by its sender's slice
+        self._slice_of: tuple[int, ...] = fabric.slice_of_core
         self.l1d = SetAssocCache(l1_sets, l1_ways)
         self.l2 = SetAssocCache(l2_sets, l2_ways)
         self.l1_hit_latency = l1_hit_latency
@@ -137,60 +161,54 @@ class L2Controller:
         l1_state = self.l1d.lookup(address)
         if is_write:
             c.l1d_writes += 1
+            if l2_state is _MODIFIED:
+                c.l2_writes += 1
+                if l1_state is not _INVALID:
+                    c.l1_hits += 1
+                    return now + self.l1_hit_latency
+                c.l2_hits += 1
+                self.l1d.install(address, l2_state)
+                return now + self.l2_hit_latency
         else:
             c.l1d_reads += 1
-
-        if not is_write and l2_state in (CacheState.SHARED, CacheState.MODIFIED):
-            if l1_state is not CacheState.INVALID:
-                c.l1_hits += 1
-                return now + self.l1_hit_latency
-            c.l2_reads += 1
-            c.l2_hits += 1
-            self._l1_fill(address, l2_state)
-            return now + self.l2_hit_latency
-
-        if is_write and l2_state is CacheState.MODIFIED:
-            c.l2_writes += 1
-            if l1_state is not CacheState.INVALID:
-                c.l1_hits += 1
-                return now + self.l1_hit_latency
-            c.l2_hits += 1
-            self._l1_fill(address, l2_state)
-            return now + self.l2_hit_latency
+            if l2_state is not _INVALID:  # SHARED or MODIFIED
+                if l1_state is not _INVALID:
+                    c.l1_hits += 1
+                    return now + self.l1_hit_latency
+                c.l2_reads += 1
+                c.l2_hits += 1
+                self.l1d.install(address, l2_state)
+                return now + self.l2_hit_latency
 
         # L2 miss (or S->M upgrade).
         c.l2_tag_probes += 1
         c.l2_misses += 1
         self.mshr = _Mshr(address, is_write, now, callback)
-        req = MsgType.EX_REQ if is_write else MsgType.SH_REQ
-        self.fabric.send_msg(
-            CoherenceMsg(
-                mtype=req, address=address, sender=self.core,
-                dest=self.fabric.home_of(address),
-            ),
+        fabric = self.fabric
+        fabric.send_msg(
+            CoherenceMsg(_EX_REQ if is_write else _SH_REQ, address,
+                         self.core, fabric.home_of(address)),
             now + self.l2_hit_latency,  # miss detected after lookup
         )
         return None
-
-    def _l1_fill(self, address: int, state: CacheState) -> None:
-        victim = self.l1d.install(address, state)
-        # L1 is write-through into L2, so L1 victims drop silently.
-        del victim
 
     # ------------------------------------------------------------------
     # Message handling
     # ------------------------------------------------------------------
     def handle(self, msg: CoherenceMsg, now: int) -> None:
         mt = msg.mtype
-        # slice_of_home is only needed for sequencing decisions, so it is
-        # computed inside the branches that use it -- replies and acks
-        # (the bulk of traffic) skip it entirely.
-        if mt is MsgType.INV_BCAST:
+        if mt is _INV_BCAST:
             self.handle_broadcast(msg, now)
             return
-        if mt in (MsgType.INV_REQ, MsgType.FLUSH_REQ, MsgType.WB_REQ):
+        if mt is _SH_REP:
+            self._handle_sh_rep(msg, now)
+            return
+        if mt is _EX_REP:
+            self._handle_ex_rep(msg, now)
+            return
+        if mt is _INV_REQ or mt is _FLUSH_REQ or mt is _WB_REQ:
             if self.sequencing and self.tracker.unicast_is_early(
-                self.fabric.slice_of_home(msg.sender), msg.seq
+                self._slice_of[msg.sender], msg.seq
             ):
                 # The directory sent a broadcast we have not seen yet:
                 # hold this request to preserve per-address FIFO order.
@@ -199,13 +217,7 @@ class L2Controller:
                 return
             self._handle_dir_request(msg, now)
             return
-        if mt is MsgType.SH_REP:
-            self._handle_sh_rep(msg, now)
-            return
-        if mt is MsgType.EX_REP:
-            self._handle_ex_rep(msg, now)
-            return
-        if mt is MsgType.WB_ACK:
+        if mt is _WB_ACK:
             self.wb_buffer.discard(msg.address)
             return
         raise ValueError(f"L2 controller at core {self.core} got {mt}")
@@ -218,11 +230,12 @@ class L2Controller:
         batched fan-out path can skip the message-type dispatch it has
         already done once for the whole group.
         """
+        mshr = self.mshr
         if (
-            self.sequencing
-            and self.mshr is not None
-            and self.mshr.address == msg.address
-            and not self.mshr.is_write
+            mshr is not None
+            and mshr.address == msg.address
+            and not mshr.is_write
+            and self.sequencing
         ):
             # Potentially overtook the SH_REP we are waiting for
             # (paper's exact buffered case).  Reconciled on reply.
@@ -234,10 +247,7 @@ class L2Controller:
                 # may be what our queued SH_REQ is blocked behind).  We
                 # hold no copy, so acknowledging now is safe.
                 self.fabric.send_msg(
-                    CoherenceMsg(
-                        mtype=MsgType.INV_ACK, address=msg.address,
-                        sender=self.core, dest=msg.sender,
-                    ),
+                    CoherenceMsg(_INV_ACK, msg.address, self.core, msg.sender),
                     now + 1,
                 )
             return
@@ -249,22 +259,25 @@ class L2Controller:
         c = self.counters
         c.invalidations_received += 1
         c.l2_tag_probes += 1
-        had_line = self.l2.lookup(msg.address, touch=False) is not CacheState.INVALID
+        address = msg.address
+        l2 = self.l2
+        had_line = l2.lookup(address, touch=False) is not _INVALID
         if had_line:
-            self.l2.set_state(msg.address, CacheState.INVALID)
-            self.l1d.invalidate(msg.address)
+            l2.set_state(address, _INVALID)
+            self.l1d.invalidate(address)
         # ACKwise: only true sharers respond.  Dir_kB: everyone does.
-        must_ack = may_ack and (had_line or self._all_ack)
-        if must_ack:
+        if may_ack and (had_line or self._all_ack):
             self.fabric.send_msg(
-                CoherenceMsg(
-                    mtype=MsgType.INV_ACK, address=msg.address,
-                    sender=self.core, dest=msg.sender,
-                ),
+                CoherenceMsg(_INV_ACK, address, self.core, msg.sender),
                 now + 1,
             )
-        if note and self.sequencing and msg.seq is not None:
-            self._note_broadcast(self.fabric.slice_of_home(msg.sender), msg.seq, now)
+        seq = msg.seq
+        if note and seq is not None and self.sequencing:
+            if self._early_unicasts:
+                self._note_broadcast(self._slice_of[msg.sender], seq, now)
+            else:
+                # Common case: no unicast is waiting on this broadcast.
+                self.tracker.note_broadcast(self._slice_of[msg.sender], seq)
 
     def _note_broadcast(self, slice_id: int, seq: int, now: int) -> None:
         """Advance the slice tracker and release unblocked early unicasts."""
@@ -272,9 +285,9 @@ class L2Controller:
         if not self._early_unicasts:
             return  # common case: nothing buffered
         still_early = []
+        slice_of = self._slice_of
         for m in self._early_unicasts:
-            s = self.fabric.slice_of_home(m.sender)
-            if self.tracker.unicast_is_early(s, m.seq):
+            if self.tracker.unicast_is_early(slice_of[m.sender], m.seq):
                 still_early.append(m)
             else:
                 self._handle_dir_request(m, now)
@@ -284,67 +297,59 @@ class L2Controller:
     def _handle_dir_request(self, msg: CoherenceMsg, now: int) -> None:
         c = self.counters
         mt = msg.mtype
-        if mt is MsgType.INV_REQ:
+        address = msg.address
+        if mt is _INV_REQ:
             c.invalidations_received += 1
             c.l2_tag_probes += 1
-            if self.l2.lookup(msg.address, touch=False) is not CacheState.INVALID:
-                self.l2.set_state(msg.address, CacheState.INVALID)
-                self.l1d.invalidate(msg.address)
+            if self.l2.lookup(address, touch=False) is not _INVALID:
+                self.l2.set_state(address, _INVALID)
+                self.l1d.invalidate(address)
             # Unicast invalidates are always acknowledged, present or not
             # (the home counted us; an eviction notice may still be in
             # flight).
             self.fabric.send_msg(
-                CoherenceMsg(
-                    mtype=MsgType.INV_ACK, address=msg.address,
-                    sender=self.core, dest=msg.sender,
-                ),
+                CoherenceMsg(_INV_ACK, address, self.core, msg.sender),
                 now + 1,
             )
             return
-        if mt is MsgType.FLUSH_REQ:
+        if mt is _FLUSH_REQ:
             c.l2_tag_probes += 1
-            if self.l2.lookup(msg.address, touch=False) is CacheState.MODIFIED:
+            if self.l2.lookup(address, touch=False) is _MODIFIED:
                 c.l2_reads += 1
-                self.l2.set_state(msg.address, CacheState.INVALID)
-                self.l1d.invalidate(msg.address)
-            elif msg.address in self.wb_buffer:
+                self.l2.set_state(address, _INVALID)
+                self.l1d.invalidate(address)
+            elif address in self.wb_buffer:
                 # Raced with our eviction: serve from the WB buffer.
-                self.wb_buffer.discard(msg.address)
+                self.wb_buffer.discard(address)
             else:
                 raise RuntimeError(
-                    f"core {self.core}: FLUSH_REQ for line {msg.address} "
+                    f"core {self.core}: FLUSH_REQ for line {address} "
                     "that is neither modified nor buffered"
                 )
             self.fabric.send_msg(
-                CoherenceMsg(
-                    mtype=MsgType.FLUSH_REP, address=msg.address,
-                    sender=self.core, dest=msg.sender,
-                ),
+                CoherenceMsg(_FLUSH_REP, address, self.core, msg.sender),
                 now + self.l2_hit_latency,
             )
             return
-        if mt is MsgType.WB_REQ:
+        if mt is _WB_REQ:
             c.l2_tag_probes += 1
             retained = True
-            if self.l2.lookup(msg.address, touch=False) is CacheState.MODIFIED:
+            if self.l2.lookup(address, touch=False) is _MODIFIED:
                 c.l2_reads += 1
-                self.l2.set_state(msg.address, CacheState.SHARED)
-                l1 = self.l1d.lookup(msg.address, touch=False)
-                if l1 is not CacheState.INVALID:
-                    self.l1d.set_state(msg.address, CacheState.SHARED)
-            elif msg.address in self.wb_buffer:
-                self.wb_buffer.discard(msg.address)
+                self.l2.set_state(address, _SHARED)
+                if self.l1d.lookup(address, touch=False) is not _INVALID:
+                    self.l1d.set_state(address, _SHARED)
+            elif address in self.wb_buffer:
+                self.wb_buffer.discard(address)
                 retained = False
             else:
                 raise RuntimeError(
-                    f"core {self.core}: WB_REQ for line {msg.address} "
+                    f"core {self.core}: WB_REQ for line {address} "
                     "that is neither modified nor buffered"
                 )
             self.fabric.send_msg(
-                CoherenceMsg(
-                    mtype=MsgType.WB_REP, address=msg.address,
-                    sender=self.core, dest=msg.sender, retained=retained,
-                ),
+                CoherenceMsg(_WB_REP, address, self.core, msg.sender, None,
+                             retained),
                 now + self.l2_hit_latency,
             )
             return
@@ -364,13 +369,12 @@ class L2Controller:
                 f"core {self.core}: SH_REP without matching SH_REQ "
                 f"(line {msg.address})"
             )
-        self._install(msg.address, CacheState.SHARED, now)
+        self._install(msg.address, _SHARED, now)
         # Reconcile any broadcast invalidations that overtook this reply
         # (Section IV-C1): stale ones are dropped; genuinely newer ones
         # are processed one cycle after the reply.
-        pending = self._pending_bcasts.pop(msg.address, [])
-        for b in pending:
-            slice_id = self.fabric.slice_of_home(b.sender)
+        for b in self._pending_bcasts.pop(msg.address, ()):
+            slice_id = self._slice_of[b.sender]
             if msg.seq is not None and b.seq is not None and (
                 self.tracker.broadcast_is_stale(slice_id, b.seq, msg.seq)
             ):
@@ -392,36 +396,34 @@ class L2Controller:
                 f"core {self.core}: EX_REP without matching EX_REQ "
                 f"(line {msg.address})"
             )
-        self._install(msg.address, CacheState.MODIFIED, now)
+        self._install(msg.address, _MODIFIED, now)
         self._complete_mshr(now)
 
     # -- fills and evictions ------------------------------------------------
     def _install(self, address: int, state: CacheState, now: int) -> None:
         self.counters.l2_writes += 1
         victim = self.l2.install(address, state)
-        self._l1_fill(address, state)
+        # L1 is write-through into L2, so L1 victims drop silently.
+        self.l1d.install(address, state)
         if victim is None:
             return
         v_line, v_state = victim
         self.l1d.invalidate(v_line)
-        if v_state is CacheState.MODIFIED:
+        fabric = self.fabric
+        if v_state is _MODIFIED:
             self.counters.evictions_dirty += 1
             self.counters.l2_reads += 1
             self.wb_buffer.add(v_line)
-            self.fabric.send_msg(
-                CoherenceMsg(
-                    mtype=MsgType.DIRTY_WB, address=v_line,
-                    sender=self.core, dest=self.fabric.home_of(v_line),
-                ),
+            fabric.send_msg(
+                CoherenceMsg(_DIRTY_WB, v_line, self.core,
+                             fabric.home_of(v_line)),
                 now,
             )
         else:
             self.counters.evictions_clean += 1
             if not self.silent_clean_evictions:
-                self.fabric.send_msg(
-                    CoherenceMsg(
-                        mtype=MsgType.EVICT_NOTIFY, address=v_line,
-                        sender=self.core, dest=self.fabric.home_of(v_line),
-                    ),
+                fabric.send_msg(
+                    CoherenceMsg(_EVICT_NOTIFY, v_line, self.core,
+                                 fabric.home_of(v_line)),
                     now,
                 )

@@ -17,6 +17,13 @@ from dataclasses import dataclass
 from repro.coherence.messages import CoherenceMsg, MsgType
 from repro.network.engine import PortResource
 
+# Enum members bound once: a read through the class costs about ten
+# times a module-global read, and ``handle`` tests them per request.
+_MEM_READ = MsgType.MEM_READ
+_MEM_WRITE = MsgType.MEM_WRITE
+_MEM_DATA = MsgType.MEM_DATA
+_MEM_WRITE_ACK = MsgType.MEM_WRITE_ACK
+
 
 @dataclass(frozen=True)
 class MemoryTiming:
@@ -34,36 +41,36 @@ class MemoryTiming:
 class MemoryController:
     """One cluster's memory controller."""
 
-    __slots__ = ("core", "timing", "_channel", "reads", "writes", "fabric")
+    __slots__ = ("core", "timing", "_channel", "_cycles", "_latency",
+                 "reads", "writes", "fabric")
 
     def __init__(self, core: int, fabric, timing: MemoryTiming | None = None) -> None:
         self.core = core
         self.fabric = fabric
-        self.timing = timing if timing is not None else MemoryTiming()
+        self.timing = timing = timing if timing is not None else MemoryTiming()
         self._channel = PortResource()
+        # Resolved once: ``timing`` is frozen, and each request reads both.
+        self._cycles = timing.serialization_cycles
+        self._latency = timing.latency_cycles
         self.reads = 0
         self.writes = 0
 
     def handle(self, msg: CoherenceMsg, now: int) -> None:
         """Process MEM_READ / MEM_WRITE; replies go back over the network."""
-        if msg.mtype is MsgType.MEM_READ:
+        mtype = msg.mtype
+        if mtype is _MEM_READ:
             self.reads += 1
-            reply_type = MsgType.MEM_DATA
-        elif msg.mtype is MsgType.MEM_WRITE:
+            reply_type = _MEM_DATA
+        elif mtype is _MEM_WRITE:
             self.writes += 1
-            reply_type = MsgType.MEM_WRITE_ACK
+            reply_type = _MEM_WRITE_ACK
         else:
             raise ValueError(f"memory controller got {msg.mtype}")
-        timing = self.timing
-        cycles = timing.serialization_cycles
-        done = self._channel.reserve(now, cycles) + cycles + timing.latency_cycles
-        reply = CoherenceMsg(
-            mtype=reply_type,
-            address=msg.address,
-            sender=self.core,
-            dest=msg.sender,
+        cycles = self._cycles
+        done = self._channel.reserve(now, cycles) + cycles + self._latency
+        self.fabric.send_msg(
+            CoherenceMsg(reply_type, msg.address, self.core, msg.sender), done
         )
-        self.fabric.send_msg(reply, done)
 
     @property
     def accesses(self) -> int:

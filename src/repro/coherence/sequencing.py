@@ -78,8 +78,11 @@ class SequenceTracker:
 
     def note_broadcast(self, slice_id: int, seq: int) -> None:
         """Record that a broadcast with ``seq`` has been processed."""
-        if seq_after(seq, self._last_seen[slice_id]):
-            self._last_seen[slice_id] = seq
+        last_seen = self._last_seen
+        # seq_after(seq, last_seen[slice_id]), inlined: this runs once
+        # per broadcast delivery.
+        if 0 < (seq - last_seen[slice_id]) % SEQ_MOD < _HALF:
+            last_seen[slice_id] = seq
 
     def unicast_is_early(self, slice_id: int, seq: int | None) -> bool:
         """True if a directory unicast overtook an unprocessed broadcast.

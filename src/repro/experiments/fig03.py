@@ -51,19 +51,36 @@ def run(
     broadcast_fraction: float = 0.001,
     seed: int = 7,
 ) -> dict[str, list[dict]]:
-    """Returns {scheme_name: [{load, latency, saturated}, ...]}."""
-    ids = scheme_ids(MeshTopology(width=mesh_width, cluster_width=4))
+    """Returns {scheme_name: [{load, latency, saturated}, ...]}.
+
+    A scheme whose ``rthres`` exceeds the mesh diameter ``2 * (w - 1)``
+    sends every unicast over the ENet, exactly as Distance-All does with
+    the same seed, so it is simulated once, as Distance-All, and the
+    curve is reported under each such scheme's name (at w8, Distance-15
+    and Distance-25).
+    """
+    topology = MeshTopology(width=mesh_width, cluster_width=4)
+    diameter = 2 * (mesh_width - 1)
+    enet_only = distance_all(topology).name.lower()
+    routing_of = {
+        name: enet_only if scheme.rthres > diameter else routing
+        for scheme, (routing, name) in zip(routing_schemes(topology),
+                                           scheme_ids(topology))
+    }
+    routings = list(dict.fromkeys(routing_of.values()))
     specs = [
         LoadPointSpec(routing, load, mesh_width, seed=seed, cycles=cycles,
                       warmup_cycles=warmup_cycles,
                       broadcast_fraction=broadcast_fraction)
-        for routing, _ in ids for load in loads
+        for routing in routings for load in loads
     ]
     points = iter(run_specs(specs))
+    curve_of = {routing: [next(points) for _ in loads] for routing in routings}
     return {
         name: [{"load": load, "latency": round(pt.mean_latency, 1),
-                "saturated": pt.saturated} for load, pt in zip(loads, points)]
-        for _, name in ids
+                "saturated": pt.saturated}
+               for load, pt in zip(loads, curve_of[routing])]
+        for name, routing in routing_of.items()
     }
 
 

@@ -63,15 +63,6 @@ class NetworkStats:
     latency_count: int = 0
     latency_max: int = 0
 
-    def record_latency(self, latency: int) -> None:
-        """Accumulate one packet's source-to-sink latency."""
-        if latency < 0:
-            raise ValueError(f"latency must be non-negative, got {latency}")
-        self.latency_sum += latency
-        self.latency_count += 1
-        if latency > self.latency_max:
-            self.latency_max = latency
-
     @property
     def mean_latency(self) -> float:
         """Average packet latency (cycles); NaN-free: 0.0 if no packets."""

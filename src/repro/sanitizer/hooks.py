@@ -29,11 +29,11 @@ class SanitizedEventQueue(EventQueue):
     """Event queue that hands every event to the sanitizer.
 
     Only ``schedule`` differs from :class:`EventQueue`: each event is
-    queued as ``(sanitizer.dispatch, (callback, arg))``, one heap entry
-    and one sequence number as before, so the inherited ``run`` drains
-    it with the same ``(time, seq)`` tie-breaking and ``max_events``
-    semantics and a sanitized run stays byte-identical to an
-    unsanitized one (``tests/sanitizer`` locks this in).
+    queued as ``(sanitizer.dispatch, (callback, arg))``, one entry in
+    its time's bucket at the position the bare event would take, so the
+    inherited ``run`` drains it in the same order with the same
+    ``max_events`` semantics and a sanitized run stays byte-identical to
+    an unsanitized one (``tests/sanitizer`` locks this in).
     """
 
     __slots__ = ("_san",)

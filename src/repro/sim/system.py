@@ -39,6 +39,9 @@ _DIRECTORY_TYPES = (
     MsgType.DIRTY_WB, MsgType.INV_ACK, MsgType.FLUSH_REP,
     MsgType.WB_REP, MsgType.MEM_DATA, MsgType.MEM_WRITE_ACK,
 )
+#: Bound once: ``_inject`` tests it per message, and an enum member read
+#: through its class costs about ten times a module-global read.
+_INV_BCAST = MsgType.INV_BCAST
 
 
 class ManycoreSystem:
@@ -100,11 +103,13 @@ class ManycoreSystem:
         # Flat per-core tables: home_of / slice_of_home / memctrl_for run
         # once per coherence message, so they must be plain indexed
         # lookups rather than repeated topology arithmetic.
-        self._slice_of_core = tuple(
+        #: directory slice (= cluster) of each core, indexed by core id;
+        #: the L2 controllers index it directly
+        self.slice_of_core = tuple(
             topo.cluster_of(c) for c in range(topo.n_cores)
         )
         self._memctrl_of_core = tuple(
-            self._cluster_memctrl[s] for s in self._slice_of_core
+            self._cluster_memctrl[s] for s in self.slice_of_core
         )
 
         mem_timing = MemoryTiming(
@@ -191,7 +196,7 @@ class ManycoreSystem:
 
     def slice_of_home(self, core: int) -> int:
         """Directory slice (= cluster) of a home core, for seq numbers."""
-        return self._slice_of_core[core]
+        return self.slice_of_core[core]
 
     @property
     def all_cores_ack_broadcasts(self) -> bool:
@@ -214,17 +219,18 @@ class ManycoreSystem:
     def _inject(self, msg: CoherenceMsg, now: int) -> None:
         mtype = msg.mtype
         owners, size_bits = self._inject_table[mtype]
-        if mtype is MsgType.INV_BCAST:
+        if mtype is _INV_BCAST:
             deliveries = self.network.send(msg.sender, BROADCAST,
                                            size_bits, now)
             if self.batch_broadcasts:
-                # Batched fan-out: one heap event per distinct arrival
-                # time instead of one per core.  Within one arrival the
+                # Batched fan-out: one event per distinct arrival time
+                # instead of one per core.  Within one arrival the
                 # member caches are dispatched inline in delivery-list
                 # order -- exactly the order the per-core path would
                 # process them, since all per-core events are scheduled
-                # consecutively here (their seqs are contiguous, so no
-                # foreign event can interleave; see DESIGN.md sec. 9).
+                # consecutively here (appended back to back to their
+                # time's list, so no foreign event can interleave; see
+                # DESIGN.md sec. 9).
                 compute = self._compute_set
                 schedule = self.eventq.schedule
                 groups: dict[int, list[int]] = {}

@@ -19,9 +19,9 @@ fabric without being audited by it.  Its seams are observational only:
   itself as periodic *heartbeat* events that only read state and
   reschedule themselves while the queue is non-empty -- no
   ``EventQueue`` subclass, so telemetry composes with the sanitizer's
-  queue and the simulation stays byte-identical (heartbeats shift
-  event sequence numbers uniformly, preserving every tie-break between
-  real events); run end closes the last window and persists.
+  queue and the simulation stays byte-identical (a heartbeat only adds
+  an entry to its time's list, preserving the relative order of every
+  real event); run end closes the last window and persists.
 
 Byte-identity with telemetry on is pinned by
 ``tests/telemetry/test_telemetry.py`` and the golden-number suite.
@@ -183,9 +183,9 @@ class TelemetryCollector(Probe):
     def _heartbeat(self, now: int) -> None:
         """Close one window; re-arm while the simulation is still live.
 
-        An empty heap after this pop means no event can ever fire again
-        (events beget events), so not rescheduling is exactly the
-        end-of-run condition -- heartbeats never keep a finished or
+        An empty queue while this event runs means no event can ever
+        fire again (events beget events), so not rescheduling is exactly
+        the end-of-run condition -- heartbeats never keep a finished or
         deadlocked simulation artificially alive.
         """
         system = self.system

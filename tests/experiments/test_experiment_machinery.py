@@ -177,12 +177,15 @@ class TestCli:
         monkeypatch.setattr(fig03, "run_specs", run_specs)
         return widths
 
-    @pytest.mark.parametrize("flag,width", [
-        ([], 32), (["--mesh-width", "8"], 8),
+    # At w8 Distance-15 and Distance-25 route like Distance-All, so two
+    # of the six schemes reuse its 8 points (TestFig3Duplicates).
+    @pytest.mark.parametrize("flag,width,n_specs", [
+        ([], 32, 48), (["--mesh-width", "8"], 8, 32),
     ], ids=["default", "w8"])
-    def test_fig3_runs_at_the_mesh_width(self, capsys, fig3_widths, flag, width):
+    def test_fig3_runs_at_the_mesh_width(self, capsys, fig3_widths, flag,
+                                         width, n_specs):
         assert cli_main(["fig3", "--no-cache", *flag]) == 0
-        assert set(fig3_widths) == {width} and len(fig3_widths) == 48
+        assert set(fig3_widths) == {width} and len(fig3_widths) == n_specs
         assert f"Figure 3 ({width}x{width} mesh)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("width,message", [
@@ -200,6 +203,44 @@ class TestCli:
         # fig10 is pure area modeling: safe to run through the CLI
         assert cli_main(["fig10", "--mesh-width", "8", "--scale", "0.1"]) == 0
         assert "32x32 mesh (1024 cores)" in capsys.readouterr().out
+
+
+class TestFig3Duplicates:
+    def test_w8_simulates_enet_only_schemes_once(self, monkeypatch):
+        """A threshold above the w8 diameter (14) routes like Distance-All:
+        Fig 3 simulates 32 load points, not 48, and every curve equals
+        the one a separate simulation of its own scheme gives."""
+        from repro.experiments import fig03
+        from repro.experiments.common import LoadPointSpec
+        from repro.network.topology import MeshTopology
+
+        real = fig03.run_specs
+        batches = []
+
+        def run_specs(specs):
+            batches.append(len(specs))
+            return real(specs, jobs=1, progress=False)
+
+        monkeypatch.setattr(fig03, "run_specs", run_specs)
+        kwargs = dict(cycles=600, warmup_cycles=200, seed=7,
+                      broadcast_fraction=0.001)
+        curves = fig03.run(mesh_width=8, **kwargs)
+        assert batches == [32]
+
+        loads = fig03.DEFAULT_LOADS
+        ids = fig03.scheme_ids(MeshTopology(width=8, cluster_width=4))
+        specs = [LoadPointSpec(routing, load, 8, **kwargs)
+                 for routing, _ in ids for load in loads]
+        assert len(specs) == 48
+        points = iter(real(specs, jobs=1, progress=False))
+        assert curves == {
+            name: [{"load": load, "latency": round(pt.mean_latency, 1),
+                    "saturated": pt.saturated}
+                   for load, pt in zip(loads, points)]
+            for _, name in ids
+        }
+        assert curves["Distance-15"] == curves["Distance-All"]
+        assert curves["Distance-10"] != curves["Distance-All"]
 
 
 class TestExperimentFunctionsTinyScale:

@@ -4,7 +4,8 @@ The fast path delivers a broadcast with one event per distinct arrival
 time (dispatching to all member caches inline); the reference path
 schedules one event per receiving core.  DESIGN.md section 9 argues
 they are observably identical because the batched dispatch preserves
-the exact ``(time, seq)`` order the per-core events would have had.
+the exact ``(time, insertion order)`` order the per-core events would
+have had.
 This suite is that argument's proof obligation: every app x network
 pair must produce a byte-identical :class:`RunResult` either way.
 """

@@ -121,18 +121,27 @@ class TestTableITiming:
 
 class TestNetworkStats:
     def test_latency_accumulation(self):
-        s = NetworkStats()
-        s.record_latency(10)
-        s.record_latency(20)
-        assert s.mean_latency == 15
-        assert s.latency_max == 20
+        """``send`` accumulates each unicast's latency into the stats."""
+        net = EMeshPure(MeshTopology(width=8, cluster_width=4))
+        # zero-load latency = hops * HOP_LATENCY + flits (64-bit flits)
+        assert net.send(0, 1, 88, 0) == [(1, 1 * 2 + 2)]
+        assert net.send(0, 63, 600, 10) == [(63, 10 + 14 * 2 + 10)]
+        s = net.stats
+        assert s.latency_count == 2
+        assert s.mean_latency == (4 + 38) / 2
+        assert s.latency_max == 38
 
     def test_mean_latency_empty(self):
         assert NetworkStats().mean_latency == 0.0
 
     def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            NetworkStats().record_latency(-1)
+        class _ArrivesEarly(EMeshPure):
+            def _send_unicast(self, src, dst, t, n_flits):
+                return [(dst, t - 1)]
+
+        net = _ArrivesEarly(MeshTopology(width=8, cluster_width=4))
+        with pytest.raises(ValueError, match="latency must be non-negative"):
+            net.send(0, 5, 88, 10)
 
     def test_receiver_broadcast_fraction(self):
         s = NetworkStats()

@@ -1,9 +1,102 @@
 """Unit tests for the event queue and barrier manager."""
 
+import heapq
+import random
+from functools import partial
+
 import pytest
 
 from repro.sim.barrier import BarrierManager
-from repro.sim.eventq import EventQueue
+from repro.sim.eventq import _NO_ARG, EventQueue
+
+
+class HeapEventQueue:
+    """Reference oracle: one binary-heap entry ``(time, seq, callback,
+    arg)`` per event, ``seq`` the insertion order.  The bucketed
+    :class:`EventQueue` must dispatch in exactly this order and report
+    the same ``len()`` at every point."""
+
+    def __init__(self) -> None:
+        self._heap = []
+        self._seq = 0
+        self.now = 0
+        self.events_processed = 0
+
+    def schedule(self, time, callback, arg=_NO_ARG) -> None:
+        if time < self.now:
+            raise ValueError(f"t={time} is before now={self.now}")
+        heapq.heappush(self._heap, (time, self._seq, callback, arg))
+        self._seq += 1
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def run(self, max_events=None) -> int:
+        processed = 0
+        try:
+            while self._heap:
+                time, _, callback, arg = heapq.heappop(self._heap)
+                self.now = time
+                if arg is _NO_ARG:
+                    callback(time)
+                else:
+                    callback(arg, time)
+                processed += 1
+                if max_events is not None and processed > max_events:
+                    raise RuntimeError(f"event budget exceeded ({max_events})")
+        finally:
+            self.events_processed += processed
+        return self.now
+
+
+class _Boom(Exception):
+    pass
+
+
+class _RandomSchedule:
+    """A seeded event program run against one queue.
+
+    Each event logs ``(id, time, len(queue))`` and schedules children
+    drawn from a generator seeded by its own id, so two queues that
+    dispatch in the same order run the same program and the first
+    divergence shows in the log.  Children land at ``now`` or a few
+    cycles later, half through the ``arg`` form and half as a no-arg
+    ``partial``.  Events whose id is in ``raising`` raise after logging.
+    """
+
+    def __init__(self, queue, seed: int, limit: int = 400,
+                 raising: frozenset = frozenset()) -> None:
+        self.q = queue
+        self.seed = seed
+        self.limit = limit
+        self.raising = raising
+        self.next_id = 0
+        self.log = []
+        rng = random.Random(seed)
+        for _ in range(8):
+            self._add(rng, rng.randrange(0, 6))
+
+    def _add(self, rng, time) -> None:
+        ident = self.next_id
+        self.next_id += 1
+        if rng.random() < 0.5:
+            self.q.schedule(time, self.fire, ident)
+        else:
+            self.q.schedule(time, partial(self.fire, ident))
+
+    def fire(self, ident, now) -> None:
+        self.log.append((ident, now, len(self.q)))
+        rng = random.Random(self.seed * 1_000_003 + ident)
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            if self.next_id < self.limit:
+                self._add(rng, now + rng.choice((0, 0, 0, 1, 2, 5)))
+        if ident in self.raising:
+            raise _Boom(ident)
+
+
+def _pair(seed, **kwargs):
+    return (_RandomSchedule(EventQueue(), seed, **kwargs),
+            _RandomSchedule(HeapEventQueue(), seed, **kwargs))
 
 
 class TestEventQueue:
@@ -110,6 +203,64 @@ class TestEventQueueArgDispatch:
         assert len(q) == 0
         q.schedule(1, lambda t: None)
         assert len(q) == 1
+
+
+class TestBucketQueueMatchesHeap:
+    """The time-bucketed queue against the ``(time, seq)`` heap oracle."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_dispatch_order_and_len(self, seed):
+        bucket, heap = _pair(seed)
+        assert bucket.q.run() == heap.q.run()
+        # Each log entry carries len(queue) read inside the callback.
+        assert bucket.log == heap.log
+        assert len(bucket.log) > 100
+        assert bucket.q.events_processed == heap.q.events_processed
+        assert len(bucket.q) == len(heap.q) == 0
+
+    def test_schedule_at_now_runs_after_queued_same_time_events(self):
+        q = EventQueue()
+        log = []
+
+        def first(t):
+            log.append("first")
+            q.schedule(t, lambda t2: log.append("scheduled-at-now"))
+
+        q.schedule(3, first)
+        q.schedule(3, lambda t: log.append("second"))
+        q.schedule(4, lambda t: log.append("later"))
+        q.run()
+        assert log == ["first", "second", "scheduled-at-now", "later"]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_resume_after_budget_error(self, seed):
+        bucket, heap = _pair(seed)
+        budget = 17 + seed * 7
+        for side in (bucket, heap):
+            with pytest.raises(RuntimeError):
+                side.q.run(max_events=budget)
+        assert bucket.log == heap.log
+        assert len(bucket.q) == len(heap.q) > 0
+        assert bucket.q.now == heap.q.now
+        bucket.q.run()
+        heap.q.run()
+        assert bucket.log == heap.log
+        assert bucket.q.events_processed == heap.q.events_processed
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_resume_after_callback_raises(self, seed):
+        raising = frozenset({5 + seed, 40 + seed})
+        bucket, heap = _pair(seed, raising=raising)
+        for _ in raising:
+            for side in (bucket, heap):
+                with pytest.raises(_Boom):
+                    side.q.run()
+            assert bucket.log == heap.log
+            assert len(bucket.q) == len(heap.q)
+        bucket.q.run()
+        heap.q.run()
+        assert bucket.log == heap.log
+        assert len(bucket.log) > 100
 
 
 class TestBarrierManager:

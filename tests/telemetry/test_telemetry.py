@@ -34,16 +34,19 @@ MESH_WIDTH = 8
 SCALE = 0.3
 
 
-def _run(network: str, **system_kwargs):
+def _run(network: str, app: str = APP, eventq=None, **system_kwargs):
+    """Simulate ``app`` at w8; ``eventq`` replaces the system's queue."""
     from repro.experiments.common import spec_for
 
-    config = spec_for(APP, network=network, mesh_width=MESH_WIDTH).config()
+    config = spec_for(app, network=network, mesh_width=MESH_WIDTH).config()
     system = ManycoreSystem(config, **system_kwargs)
+    if eventq is not None:
+        system.eventq = eventq
     traces = generate_traces(
-        APP_PROFILES[APP], system.topology,
+        APP_PROFILES[app], system.topology,
         l2_lines=config.l2_sets * config.l2_ways, scale=SCALE, seed=42,
     )
-    return system, system.run(traces, app=APP)
+    return system, system.run(traces, app=app)
 
 
 def _python(script: str, *args: str, **env: str):
@@ -149,6 +152,24 @@ class TestWindows:
         depths = [w["queue_depth"] for w in system.telemetry.windows]
         assert any(d > 0 for d in depths)
         assert depths[-1] == 0  # the run is over at the final close
+
+    def test_windows_identical_on_reference_heap_queue(self):
+        """Every window, ``queue_depth`` included, equals the one the
+        ``(time, seq)`` heap oracle produces: ``len()`` of the bucketed
+        queue is exact mid-drain, not only at the end of a run."""
+        from tests.sim.test_eventq_barrier import HeapEventQueue
+
+        system, result = _run("atac+", app="barnes",
+                              telemetry=TelemetryConfig())
+        ref_system, ref_result = _run("atac+", app="barnes",
+                                      eventq=HeapEventQueue(),
+                                      telemetry=TelemetryConfig())
+        assert result.to_dict() == ref_result.to_dict()
+        assert (system.eventq.events_processed
+                == ref_system.eventq.events_processed)
+        windows = system.telemetry.windows
+        assert len(windows) > 2
+        assert windows == ref_system.telemetry.windows
 
     def test_onet_busy_only_on_optical_networks(self, telemetry_runs):
         for network, (system, _) in telemetry_runs.items():
