@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
 from repro.experiments.store import ResultStore, cache_enabled
@@ -179,6 +178,10 @@ class Runner:
             self._log(f"{i}/{len(misses)} {spec.label()}", elapsed_s=elapsed)
 
     def _execute_parallel(self, unique, misses, results, report, jobs) -> None:
+        # Imported here: the process pool (and ``multiprocessing`` with
+        # it) costs a serial batch start-up time it never uses.
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
         done_count = 0
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {pool.submit(_timed_execute, unique[h]): h for h in misses}

@@ -72,6 +72,17 @@ from repro.sanitizer.violations import InvariantViolation, describe_event
 from repro.sim.eventq import _NO_ARG
 from repro.sim.probes import Probe
 
+# Enum members bound once as module globals: reading one through its
+# class costs about ten times as much, and the checks run on every event.
+_SH_REQ = MsgType.SH_REQ
+_EX_REQ = MsgType.EX_REQ
+_DIRTY_WB = MsgType.DIRTY_WB
+_INV_BCAST = MsgType.INV_BCAST
+_SH_REP = MsgType.SH_REP
+_EX_REP = MsgType.EX_REP
+_WB_ACK = MsgType.WB_ACK
+_MODIFIED = CacheState.MODIFIED
+
 #: Shadow-counted NetworkStats fields compared at end of run.
 _SHADOW_KEYS = (
     "packets_sent", "unicasts_sent", "broadcasts_sent", "injected_flits",
@@ -177,10 +188,10 @@ class Sanitizer(Probe):
             self._consume_inflight(arg.address)
             if getattr(callback, "__func__", None) is not self._inject_func:
                 mt = arg.mtype
-                if mt is MsgType.SH_REP or mt is MsgType.EX_REP:
+                if mt is _SH_REP or mt is _EX_REP:
                     self._close(self._open_txn, arg.address, "transaction-leak",
                                 f"{mt.name} delivered with no open transaction")
-                elif mt is MsgType.WB_ACK:
+                elif mt is _WB_ACK:
                     self._close(self._wb_open, arg.address, "transaction-leak",
                                 "WB_ACK delivered with no outstanding DIRTY_WB")
         elif arg.__class__ is tuple and len(arg) == 2 \
@@ -222,11 +233,11 @@ class Sanitizer(Probe):
     # ------------------------------------------------------------------
     def send_msg(self, inner, msg: CoherenceMsg, time: int) -> None:
         mt = msg.mtype
-        if mt is MsgType.SH_REQ or mt is MsgType.EX_REQ:
+        if mt is _SH_REQ or mt is _EX_REQ:
             self._open_txn[msg.address] = self._open_txn.get(msg.address, 0) + 1
-        elif mt is MsgType.DIRTY_WB:
+        elif mt is _DIRTY_WB:
             self._wb_open[msg.address] = self._wb_open.get(msg.address, 0) + 1
-        elif mt is MsgType.INV_BCAST:
+        elif mt is _INV_BCAST:
             self._check_broadcast_send(msg)
         inner(msg, time)
 
@@ -359,7 +370,7 @@ class Sanitizer(Probe):
         holders = self._holders.get(line)
         if holders is None:
             holders = self._holders[line] = {}
-        if state is CacheState.MODIFIED:
+        if state is _MODIFIED:
             for other, s in holders.items():
                 if other != core and not self._buffered_bcast(other, line):
                     self.violation(
@@ -371,7 +382,7 @@ class Sanitizer(Probe):
                     )
         else:
             for other, s in holders.items():
-                if (other != core and s is CacheState.MODIFIED
+                if (other != core and s is _MODIFIED
                         and not self._buffered_bcast(core, line)):
                     self.violation(
                         "swmr",

@@ -24,6 +24,11 @@ from typing import Any, Callable
 from repro.coherence.cache import CacheState
 from repro.sim.eventq import _NO_ARG, EventQueue
 
+#: Bound once: an enum member read through its class costs about ten
+#: times a module-global read, and the proxies test one per state change.
+_INVALID = CacheState.INVALID
+_MODIFIED = CacheState.MODIFIED
+
 
 class SanitizedEventQueue(EventQueue):
     """Event queue that hands every event to the sanitizer.
@@ -82,14 +87,14 @@ class L2CacheProxy(_CacheProxy):
 
     def set_state(self, line: int, state: CacheState) -> None:
         self.inner.set_state(line, state)
-        if state is CacheState.INVALID:
+        if state is _INVALID:
             self.san.l2_removed(self.core, line)
         else:
             self.san.l2_changed(self.core, line, state)
 
     def invalidate(self, line: int) -> CacheState:
         prev = self.inner.invalidate(line)
-        if prev is not CacheState.INVALID:
+        if prev is not _INVALID:
             self.san.l2_removed(self.core, line)
         return prev
 
@@ -110,13 +115,13 @@ class L1CacheProxy(_CacheProxy):
 
     def install(self, line: int, state: CacheState):
         l2_state = self.l2.lookup(line, touch=False)
-        if l2_state is CacheState.INVALID:
+        if l2_state is _INVALID:
             self.san.violation(
                 "l1-containment",
                 f"core {self.core} filled L1 line {line} absent from its L2",
                 details={"core": self.core, "address": line},
             )
-        if state is CacheState.MODIFIED and l2_state is not CacheState.MODIFIED:
+        if state is _MODIFIED and l2_state is not _MODIFIED:
             self.san.violation(
                 "l1-containment",
                 f"core {self.core} holds L1 line {line} MODIFIED over a "

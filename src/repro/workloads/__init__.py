@@ -2,7 +2,9 @@
 
 * :mod:`repro.workloads.synthetic` -- open-loop uniform-random traffic
   with a configurable broadcast fraction, used for the Figure 3
-  latency-vs-offered-load study.
+  latency-vs-offered-load study.  It imports NumPy only when it
+  generates traffic, so importing this package (as the full-system
+  simulator does) never loads NumPy.
 * :mod:`repro.workloads.trace`     -- the per-core instruction-trace
   format the full-system simulator executes.
 * :mod:`repro.workloads.splash`    -- parameterized models of the seven

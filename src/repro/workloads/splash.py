@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import log
 
 from repro.network.topology import MeshTopology
 from repro.workloads.trace import BarrierOp, ComputeOp, CoreTrace, MemoryOp
@@ -227,6 +228,24 @@ APP_ORDER = (
 )
 
 
+def _randbelow(rng: random.Random):
+    """``rng.randrange`` for a positive bound, without its Python-level
+    argument handling: the returned ``below(n)`` is CPython's
+    ``Random._randbelow_with_getrandbits``, drawing ``n.bit_length()``
+    bits until the value falls below ``n``, so it consumes ``rng``
+    exactly as ``rng.randrange(n)`` does."""
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
 def generate_traces(
     profile: AppProfile,
     topology: MeshTopology,
@@ -249,9 +268,14 @@ def generate_traces(
     # Trace generation is pure per-RunSpec setup cost, repeated for
     # every spec in a sweep, so the per-op loop below is written for
     # speed: every ``profile.*`` attribute, region base and RNG method
-    # is hoisted out of the loop.  The RNG *call sequence* is part of
-    # the determinism contract (``trace_digest``): one ``random.Random``
-    # stream per core, consumed in exactly the historical order.
+    # is hoisted out of the loop, and the immutable ops are interned
+    # (one ``ComputeOp`` per cycle count, one ``MemoryOp`` per address
+    # and direction) in tables local to this call.  The RNG *call
+    # sequence* is part of the determinism contract (``trace_digest``):
+    # one ``random.Random`` stream per core, consumed in exactly the
+    # historical order.  ``randbelow`` and the inlined exponential draw
+    # are ``randrange`` and ``expovariate`` without their Python-level
+    # wrappers; they consume the stream exactly as those did.
     compute_cores = topology.compute_cores()
     n_ops = max(4, int(profile.mem_ops_per_core * scale))
     private_cold_lines = max(8, int(profile.private_ws_frac * l2_lines))
@@ -268,14 +292,17 @@ def generate_traces(
     last_barrier = profile.n_phases - 1
     lam = 1.0 / profile.compute_per_mem
     seed_prefix = f"{seed}:{profile.name}:"
-    #: BarrierOps are identical across cores; build each once.
     barrier_ops = [BarrierOp(b) for b in range(profile.n_phases)]
-    rebuild_compute = ComputeOp(2)
+    compute_ops: dict[int, ComputeOp] = {2: ComputeOp(2)}
+    get_compute = compute_ops.get
+    rebuild_compute = compute_ops[2]
+    reads: dict[int, MemoryOp] = {}
+    writes: dict[int, MemoryOp] = {}
+    get_read, get_write = reads.get, writes.get
     for rank, core in enumerate(compute_cores):
         rng = random.Random(seed_prefix + str(core))
         rand = rng.random
-        randrange = rng.randrange
-        expovariate = rng.expovariate
+        randbelow = _randbelow(rng)
         group_id = rank // profile.group_size
         group_base = _GROUP_BASE + group_id * group_ws_lines
         wide_group = rank // profile.wide_degree
@@ -295,29 +322,46 @@ def generate_traces(
             if rand() < wide_writes_per_phase - n_writes:
                 n_writes += 1
             for _ in range(n_writes):
-                line = wide_base + randrange(wide_hot)
+                line = wide_base + randbelow(wide_hot)
                 append(rebuild_compute)
-                append(MemoryOp(line, is_write=True))
+                op = get_write(line)
+                if op is None:
+                    op = writes[line] = MemoryOp(line, is_write=True)
+                append(op)
 
         for i in range(n_ops):
-            append(ComputeOp(max(1, int(expovariate(lam)) + 1)))
+            # ``expovariate(lam)`` is ``-log(1.0 - random()) / lam``, never
+            # negative, so the cycle count is always >= 1.
+            cycles = int(-log(1.0 - rand()) / lam) + 1
+            op = get_compute(cycles)
+            if op is None:
+                op = compute_ops[cycles] = ComputeOp(cycles)
+            append(op)
             r = rand()
             if r < p_priv:
                 if rand() < p_cold:
-                    addr = private_cold_base + randrange(private_cold_lines)
+                    addr = private_cold_base + randbelow(private_cold_lines)
                 else:
-                    addr = private_base + randrange(_PRIVATE_HOT_LINES)
+                    addr = private_base + randbelow(_PRIVATE_HOT_LINES)
                 is_write = rand() < 0.3  # typical store share
             elif r < p_priv_or_wide:
                 if rand() < 0.85:
-                    addr = wide_base + randrange(wide_hot)
+                    addr = wide_base + randbelow(wide_hot)
                 else:
-                    addr = wide_base + randrange(wide_ws_lines)
+                    addr = wide_base + randbelow(wide_ws_lines)
                 is_write = False  # wide data is read-only mid-phase
             else:
-                addr = group_base + randrange(group_ws_lines)
+                addr = group_base + randbelow(group_ws_lines)
                 is_write = rand() < group_write_frac
-            append(MemoryOp(addr, is_write=is_write))
+            if is_write:
+                op = get_write(addr)
+                if op is None:
+                    op = writes[addr] = MemoryOp(addr, is_write=True)
+            else:
+                op = get_read(addr)
+                if op is None:
+                    op = reads[addr] = MemoryOp(addr)
+            append(op)
             if (i + 1) % ops_per_phase == 0 and barrier_id < last_barrier:
                 append(barrier_ops[barrier_id])
                 barrier_id += 1

@@ -11,6 +11,11 @@ uniform over the other cores; a small fraction of packets are
 broadcasts.  Traffic is pre-generated with NumPy as time, source and
 destination columns and replayed in time order (the engine requires
 ordered sends), one scalar ``Network.send`` per packet.
+
+Fig 3 traffic is the only user of NumPy in the package, so NumPy is
+imported inside :meth:`SyntheticTraffic.generate`, not at module level:
+the full-system path reaches this module through the
+:mod:`repro.workloads` package and never pays NumPy's import.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
-
-import numpy as np
 
 from repro.network.engine import Network
 from repro.network.types import BROADCAST
@@ -114,6 +117,8 @@ class SyntheticTraffic:
         """All packets for a run of ``cycles``, in injection-time order."""
         if cycles < 1:
             raise ValueError(f"cycles must be >= 1, got {cycles}")
+        import numpy as np
+
         rng = np.random.default_rng(self.seed)
         # Bernoulli thinning over the (cycle, core) grid, vectorized.
         n_trials = cycles * self.n_cores

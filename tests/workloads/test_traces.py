@@ -1,6 +1,9 @@
-"""Unit tests for trace types and the synthetic traffic generator."""
+"""Unit tests for trace types, the trace build and the synthetic
+traffic generator."""
 
+import random
 from dataclasses import asdict
+from math import log
 
 import numpy as np
 import pytest
@@ -13,10 +16,17 @@ from repro.network.mesh import EMeshPure
 from repro.network.routing import DistanceRouting
 from repro.network.topology import MeshTopology
 from repro.network.types import BROADCAST, Packet
+from repro.sim.config import SystemConfig
+from repro.workloads.splash import (
+    _PRIVATE_HOT_LINES, _WIDE_HOT_LINES, APP_ORDER, APP_PROFILES,
+    _randbelow, generate_traces,
+)
 from repro.workloads.synthetic import (
     LoadSweepPoint, SyntheticTraffic, check_columns, run_load_point,
 )
-from repro.workloads.trace import BarrierOp, ComputeOp, CoreTrace, MemoryOp
+from repro.workloads.trace import (
+    BarrierOp, ComputeOp, CoreTrace, MemoryOp, trace_digest,
+)
 
 
 class TestTraceOps:
@@ -41,6 +51,101 @@ class TestTraceOps:
     def test_trace_core_validation(self):
         with pytest.raises(ValueError):
             CoreTrace(-1, [])
+
+
+#: ``trace_digest`` of every app at w8, scale 0.3, seed 42 and the w8
+#: config's L2 size, as the simulator builds them.
+TRACE_DIGESTS_W8 = {
+    "dynamic_graph": "99ef8068e5e2abb7e4a888ccf1cd29b7bc54199810043ab6657f2a8e09292699",
+    "radix": "5899d84213fa661c2f53cf48f0476730d6547e019478bf55f506b1a5045e364e",
+    "barnes": "4d3dee4ccb47479e5617b644261d1be748d47ab31119d6f0bfc01560ef72c3c9",
+    "fmm": "de4ace08e6809abd5ac866ff94a38757f000e2af429a654b402d945ec42a689e",
+    "ocean_contig": "f623952d02b289b3536aed9ed7ca689f5eadeca58d86853257151dda68040823",
+    "lu_contig": "b4638155e212e2b8cc2be2b4ff5f22692b490c5f80021a760375934efcf73761",
+    "ocean_non_contig": "6ba5e453f45eb3dd307b300f2259a7ca597ff29a4a4f9e3e5d6c77de2155a812",
+    "lu_non_contig": "96f8ca076531d0692209c19d0a7e4fb8c61f9efdda64cd42b1e23bd0c1a9f936",
+}
+
+
+def _build(app):
+    config = SystemConfig(network="atac+").scaled(mesh_width=8)
+    return generate_traces(APP_PROFILES[app], config.topology,
+                           l2_lines=config.l2_sets * config.l2_ways,
+                           scale=0.3, seed=42)
+
+
+def _draw_bounds():
+    """Every bound ``generate_traces`` draws below at w8 and w16."""
+    bounds = {_PRIVATE_HOT_LINES}
+    for width in (8, 16):
+        config = SystemConfig(network="atac+").scaled(mesh_width=width)
+        l2_lines = config.l2_sets * config.l2_ways
+        for p in APP_PROFILES.values():
+            bounds |= {
+                min(_WIDE_HOT_LINES, p.wide_ws_lines), p.wide_ws_lines,
+                p.group_ws_lines, max(8, int(p.private_ws_frac * l2_lines)),
+            }
+    return sorted(bounds)
+
+
+class TestTraceBuild:
+    @pytest.mark.parametrize("app", APP_ORDER)
+    def test_trace_digest_pinned(self, app):
+        assert trace_digest(_build(app)) == TRACE_DIGESTS_W8[app]
+
+    @pytest.mark.parametrize("n", _draw_bounds())
+    def test_randbelow_consumes_the_stream_like_randrange(self, n):
+        for seed in range(5):
+            ours, ref = random.Random(seed), random.Random(seed)
+            below = _randbelow(ours)
+            assert [below(n) for _ in range(500)] == [
+                ref.randrange(n) for _ in range(500)
+            ]
+            assert ours.random() == ref.random()
+
+    def test_randbelow_matches_randrange_with_bounds_interleaved(self):
+        bounds = _draw_bounds() + [1, 2, 3, 2**31, 2**32 + 1]
+        picks = random.Random(0).choices(bounds, k=5000)
+        ours, ref = random.Random("42:barnes:0"), random.Random("42:barnes:0")
+        below = _randbelow(ours)
+        assert [below(n) for n in picks] == [ref.randrange(n) for n in picks]
+
+    @pytest.mark.parametrize("app", APP_ORDER)
+    def test_inlined_exponential_matches_expovariate(self, app):
+        """The trace build's compute-op length draw equals the
+        ``expovariate`` form it replaced, value and stream alike."""
+        lam = 1.0 / APP_PROFILES[app].compute_per_mem
+        for seed in range(5):
+            ours, ref = random.Random(seed), random.Random(seed)
+            rand = ours.random
+            for _ in range(2000):
+                x = -log(1.0 - rand()) / lam
+                y = ref.expovariate(lam)
+                assert x == y
+                assert int(x) + 1 == max(1, int(y) + 1)
+            assert ours.random() == ref.random()
+
+    @staticmethod
+    def _ops_by_value(traces):
+        ops = {}
+        for trace in traces.values():
+            for op in trace.ops:
+                ops.setdefault(op, set()).add(id(op))
+        return ops
+
+    def test_equal_ops_are_one_object_within_a_call(self):
+        traces = _build("barnes")
+        ops = self._ops_by_value(traces)
+        assert all(len(ids) == 1 for ids in ops.values())
+        assert {type(op) for op in ops} == {ComputeOp, MemoryOp, BarrierOp}
+        assert {op.is_write for op in ops if type(op) is MemoryOp} == {False, True}
+
+    def test_no_op_is_shared_between_calls(self):
+        first, second = _build("barnes"), _build("barnes")
+        assert trace_digest(first) == trace_digest(second)
+        ids = [set().union(*self._ops_by_value(t).values())
+               for t in (first, second)]
+        assert ids[0].isdisjoint(ids[1])
 
 
 def _rows(cols):
