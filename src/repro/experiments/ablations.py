@@ -25,13 +25,26 @@ from repro.workloads.synthetic import SyntheticTraffic, run_load_point
 
 class _BacklogFeedback(AtacNetwork):
     """ATAC+ that feeds its adaptive policy the sender hub's ONet
-    backlog after every send."""
+    backlog after every unicast and broadcast it routes.
 
-    def send(self, src: int, dst: int, size_bits: int,
-             t: int) -> list[tuple[int, int]]:
-        deliveries = super().send(src, dst, size_bits, t)
-        link = self.onet_links[self.topology.cluster_of(src)]
+    The observation sits in the two routing methods, not in ``send``,
+    so ``send`` and ``send_stream`` both reach it.  A self-send uses no
+    network and is not observed; synthetic traffic has none.
+    """
+
+    def _observe(self, src: int, t: int) -> None:
+        link = self.onet_links[self._cluster_of_core[src]]
         self.routing.observe_backlog(max(0, link.free_at - t))
+
+    def _send_unicast(self, src: int, dst: int, t: int, n_flits: int) -> int:
+        arrival = super()._send_unicast(src, dst, t, n_flits)
+        self._observe(src, t)
+        return arrival
+
+    def _send_broadcast(self, src: int, t: int,
+                        n_flits: int) -> list[tuple[int, int]]:
+        deliveries = super()._send_broadcast(src, t, n_flits)
+        self._observe(src, t)
         return deliveries
 
 

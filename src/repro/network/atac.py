@@ -100,23 +100,22 @@ class AtacNetwork(_MeshBase):
         return t + HUB_DELAY
 
     # ------------------------------------------------------------------
-    def _send_unicast(self, src: int, dst: int, t: int,
-                      n_flits: int) -> list[tuple[int, int]]:
+    def _send_unicast(self, src: int, dst: int, t: int, n_flits: int) -> int:
         # RoutingPolicy.use_onet, inlined over the per-core tables:
         # inter-cluster and at least ``rthres`` hops apart.  ``rthres``
         # is read per send, so an adaptive policy's moves apply at once.
         src_cluster = self._cluster_of_core[src]
         if src_cluster == self._cluster_of_core[dst]:
-            return [(dst, self._traverse(src, dst, t, n_flits))]
+            return self._traverse(src, dst, t, n_flits)
         col, row = self._col_of_core, self._row_of_core
         dx = col[src] - col[dst]
         dy = row[src] - row[dst]
         hops = (dx if dx >= 0 else -dx) + (dy if dy >= 0 else -dy)
         if hops < self.routing.rthres:
-            return [(dst, self._traverse(src, dst, t, n_flits))]
-        return [(dst, self._optical_unicast(
+            return self._traverse(src, dst, t, n_flits)
+        return self._optical_unicast(
             src, dst, t, n_flits, self.onet_links[src_cluster], 0
-        ))]
+        )
 
     def _optical_unicast(
         self,

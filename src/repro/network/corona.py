@@ -69,17 +69,16 @@ class CoronaNetwork(AtacNetwork):
         return "Corona"
 
     # ------------------------------------------------------------------
-    def _send_unicast(self, src: int, dst: int, t: int,
-                      n_flits: int) -> list[tuple[int, int]]:
+    def _send_unicast(self, src: int, dst: int, t: int, n_flits: int) -> int:
         dst_cluster = self._cluster_of_core[dst]
         if self._cluster_of_core[src] == dst_cluster:
-            return [(dst, self._traverse(src, dst, t, n_flits))]
+            return self._traverse(src, dst, t, n_flits)
         # MWSR: reserve the *destination's* channel; the token round
         # precedes the reservation, queueing behind other writers is
         # the channel's own serialization.
-        return [(dst, self._optical_unicast(
+        return self._optical_unicast(
             src, dst, t, n_flits, self.onet_links[dst_cluster], TOKEN_DELAY
-        ))]
+        )
 
     # ------------------------------------------------------------------
     def _send_broadcast(self, src: int, t: int,

@@ -19,9 +19,23 @@ The approximation versus flit-accurate wormhole is that buffers are
 unbounded (virtual-cut-through-like); DESIGN.md section 7 flags this
 and ``benchmarks`` cross-validate zero-load latency analytically.
 
-A packet is four scalars, not a record: ``Network.send(src, dst,
-size_bits, t)`` hands ``_send_unicast(src, dst, t, n_flits)`` or
-``_send_broadcast(src, t, n_flits)`` the size in flits.
+A packet is four scalars, not a record.  A network has two entry
+points, for callers of two shapes:
+
+* ``Network.send(src, dst, size_bits, t)`` sends one packet and returns
+  its delivery schedule.  The full system is closed-loop (each
+  arrival is scheduled before the next event runs), so it sends this
+  way.
+* ``Network.send_stream(times, srcs, dsts, size_bits)`` sends a whole
+  time-ordered window of same-size packets and returns nothing.  Open-
+  loop traffic (Figure 3) sends this way: the window is validated in
+  C-level passes before anything changes, then each unicast costs one
+  ``_send_unicast`` call and the unicast counters are written once per
+  window.  Broadcasts and self-sends in a window go through ``send``.
+
+Both hand ``_send_unicast(src, dst, t, n_flits)`` (which returns the
+arrival cycle) or ``_send_broadcast(src, t, n_flits)`` (which returns
+the deliveries) the size in flits.
 """
 
 from __future__ import annotations
@@ -72,13 +86,25 @@ RECEIVE_NET_DELAY = 1             # hub-to-core BNet / StarNet delivery
 RECEIVE_NETS_PER_CLUSTER = 2      # "Total StarNets per Cluster"
 
 
+def _order_error(t: int, last: int) -> ValueError:
+    return ValueError(f"sends must be time-ordered: got t={t} after t={last}")
+
+
+def _id_error(src: int, dst: int, n_cores: int) -> ValueError:
+    return ValueError(
+        f"src must be a core id and dst a core id or BROADCAST (cores "
+        f"0..{n_cores - 1}), got src={src}, dst={dst}"
+    )
+
+
 class Network(ABC):
     """Common interface of EMesh-Pure, EMesh-BCast and ATAC/ATAC+.
 
     ``send(src, dst, size_bits, t)`` takes plain scalars and must be
     called with non-decreasing ``t`` (the event-driven simulator
     guarantees this); each call reserves resources and immediately
-    returns the delivery schedule.
+    returns the delivery schedule.  ``send_stream`` sends a whole
+    time-ordered window of packets under the same rules.
     """
 
     def __init__(self, topology: MeshTopology, flit_bits: int = 64) -> None:
@@ -87,6 +113,7 @@ class Network(ABC):
         self.topology = topology
         self.flit_bits = flit_bits
         self.stats = NetworkStats()
+        self._n_cores = topology.n_cores
         self._last_send_time = 0
         # size_bits -> flit count; traffic uses a couple of distinct
         # message sizes, so the size check and the ceil-divide are paid
@@ -99,9 +126,8 @@ class Network(ABC):
         """Architecture label as used in the paper's figures."""
 
     @abstractmethod
-    def _send_unicast(self, src: int, dst: int, t: int,
-                      n_flits: int) -> list[tuple[int, int]]:
-        """Deliver a unicast; returns [(dst_core, arrival_time)]."""
+    def _send_unicast(self, src: int, dst: int, t: int, n_flits: int) -> int:
+        """Deliver a unicast to ``dst != src``; returns its arrival cycle."""
 
     @abstractmethod
     def _send_broadcast(self, src: int, t: int,
@@ -109,31 +135,35 @@ class Network(ABC):
         """Deliver a broadcast; returns [(core, arrival_time), ...] for
         every core except the source."""
 
+    def _flits_of(self, size_bits: int) -> int:
+        """Flits in a ``size_bits`` packet, cached per size; a
+        non-positive size raises ``ValueError``."""
+        if size_bits <= 0:
+            raise ValueError(f"size_bits must be positive, got {size_bits}")
+        n_flits = self._n_flits_cache[size_bits] = -(-size_bits // self.flit_bits)
+        return n_flits
+
     def send(self, src: int, dst: int, size_bits: int,
              t: int) -> list[tuple[int, int]]:
         """Inject ``size_bits`` from core ``src`` to core ``dst`` (or
         :data:`BROADCAST`) at cycle ``t``; returns the delivery schedule:
         one entry for a unicast, one per core but the sender for a
-        broadcast.  A negative ``src``, a negative ``dst`` other than
-        ``BROADCAST`` (either would index the per-core tables from their
-        end) and a non-positive ``size_bits`` raise ``ValueError``.
+        broadcast.  An earlier ``t`` than the last send's, a ``src``
+        that is not a core id, a ``dst`` that is neither a core id nor
+        ``BROADCAST`` (a negative id would index the per-core tables
+        from their end, a large one would wrap onto another route) and
+        a non-positive ``size_bits`` raise ``ValueError`` before
+        anything changes.
         """
         if t < self._last_send_time:
-            raise ValueError(
-                f"sends must be time-ordered: got t={t} after "
-                f"t={self._last_send_time}"
-            )
+            raise _order_error(t, self._last_send_time)
+        n_cores = self._n_cores
         # BROADCAST (-1) is the one negative destination allowed.
-        if src < 0 or dst < BROADCAST:
-            raise ValueError(
-                f"src must be a core id and dst a core id or BROADCAST, "
-                f"got src={src}, dst={dst}"
-            )
+        if not (0 <= src < n_cores and BROADCAST <= dst < n_cores):
+            raise _id_error(src, dst, n_cores)
         n_flits = self._n_flits_cache.get(size_bits)
         if n_flits is None:
-            if size_bits <= 0:
-                raise ValueError(f"size_bits must be positive, got {size_bits}")
-            n_flits = self._n_flits_cache[size_bits] = -(-size_bits // self.flit_bits)
+            n_flits = self._flits_of(size_bits)
         self._last_send_time = t
         s = self.stats
         s.packets_sent += 1
@@ -158,16 +188,88 @@ class Network(ABC):
         s.unicasts_sent += 1
         s.received_unicast_flits += n_flits
         # A self-send is delivered locally, with no network resources.
-        deliveries = ([(dst, t + 1)] if dst == src
-                      else self._send_unicast(src, dst, t, n_flits))
-        lat = deliveries[0][1] - t
+        arrival = t + 1 if dst == src else self._send_unicast(src, dst, t, n_flits)
+        lat = arrival - t
         if lat < 0:
             raise ValueError(f"latency must be non-negative, got {lat}")
         s.latency_sum += lat
         s.latency_count += 1
         if lat > s.latency_max:
             s.latency_max = lat
-        return deliveries
+        return [(dst, arrival)]
+
+    def send_stream(self, times: list[int], srcs: list[int],
+                    dsts: list[int], size_bits: int) -> None:
+        """Send a window of ``size_bits`` packets: packet ``i`` goes from
+        core ``srcs[i]`` to ``dsts[i]`` (a core or :data:`BROADCAST`) at
+        cycle ``times[i]``.  Exactly what ``send`` per packet, in order,
+        would do, without the delivery schedules.
+
+        The whole window is validated first, in C-level passes: the
+        columns must have equal lengths, ``times`` must be
+        non-decreasing and start no earlier than the last send, every
+        id must be in range and ``size_bits`` positive.  A rejected
+        window raises ``ValueError`` (with ``send``'s message) and
+        changes nothing.  Each unicast is then one ``_send_unicast``
+        call, and the unicast counters are summed in locals and written
+        once, at the end; broadcasts and self-sends (rare) go through
+        ``send``, so their bookkeeping exists in one place.  A network
+        that reports an arrival before its send raises ``ValueError``
+        mid-window, as ``send`` does, and the window's unicasts are
+        then left uncounted.
+        """
+        n = len(times)
+        if len(srcs) != n or len(dsts) != n:
+            raise ValueError(
+                f"columns must have equal lengths, got times={n}, "
+                f"srcs={len(srcs)}, dsts={len(dsts)}"
+            )
+        n_flits = self._flits_of(size_bits)
+        if not n:
+            return
+        # One C-level pass per column: sorting a sorted list is one run
+        # of int compares (4x faster than ``all(map(le, ...))``), and an
+        # id column is checked by one set lookup per id instead of a min
+        # and a max (the sets take ~4 us to build at w16).
+        last = self._last_send_time
+        if times[0] < last or times != sorted(times):
+            for t in times:
+                if t < last:
+                    raise _order_error(t, last)
+                last = t
+        n_cores = self._n_cores
+        core_ids = frozenset(range(n_cores))
+        if not (core_ids.issuperset(srcs)
+                and core_ids.union((BROADCAST,)).issuperset(dsts)):
+            for src, dst in zip(srcs, dsts):
+                if not (0 <= src < n_cores and BROADCAST <= dst < n_cores):
+                    raise _id_error(src, dst, n_cores)
+        send = self.send
+        unicast = self._send_unicast
+        broadcast = BROADCAST
+        n_sent = lat_sum = lat_max = 0
+        for t, src, dst in zip(times, srcs, dsts):
+            if dst == broadcast or dst == src:
+                send(src, dst, size_bits, t)
+                n_sent += 1
+                continue
+            lat = unicast(src, dst, t, n_flits) - t
+            if lat > lat_max:
+                lat_max = lat
+            elif lat < 0:
+                raise ValueError(f"latency must be non-negative, got {lat}")
+            lat_sum += lat
+        n_uni = n - n_sent
+        s = self.stats
+        s.packets_sent += n_uni
+        s.unicasts_sent += n_uni
+        s.injected_flits += n_uni * n_flits
+        s.received_unicast_flits += n_uni * n_flits
+        s.latency_sum += lat_sum
+        s.latency_count += n_uni
+        if lat_max > s.latency_max:
+            s.latency_max = lat_max
+        self._last_send_time = times[-1]
 
     def reset_stats(self) -> NetworkStats:
         """Zero the counter bundle; returns a copy of the old counts.

@@ -12,7 +12,8 @@ handling:
 * **EMesh-BCast**: routers replicate flits along an XY spanning tree,
   so a broadcast costs one tree traversal.
 
-Hot-path note: ``_traverse`` is called once per mesh packet.  Port state
+Hot-path note: ``_traverse`` is called once per mesh packet; on the
+meshes it *is* ``_send_unicast``.  Port state
 lives in a flat integer array indexed by ``core * 4 + direction``:
 ``_free_at`` holds each output port's next free cycle, and a route leg
 is a tuple of such indices, so the per-hop reservation is pure list
@@ -85,7 +86,6 @@ class _MeshBase(Network):
 
     def __init__(self, topology: MeshTopology, flit_bits: int = 64) -> None:
         super().__init__(topology, flit_bits)
-        self._n_cores = topology.n_cores
         # Flat port-state array: entry core*4 + direction is the output
         # port of that core's router facing that neighbour, holding the
         # cycle the port next becomes free.
@@ -157,9 +157,7 @@ class _MeshBase(Network):
         # head has arrived; the tail needs the serialization time.
         return head + n_flits
 
-    def _send_unicast(self, src: int, dst: int, t: int,
-                      n_flits: int) -> list[tuple[int, int]]:
-        return [(dst, self._traverse(src, dst, t, n_flits))]
+    _send_unicast = _traverse
 
 
 class EMeshPure(_MeshBase):

@@ -9,8 +9,9 @@ Injection is Bernoulli per core per cycle at a rate chosen so the
 *offered load* (flits/cycle/core) matches the request; destinations are
 uniform over the other cores; a small fraction of packets are
 broadcasts.  Traffic is pre-generated with NumPy as time, source and
-destination columns and replayed in time order (the engine requires
-ordered sends), one scalar ``Network.send`` per packet.
+destination columns and streamed into the network in time order (the
+engine requires ordered sends): one ``Network.send_stream`` call for
+the warm-up window and one for the measured window.
 
 Fig 3 traffic is the only user of NumPy in the package, so NumPy is
 imported inside :meth:`SyntheticTraffic.generate`, not at module level:
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
 
 from repro.network.engine import Network
 from repro.network.types import BROADCAST
@@ -153,16 +153,15 @@ def run_load_point(
         raise ValueError("warmup_cycles must be < cycles")
     cols = traffic.generate(cycles)
     measured_cycles = cycles - warmup_cycles
-    send = network.send
-    bits = cols.size_bits
-    packets = zip(cols.times, cols.srcs, cols.dsts)
-    # The warm-up packets, then a reset, then the measured window.
-    for t, src, dst in islice(packets, bisect_left(cols.times, warmup_cycles)):
-        send(src, dst, bits, t)
+    times, srcs, dsts = cols.times, cols.srcs, cols.dsts
+    split = bisect_left(times, warmup_cycles)
+    # The warm-up window, then a reset, then the measured window.
+    network.send_stream(times[:split], srcs[:split], dsts[:split],
+                        cols.size_bits)
     if warmup_cycles > 0:
         network.reset_stats()
-    for t, src, dst in packets:
-        send(src, dst, bits, t)
+    network.send_stream(times[split:], srcs[split:], dsts[split:],
+                        cols.size_bits)
     stats = network.stats
     mean = stats.mean_latency
     return LoadSweepPoint(

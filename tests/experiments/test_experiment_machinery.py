@@ -321,3 +321,21 @@ class TestExperimentFunctionsTinyScale:
                                      cycles=600, warmup_cycles=500, seed=2)
         assert row["Adaptive"] == 0.0
         assert [row[f"Distance-{r}"] for r in (5, 15, 25)] == [0.0] * 3
+
+    def test_adaptive_ablation_rows_are_pinned(self):
+        """The adaptive controller hears every unicast and broadcast,
+        however the load point feeds the network: a controller fed only
+        the broadcasts ends at another ``rthres`` and latency (at 0.16:
+        19.4 and 8, not 17.9 and 9)."""
+        from repro.experiments.ablations import run_adaptive_routing
+
+        rows = run_adaptive_routing(mesh_width=8, loads=(0.06, 0.16),
+                                    cycles=800, warmup_cycles=200)
+        assert rows == [
+            {"load": 0.06, "Distance-5": 16.0, "Distance-15": 14.1,
+             "Distance-25": 14.1, "Adaptive": 16.0,
+             "adaptive_final_rthres": 5},
+            {"load": 0.16, "Distance-5": 156.0, "Distance-15": 17.3,
+             "Distance-25": 17.3, "Adaptive": 17.9,
+             "adaptive_final_rthres": 9},
+        ]

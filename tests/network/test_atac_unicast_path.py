@@ -29,7 +29,7 @@ class StagedAtac(AtacNetwork):
     def _send_unicast(self, src, dst, t, n_flits):
         topo = self.topology
         if not self.routing.use_onet(topo, src, dst):
-            return [(dst, self._traverse(src, dst, t, n_flits))]
+            return self._traverse(src, dst, t, n_flits)
         src_cluster = topo.cluster_of(src)
         dst_cluster = topo.cluster_of(dst)
         at_hub = self._to_hub(src, t, n_flits)
@@ -38,10 +38,9 @@ class StagedAtac(AtacNetwork):
         )
         self.stats.hub_flit_traversals += n_flits
         local = topo.cluster_cores(dst_cluster).index(dst)
-        arrival = self.receive_nets[dst_cluster].deliver_unicast(
+        return self.receive_nets[dst_cluster].deliver_unicast(
             hub_arrival + HUB_DELAY, n_flits, local
         )
-        return [(dst, arrival)]
 
 
 class StagedCorona(CoronaNetwork):
@@ -51,17 +50,16 @@ class StagedCorona(CoronaNetwork):
         topo = self.topology
         dst_cluster = topo.cluster_of(dst)
         if topo.cluster_of(src) == dst_cluster:
-            return [(dst, self._traverse(src, dst, t, n_flits))]
+            return self._traverse(src, dst, t, n_flits)
         at_hub = self._to_hub(src, t, n_flits)
         _, hub_arrival = self.onet_links[dst_cluster].transmit(
             at_hub + TOKEN_DELAY, n_flits, broadcast=False
         )
         self.stats.hub_flit_traversals += n_flits
         local = topo.cluster_cores(dst_cluster).index(dst)
-        arrival = self.receive_nets[dst_cluster].deliver_unicast(
+        return self.receive_nets[dst_cluster].deliver_unicast(
             hub_arrival + HUB_DELAY, n_flits, local
         )
-        return [(dst, arrival)]
 
 
 def _traffic(n_cores, count, seed):

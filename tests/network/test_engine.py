@@ -137,11 +137,13 @@ class TestNetworkStats:
     def test_negative_latency_rejected(self):
         class _ArrivesEarly(EMeshPure):
             def _send_unicast(self, src, dst, t, n_flits):
-                return [(dst, t - 1)]
+                return t - 1
 
         net = _ArrivesEarly(MeshTopology(width=8, cluster_width=4))
         with pytest.raises(ValueError, match="latency must be non-negative"):
             net.send(0, 5, 88, 10)
+        with pytest.raises(ValueError, match="latency must be non-negative"):
+            net.send_stream([10], [0], [5], 88)
 
     def test_receiver_broadcast_fraction(self):
         s = NetworkStats()
@@ -174,6 +176,18 @@ class TestNetworkStats:
         assert "onet_broadcast_cycles" in d
 
 
+def network_state(net):
+    """Everything a send can change: the counters, the time-order guard,
+    mesh port state and each ONet link's state."""
+    links = [
+        (l.free_at, l.last_mode, l.unicast_cycles, l.broadcast_cycles,
+         l.mode_transitions)
+        for l in getattr(net, "onet_links", ())
+    ]
+    return (asdict(net.stats), net._last_send_time, net._free_at,
+            net.port_busy(), links)
+
+
 @pytest.fixture(
     params=[EMeshPure, EMeshBCast, AtacNetwork, CoronaNetwork, HermesNetwork],
     ids=lambda cls: cls.__name__,
@@ -197,6 +211,16 @@ class TestSendRejections:
         # -1 would otherwise index the per-core tables from their end
         self._rejected(net, -1, 5, 88, 0, match="src=-1")
 
+    def test_src_past_the_last_core(self, net):
+        # 64 would index past the per-core tables (or raise after the
+        # counters moved)
+        self._rejected(net, 64, 3, 88, 0, match="src=64")
+
+    def test_dst_past_the_last_core(self, net):
+        # 64 would wrap onto another core's route and be counted
+        self._rejected(net, 0, 64, 88, 0, match="dst=64")
+        assert net.send(0, 63, 88, 0)[0][0] == 63
+
     def test_negative_dst_other_than_broadcast(self, net):
         self._rejected(net, 0, -2, 88, 0, match="dst=-2")
         assert len(net.send(0, BROADCAST, 88, 0)) == 63
@@ -211,3 +235,58 @@ class TestSendRejections:
         net.send(0, 5, 88, 10)
         self._rejected(net, 0, 5, 88, 9, match="time-ordered")
         net.send(0, 5, 88, 10)  # the guard kept t=10, not the rejected 9
+
+
+class TestSendStream:
+    """``send_stream`` validates the whole window before it sends any of
+    it: a rejected window leaves the stats, the time-order guard and the
+    port state as they were, however far into the window the bad packet
+    sits."""
+
+    @staticmethod
+    def _rejected(net, times, srcs, dsts, size_bits, match):
+        net.send(0, 5, 88, 10)
+        before = network_state(net)
+        with pytest.raises(ValueError, match=match):
+            net.send_stream(times, srcs, dsts, size_bits)
+        assert network_state(net) == before
+
+    def test_unsorted_times(self, net):
+        self._rejected(net, [10, 12, 11, 13], [1, 2, 3, 4], [5, 6, 7, 8], 88,
+                       match="time-ordered: got t=11 after t=12")
+
+    def test_time_before_the_last_send(self, net):
+        self._rejected(net, [9, 12], [1, 2], [5, 6], 88,
+                       match="time-ordered: got t=9 after t=10")
+
+    @pytest.mark.parametrize("src,dst", [(-1, 5), (64, 5), (1, -2), (1, 64)])
+    def test_out_of_range_ids(self, net, src, dst):
+        self._rejected(net, [10, 11, 12], [1, 2, src], [5, BROADCAST, dst], 88,
+                       match=f"src={src}, dst={dst}")
+
+    @pytest.mark.parametrize("size_bits", [0, -64])
+    def test_non_positive_size(self, net, size_bits):
+        self._rejected(net, [10], [1], [5], size_bits, match="size_bits")
+
+    @pytest.mark.parametrize("lengths", [(2, 1, 1), (1, 2, 1), (1, 1, 2)])
+    def test_unequal_column_lengths(self, net, lengths):
+        times, srcs, dsts = ([10, 11][:k] for k in lengths)
+        self._rejected(net, times, srcs, dsts, 88, match="equal lengths")
+
+    def test_empty_window_changes_nothing(self, net):
+        net.send(0, 5, 88, 10)
+        before = network_state(net)
+        net.send_stream([], [], [], 88)
+        assert network_state(net) == before
+
+    def test_matches_send_per_packet(self, net):
+        """Unicasts, a broadcast and a self-send, against ``send`` on a
+        twin network: same stats, guard and port state."""
+        twin = type(net)(MeshTopology(width=8, cluster_width=4))
+        packets = [(0, 1, 63), (0, 1, 2), (3, 7, BROADCAST), (3, 9, 9),
+                   (5, 60, 4), (9, 2, 61)]
+        for t, src, dst in packets:
+            twin.send(src, dst, 600, t)
+        net.send_stream(*(list(c) for c in zip(*packets)), 600)
+        assert network_state(net) == network_state(twin)
+        assert net._last_send_time == 9

@@ -59,7 +59,7 @@ class ReplayMesh(Network):
         return head + n_flits
 
     def _send_unicast(self, src, dst, t, n_flits):
-        return [(dst, self._route(src, dst, t, n_flits))]
+        return self._route(src, dst, t, n_flits)
 
     def _send_broadcast(self, src, t, n_flits):
         topo = self.topology

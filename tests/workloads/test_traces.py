@@ -2,18 +2,21 @@
 traffic generator."""
 
 import random
-from dataclasses import asdict
+from functools import partial
 from math import log
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.experiments.ablations import _BacklogFeedback
 from repro.experiments.fig03 import routing_schemes
 from repro.experiments.runspec import LoadPointSpec
 from repro.network.atac import AtacNetwork
-from repro.network.mesh import EMeshPure
-from repro.network.routing import DistanceRouting
+from repro.network.corona import CoronaNetwork
+from repro.network.hermes import HermesNetwork
+from repro.network.mesh import EMeshBCast, EMeshPure
+from repro.network.routing import AdaptiveDistanceRouting, DistanceRouting
 from repro.network.topology import MeshTopology
 from repro.network.types import BROADCAST, Packet
 from repro.sim.config import SystemConfig
@@ -27,6 +30,8 @@ from repro.workloads.synthetic import (
 from repro.workloads.trace import (
     BarrierOp, ComputeOp, CoreTrace, MemoryOp, trace_digest,
 )
+
+from tests.network.test_engine import network_state
 
 
 class TestTraceOps:
@@ -287,26 +292,45 @@ def _replay_packets(network, traffic, cycles, warmup_cycles):
     )
 
 
+def _fig3_networks():
+    """Every network class ``run_load_point`` can drive, by name: the
+    six Fig 3 schemes on ATAC+, the other registered networks, and the
+    adaptive ablation's feedback network."""
+    topo = MeshTopology(width=8, cluster_width=4)
+    nets = {
+        policy.name: partial(AtacNetwork, topo, routing=policy)
+        for policy in routing_schemes(topo)
+    }
+    for cls in (EMeshPure, EMeshBCast, CoronaNetwork, HermesNetwork):
+        nets[cls.__name__] = partial(cls, topo)
+    nets["BacklogFeedback"] = lambda: _BacklogFeedback(
+        topo, routing=AdaptiveDistanceRouting(rthres_min=5, rthres_max=25))
+    return nets
+
+
+FIG3_NETWORKS = _fig3_networks()
+
+
 class TestRunLoadPoint:
-    @pytest.mark.parametrize(
-        "scheme", range(6),
-        ids=[s.name for s in routing_schemes(MeshTopology(8, 4))],
-    )
-    def test_columns_match_a_packet_by_packet_replay(self, scheme):
-        """The column walk sends exactly what replaying one ``Packet``
-        per generated packet sends (Fig 3 schemes at w8, one seed
-        each, loads high enough to queue and broadcasts included)."""
-        topo = MeshTopology(width=8, cluster_width=4)
+    @pytest.mark.parametrize("name", list(FIG3_NETWORKS))
+    def test_columns_match_a_packet_by_packet_replay(self, name):
+        """Streaming the columns sends exactly what replaying one
+        ``Packet`` per generated packet through ``send`` sends: the same
+        point, counters, port occupancy, ONet link state and routing
+        state (w8, one seed each, a load high enough to queue and
+        broadcasts included)."""
+        seed = list(FIG3_NETWORKS).index(name) + 1
         runs = []
         for drive in (run_load_point, _replay_packets):
-            policy = routing_schemes(topo)[scheme]
-            net = AtacNetwork(topo, routing=policy)
+            net = FIG3_NETWORKS[name]()
             traffic = SyntheticTraffic(64, load=0.12, broadcast_fraction=0.01,
-                                       seed=scheme + 1)
+                                       seed=seed)
             point = drive(net, traffic, 700, 200)
-            runs.append((point, asdict(net.stats), net.stats.broadcasts_sent))
+            runs.append((point, network_state(net), net.routing
+                         if hasattr(net, "routing") else None))
         assert runs[0] == runs[1]
-        assert runs[0][0].packets > 1000 and runs[0][2] > 0
+        assert runs[0][0].packets > 1000
+        assert runs[0][1][0]["broadcasts_sent"] > 0
 
     def test_low_load_near_zero_load_latency(self):
         topo = MeshTopology(width=8, cluster_width=4)
