@@ -6,7 +6,7 @@ Usage::
     python -m repro fig3                 # latency vs load curves
     python -m repro fig8 --mesh-width 32 --scale 1.0
     python -m repro table5
-    python -m repro all                  # everything, in figure order
+    python -m repro all                  # one batch, then every figure
     python -m repro ablations
     python -m repro run --apps barnes,radix --networks atac+ --jobs 4
     python -m repro run --apps barnes --profile   # cProfile the simulator
@@ -28,8 +28,11 @@ caller leaves unset).  ``--sanitize`` runs every simulation under
 ``InvariantViolation`` on any cross-layer inconsistency (~2x cost;
 see DESIGN.md section 10).  ``--telemetry`` records windowed counter
 deltas and a bounded event trace per run (see DESIGN.md section 12);
-``repro top`` / ``repro trace`` read them back.  ``-v`` / ``--quiet``
-raise or silence :mod:`repro.log` stderr output.
+``repro top`` / ``repro trace`` read them back.  ``--no-cache`` points
+``REPRO_CACHE_DIR`` at a throwaway store for the invocation (after
+pinning ``REPRO_TELEMETRY_DIR`` to the telemetry root it would have
+used).  ``-v`` / ``--quiet`` raise or silence :mod:`repro.log` stderr
+output.
 """
 
 from __future__ import annotations
@@ -37,48 +40,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 from functools import partial
-
-
-def _experiment_mains() -> dict[str, callable]:
-    # imported lazily so `--help` stays fast
-    from repro.experiments import (
-        ablations,
-        fig03,
-        fig04_05_06,
-        fig07_08_09,
-        fig10_11,
-        fig12_13,
-        fig14_15_16,
-        fig17_table5,
-    )
-
-    return {
-        "fig3": fig03.main,
-        "fig4": fig04_05_06.main,
-        "fig5": fig04_05_06.main,
-        "fig6": fig04_05_06.main,
-        "fig7": fig07_08_09.main,
-        "fig8": fig07_08_09.main,
-        "fig9": fig07_08_09.main,
-        "fig10": fig10_11.main,
-        "fig11": fig10_11.main,
-        "fig12": fig12_13.main,
-        "fig13": fig12_13.main,
-        "fig14": fig14_15_16.main,
-        "fig15": fig14_15_16.main,
-        "fig16": fig14_15_16.main,
-        "fig17": fig17_table5.main,
-        "table5": fig17_table5.main,
-        "ablations": ablations.main,
-    }
-
-
-#: experiments grouped by the driver module that prints them, so `all`
-#: runs each driver exactly once.
-_DRIVER_ORDER = (
-    "fig3", "fig4", "fig7", "fig10", "fig12", "fig14", "fig17", "ablations",
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--no-cache", action="store_true",
-        help="ignore and do not write the on-disk run cache",
+        help="neither read nor write the on-disk run cache: runs land in "
+             "a throwaway store for this invocation only",
     )
     parser.add_argument(
         "--jobs", "-j", type=int, default=None, metavar="N",
@@ -164,10 +128,7 @@ def _add_verbosity_flags(parser: argparse.ArgumentParser) -> None:
 
 def _sweep(args, networks_default: tuple[str, ...]) -> int:
     """Shared implementation of the `run` and `sweep` experiments."""
-    from repro.energy.accounting import EnergyModel
-    from repro.experiments.common import (
-        Runner, format_table, spec_for,
-    )
+    from repro.experiments.common import Runner, energy_models, format_table, grid
     from repro.workloads.splash import APP_ORDER
 
     apps = tuple(args.apps.split(",")) if args.apps else APP_ORDER
@@ -175,13 +136,8 @@ def _sweep(args, networks_default: tuple[str, ...]) -> int:
         tuple(args.networks.split(",")) if args.networks else networks_default
     )
     try:
-        specs = [
-            spec_for(
-                app, network=net, mesh_width=args.mesh_width,
-                scale=args.scale, seed=args.seed,
-            )
-            for app in apps for net in networks
-        ]
+        specs = grid(apps, networks, args.mesh_width, args.scale,
+                     seed=args.seed)
     except (KeyError, ValueError) as exc:
         msg = exc.args[0] if exc.args else exc
         print(msg, file=sys.stderr)
@@ -189,13 +145,10 @@ def _sweep(args, networks_default: tuple[str, ...]) -> int:
     runner = Runner(jobs=args.jobs)
     results = runner.run(specs)
     report = runner.last_report
-    # one energy model per network: each prices the hardware its config
-    # builds, so this works for any registered network
-    models = {spec.network: EnergyModel(spec.config()) for spec in specs}
     rows = []
-    for spec, result in zip(specs, results):
+    for result, model in zip(results, energy_models(specs)):
         row = result.summary()
-        breakdown = models[spec.network].evaluate(result)
+        breakdown = model.evaluate(result)
         row["chip_energy_j"] = f"{breakdown.chip_energy_j:.3e}"
         rows.append(row)
     print(format_table(rows, list(rows[0].keys())))
@@ -254,8 +207,6 @@ def main(argv: list[str] | None = None) -> int:
         os.environ["REPRO_MESH_WIDTH"] = str(args.mesh_width)
     if args.scale is not None:
         os.environ["REPRO_SCALE"] = str(args.scale)
-    if args.no_cache:
-        os.environ["REPRO_CACHE"] = "0"
     if args.jobs is not None:
         if args.jobs < 1:
             print("--jobs must be >= 1", file=sys.stderr)
@@ -268,7 +219,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.telemetry:
         # Same export rationale as --sanitize.
         os.environ["REPRO_TELEMETRY"] = "1"
+    if not args.no_cache:
+        return _dispatch(args)
+    # A throwaway store, so runs shared between drivers still execute
+    # once.  Telemetry keeps landing where it would without the flag.
+    from repro.telemetry import telemetry_root
 
+    os.environ["REPRO_TELEMETRY_DIR"] = str(telemetry_root())
+    with tempfile.TemporaryDirectory(prefix="repro-no-cache-") as store:
+        os.environ["REPRO_CACHE_DIR"] = store
+        return _dispatch(args)
+
+
+def _dispatch(args) -> int:
+    """Run the parsed command; returns a process exit code."""
     if args.experiment in ("run", "sweep"):
         # imported lazily so `--help` stays fast
         from repro.network.registry import DEFAULT_NETWORK, experiment_axis
@@ -282,12 +246,14 @@ def main(argv: list[str] | None = None) -> int:
             return _profiled_sweep(args, networks_default=defaults)
         return _sweep(args, networks_default=defaults)
 
-    mains = _experiment_mains()
+    from repro.experiments.catalog import EXPERIMENTS, Experiment
+
+    experiments = dict(EXPERIMENTS)
     if args.experiment == "list":
         from repro.network.registry import REGISTRY
 
         print("available experiments:")
-        for name in sorted(mains, key=lambda n: (len(n), n)):
+        for name in experiments:
             print(f"  {name}")
         print("  run    (explicit app/network batch through the runner)")
         print("  sweep  (apps x networks design sweep through the runner)")
@@ -299,32 +265,43 @@ def main(argv: list[str] | None = None) -> int:
         for descriptor in REGISTRY.values():
             print(f"  {descriptor.name:12s} {descriptor.summary}")
         return 0
-    if args.mesh_width is not None and args.experiment in ("fig3", "all"):
+    if args.mesh_width is not None:
         # Fig 3 defaults to the paper's 32x32 chip, not REPRO_MESH_WIDTH's
-        # 16, so the flag is passed in; its load points share one width,
-        # so one spec rejects a bad width before anything runs.
-        from repro.experiments.common import LoadPointSpec
-
-        try:
-            LoadPointSpec("cluster", load=0.1, mesh_width=args.mesh_width)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        mains["fig3"] = partial(mains["fig3"], args.mesh_width)
-    if args.experiment == "all":
-        for name in _DRIVER_ORDER:
-            print(f"\n########## {name} ##########")
-            mains[name]()
-        return 0
-    runner = mains.get(args.experiment)
-    if runner is None:
-        print(
-            f"unknown experiment {args.experiment!r}; "
-            "try 'python -m repro list'",
-            file=sys.stderr,
+        # 16, so the flag is passed in.
+        fig3 = experiments["fig3"]
+        experiments["fig3"] = Experiment(
+            partial(fig3.main, args.mesh_width),
+            tuple(partial(grid, args.mesh_width) for grid in fig3.grids),
         )
+    if args.experiment != "all":
+        if args.experiment not in experiments:
+            print(
+                f"unknown experiment {args.experiment!r}; "
+                "try 'python -m repro list'",
+                file=sys.stderr,
+            )
+            return 2
+        experiments = {args.experiment: experiments[args.experiment]}
+    try:
+        # building the grids rejects a bad width before anything runs
+        specs = [spec for e in experiments.values() for spec in e.specs()]
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    runner()
+    if args.experiment == "all":
+        from repro.experiments.runner import Runner, bypass_cache_on_load
+
+        # One batch, so a cold store fans out once and the drivers read
+        # hits.  A sanitized or telemetry spec re-executes whenever it is
+        # asked for, so running it ahead of its driver would run it twice.
+        Runner().run([s for s in specs if not bypass_cache_on_load(s)])
+    drivers: dict = {}  # each driver module's main once, at its first name
+    for name, experiment in experiments.items():
+        drivers.setdefault(experiment.main, name)
+    for main, name in drivers.items():
+        if args.experiment == "all":
+            print(f"\n########## {name} ##########")
+        main()
     return 0
 
 

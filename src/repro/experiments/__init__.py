@@ -1,8 +1,10 @@
-"""Experiment drivers: one module per paper table/figure.
+"""Experiment drivers: one module per group of paper figures/tables.
 
-Every module exposes ``run(...) -> dict`` returning the figure's rows /
-series, and is exercised by a matching module under ``benchmarks/``.
-Scale knobs (shared via :mod:`repro.experiments.common`):
+Each figure that simulates has a grid function returning its specs
+(``fig4_grid``) and a figure function that runs it (``run_fig4``); each
+module's ``main()`` prints its figures, and
+:mod:`repro.experiments.catalog` maps every CLI experiment name to its
+``main`` and grids.  Knobs (environment):
 
 * ``REPRO_MESH_WIDTH`` -- mesh edge (32 = the paper's 1024 cores;
   default 16 = 256 cores so the whole suite completes in minutes),

@@ -5,9 +5,10 @@ These go beyond the paper's figures:
 * **Adaptive vs oblivious distance routing** -- the paper notes the
   performance-optimal policy is adaptive but picks a fixed rthres "for
   simplicity reasons"; this quantifies the gap on the Figure 3 traffic.
-* **Sequence numbers on/off** -- how often the Section IV-C1 reorder
-  machinery actually fires under distance routing, and what the
-  buffering costs in runtime.
+* **Sequence-number activity** -- how often the Section IV-C1 reorder
+  machinery actually fires under distance routing.  Only the
+  sequencing-on side runs: ``sequencing`` is a config field, not a
+  spec field, so a spec cannot turn it off.
 * **Analytic vs simulated latency** -- the accuracy envelope of the
   closed-form model across loads (it is exact at zero load and
   diverges as queueing builds).
@@ -15,7 +16,7 @@ These go beyond the paper's figures:
 
 from __future__ import annotations
 
-from repro.experiments.common import LoadPointSpec, run_specs, spec_for
+from repro.experiments.common import LoadPointSpec, RunSpec, grid, run_specs
 from repro.network.analytic import AnalyticModel
 from repro.network.atac import AtacNetwork
 from repro.network.routing import AdaptiveDistanceRouting, DistanceRouting
@@ -87,21 +88,21 @@ def adaptive_gap(rows: list[dict]) -> float:
     return sum(penalties) / len(penalties)
 
 
+def sequencing_cost_grid(apps: tuple[str, ...] = ("barnes", "dynamic_graph"),
+                         mesh_width: int | None = None,
+                         scale: float | None = None) -> list[RunSpec]:
+    """The sequencing ablation's runs: every app on ATAC+."""
+    return grid(apps, ("atac+",), mesh_width, scale)
+
+
 def run_sequencing_cost(
     apps: tuple[str, ...] = ("barnes", "dynamic_graph"),
     mesh_width: int | None = None,
     scale: float | None = None,
 ) -> list[dict]:
-    """Runtime and reorder-event counts with sequencing on vs off.
-
-    With sequencing off on the hybrid network, reordered invalidations
-    are processed immediately (a real machine would risk incoherence;
-    the simulator tracks states only, so it measures the *timing* cost
-    of the buffering the mechanism adds)."""
-    specs = [
-        spec_for(app, network="atac+", mesh_width=mesh_width, scale=scale)
-        for app in apps
-    ]
+    """Runtime and reorder-event counts with sequencing on (the only
+    setting a spec can run)."""
+    specs = sequencing_cost_grid(apps, mesh_width, scale)
     rows = []
     for app, on in zip(apps, run_specs(specs)):
         rows.append(
@@ -114,6 +115,19 @@ def run_sequencing_cost(
             }
         )
     return rows
+
+
+def analytic_accuracy_grid(mesh_width: int = 16,
+                           loads: tuple[float, ...] = (0.01, 0.05, 0.10, 0.20),
+                           cycles: int = 1200,
+                           warmup_cycles: int = 300) -> list[LoadPointSpec]:
+    """The analytic-accuracy ablation's load points: Distance-15, no
+    broadcasts, one per load."""
+    return [
+        LoadPointSpec("distance-15", load, mesh_width, broadcast_fraction=0.0,
+                      cycles=cycles, warmup_cycles=warmup_cycles, seed=5)
+        for load in loads
+    ]
 
 
 def run_analytic_accuracy(
@@ -139,18 +153,7 @@ def run_analytic_accuracy(
             dst += 1
         samples.append(model.atac_unicast_latency(routing, src, dst, 88))
     analytic_mean = sum(samples) / len(samples)
-    specs = [
-        LoadPointSpec(
-            routing="distance-15",
-            load=load,
-            mesh_width=mesh_width,
-            broadcast_fraction=0.0,
-            cycles=cycles,
-            warmup_cycles=warmup_cycles,
-            seed=5,
-        )
-        for load in loads
-    ]
+    specs = analytic_accuracy_grid(mesh_width, loads, cycles, warmup_cycles)
     rows = []
     for load, pt in zip(loads, run_specs(specs)):
         rows.append(
@@ -179,7 +182,3 @@ def main() -> None:
     print("\nAblation 3: analytic vs simulated latency")
     rows3 = run_analytic_accuracy()
     print(format_table(rows3, list(rows3[0].keys())))
-
-
-if __name__ == "__main__":
-    main()

@@ -12,6 +12,9 @@ and executed through the process-parallel :class:`Runner`:
 Delete ``.repro_cache/`` or set ``REPRO_CACHE=0`` to force
 re-simulation; set ``REPRO_JOBS`` to bound worker processes.
 
+Each figure's runs are the specs of one *grid* function, which
+:mod:`repro.experiments.catalog` also hands to ``repro all``.
+
 :func:`spec_for` is where the environment enters a run: it fills the
 spec fields a caller leaves unset from ``REPRO_MESH_WIDTH``,
 ``REPRO_SCALE``, ``REPRO_SANITIZE`` and ``REPRO_TELEMETRY``.  Below it,
@@ -26,7 +29,6 @@ from repro.experiments.report import format_table
 from repro.experiments.runner import Runner, default_jobs, run_specs
 from repro.experiments.runspec import CACHE_SCHEMA_VERSION, LoadPointSpec, RunSpec
 from repro.experiments.store import ResultStore, cache_enabled
-from repro.sim.config import SystemConfig
 from repro.sim.results import RunResult
 
 __all__ = [
@@ -38,8 +40,9 @@ __all__ = [
     "default_jobs",
     "default_mesh_width",
     "default_scale",
+    "energy_models",
     "format_table",
-    "make_config",
+    "grid",
     "run_app",
     "run_specs",
     "spec_for",
@@ -86,14 +89,23 @@ def spec_for(
     )
 
 
-def make_config(
-    network: str = "atac+", mesh_width: int | None = None, **overrides
-) -> SystemConfig:
-    """A paper-default config scaled to the requested mesh width."""
-    # any valid app: only architecture fields are used
-    return spec_for(
-        "lu_contig", mesh_width, network=network, **overrides
-    ).config()
+def grid(apps, networks, mesh_width: int | None = None,
+         scale: float | None = None, **overrides) -> list[RunSpec]:
+    """One :func:`spec_for` spec per (app, network), apps outermost."""
+    return [spec_for(app, network=net, mesh_width=mesh_width, scale=scale,
+                     **overrides) for app in apps for net in networks]
+
+
+def energy_models(specs, **model_kwargs) -> list:
+    """An :class:`~repro.energy.accounting.EnergyModel` per spec, built
+    from the config that spec ran (one per distinct config);
+    ``model_kwargs`` go to every model."""
+    # imported here: Fig 3 prices nothing and imports this module
+    from repro.energy.accounting import EnergyModel
+
+    configs = [spec.config() for spec in specs]
+    models = {c: EnergyModel(c, **model_kwargs) for c in dict.fromkeys(configs)}
+    return [models[config] for config in configs]
 
 
 def run_app(app: str, **overrides) -> RunResult:

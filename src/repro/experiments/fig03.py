@@ -43,6 +43,35 @@ def scheme_ids(topology: MeshTopology) -> list[tuple[str, str]]:
             for scheme in routing_schemes(topology)]
 
 
+def _routing_of(mesh_width: int) -> dict[str, str]:
+    """Scheme display name -> the canonical routing it is simulated as.
+    A scheme whose ``rthres`` exceeds the mesh diameter ``2 * (w - 1)``
+    sends every unicast over the ENet, exactly as Distance-All does with
+    the same seed, so it is simulated as Distance-All (at w8,
+    Distance-15 and Distance-25)."""
+    topology = MeshTopology(width=mesh_width, cluster_width=4)
+    diameter = 2 * (mesh_width - 1)
+    enet_only = distance_all(topology).name.lower()
+    return {
+        name: enet_only if scheme.rthres > diameter else routing
+        for scheme, (routing, name) in zip(routing_schemes(topology),
+                                           scheme_ids(topology))
+    }
+
+
+def grid(mesh_width: int = 32, loads: tuple[float, ...] = DEFAULT_LOADS,
+         cycles: int = 1500, warmup_cycles: int = 400,
+         broadcast_fraction: float = 0.001, seed: int = 7) -> list[LoadPointSpec]:
+    """Figure 3's load points: each distinct routing at every load."""
+    return [
+        LoadPointSpec(routing, load, mesh_width, seed=seed, cycles=cycles,
+                      warmup_cycles=warmup_cycles,
+                      broadcast_fraction=broadcast_fraction)
+        for routing in dict.fromkeys(_routing_of(mesh_width).values())
+        for load in loads
+    ]
+
+
 def run(
     mesh_width: int = 32,
     loads: tuple[float, ...] = DEFAULT_LOADS,
@@ -51,36 +80,18 @@ def run(
     broadcast_fraction: float = 0.001,
     seed: int = 7,
 ) -> dict[str, list[dict]]:
-    """Returns {scheme_name: [{load, latency, saturated}, ...]}.
-
-    A scheme whose ``rthres`` exceeds the mesh diameter ``2 * (w - 1)``
-    sends every unicast over the ENet, exactly as Distance-All does with
-    the same seed, so it is simulated once, as Distance-All, and the
-    curve is reported under each such scheme's name (at w8, Distance-15
-    and Distance-25).
-    """
-    topology = MeshTopology(width=mesh_width, cluster_width=4)
-    diameter = 2 * (mesh_width - 1)
-    enet_only = distance_all(topology).name.lower()
-    routing_of = {
-        name: enet_only if scheme.rthres > diameter else routing
-        for scheme, (routing, name) in zip(routing_schemes(topology),
-                                           scheme_ids(topology))
-    }
-    routings = list(dict.fromkeys(routing_of.values()))
-    specs = [
-        LoadPointSpec(routing, load, mesh_width, seed=seed, cycles=cycles,
-                      warmup_cycles=warmup_cycles,
-                      broadcast_fraction=broadcast_fraction)
-        for routing in routings for load in loads
-    ]
-    points = iter(run_specs(specs))
-    curve_of = {routing: [next(points) for _ in loads] for routing in routings}
+    """Returns {scheme_name: [{load, latency, saturated}, ...]}; schemes
+    that route like Distance-All share its curve (:func:`_routing_of`)."""
+    specs = grid(mesh_width, loads, cycles, warmup_cycles,
+                 broadcast_fraction, seed)
+    curve_of: dict[str, list] = {}
+    for spec, pt in zip(specs, run_specs(specs)):
+        curve_of.setdefault(spec.routing, []).append(pt)
     return {
         name: [{"load": load, "latency": round(pt.mean_latency, 1),
                 "saturated": pt.saturated}
                for load, pt in zip(loads, curve_of[routing])]
-        for name, routing in routing_of.items()
+        for name, routing in _routing_of(mesh_width).items()
     }
 
 
@@ -107,7 +118,3 @@ def main(mesh_width: int = 32) -> None:
         )
         print(row)
     print("\nbest scheme per load:", best_scheme_per_load(curves))
-
-
-if __name__ == "__main__":
-    main()

@@ -8,18 +8,30 @@
 * **Figure 5**: unicast vs broadcast traffic measured at the receiver.
 * **Figure 6**: offered network load (flits/cycle/core) on ATAC+.
 
-Each driver builds its full spec list up front and hands it to the
-runner, so a cold cache fans out across worker processes.
+Each figure's runs come from its grid function, handed to the runner
+as one batch, so a cold cache fans out across worker processes.
 """
 
 from __future__ import annotations
 
-from repro.experiments.common import format_table, run_specs, spec_for
+from repro.experiments.common import RunSpec, format_table, grid, run_specs
 from repro.network.registry import experiment_axis
 from repro.workloads.splash import APP_ORDER
 
 #: the Figure 4/7/8 architecture-comparison axis (registry-defined).
 NETWORKS = experiment_axis("runtime")
+
+
+def fig4_grid(apps: tuple[str, ...] = APP_ORDER, mesh_width: int | None = None,
+              scale: float | None = None) -> list[RunSpec]:
+    """Figure 4's runs (and Figures 7-8's): every app on every network."""
+    return grid(apps, NETWORKS, mesh_width, scale)
+
+
+def atac_grid(apps: tuple[str, ...] = APP_ORDER, mesh_width: int | None = None,
+              scale: float | None = None) -> list[RunSpec]:
+    """Figures 5-6's runs (and Table V's): every app on ATAC+."""
+    return grid(apps, ("atac+",), mesh_width, scale)
 
 
 def run_fig4(
@@ -28,11 +40,7 @@ def run_fig4(
     scale: float | None = None,
 ) -> list[dict]:
     """Rows: app, runtime per network, and runtimes normalized to ATAC+."""
-    specs = [
-        spec_for(app, network=net, mesh_width=mesh_width, scale=scale)
-        for app in apps for net in NETWORKS
-    ]
-    results = iter(run_specs(specs))
+    results = iter(run_specs(fig4_grid(apps, mesh_width, scale)))
     rows = []
     for app in apps:
         row: dict = {"app": app}
@@ -50,12 +58,8 @@ def run_fig5(
     scale: float | None = None,
 ) -> list[dict]:
     """Receiver-side unicast/broadcast percentages on ATAC+ (Fig 5)."""
-    specs = [
-        spec_for(app, network="atac+", mesh_width=mesh_width, scale=scale)
-        for app in apps
-    ]
     rows = []
-    for app, res in zip(apps, run_specs(specs)):
+    for app, res in zip(apps, run_specs(atac_grid(apps, mesh_width, scale))):
         frac = res.receiver_broadcast_fraction
         rows.append(
             {
@@ -73,13 +77,10 @@ def run_fig6(
     scale: float | None = None,
 ) -> list[dict]:
     """Offered load in flits/cycle/core on ATAC+ (Fig 6)."""
-    specs = [
-        spec_for(app, network="atac+", mesh_width=mesh_width, scale=scale)
-        for app in apps
-    ]
     return [
         {"app": app, "offered_load": round(res.offered_load, 5)}
-        for app, res in zip(apps, run_specs(specs))
+        for app, res in zip(apps,
+                            run_specs(atac_grid(apps, mesh_width, scale)))
     ]
 
 
@@ -93,7 +94,3 @@ def main() -> None:
     print(format_table(run_fig5(), ["app", "unicast_pct", "broadcast_pct"]))
     print("\nFigure 6: offered network load (flits/cycle/core, ATAC+)")
     print(format_table(run_fig6(), ["app", "offered_load"]))
-
-
-if __name__ == "__main__":
-    main()

@@ -14,44 +14,41 @@
 
 The tech scenarios are post-processing (per-event energy tables applied
 to the same event counters), so each figure simulates only its unique
-(app, network) grid -- built as one spec batch and run in parallel.
+(app, network) grid -- Figures 7-8 read Figure 4's -- as one spec batch.
 """
 
 from __future__ import annotations
 
 from repro.energy.accounting import ALL_KEYS, EnergyModel
-from repro.experiments.common import format_table, make_config, run_specs, spec_for
+from repro.experiments.common import (
+    RunSpec, energy_models, format_table, grid, run_specs,
+)
+from repro.experiments.fig04_05_06 import NETWORKS, fig4_grid
 from repro.network.registry import experiment_axis, get_network
 from repro.tech.photonics import PhotonicParams
-from repro.tech.scenarios import (
-    ALL_SCENARIOS,
-    SCENARIO_ATACP,
-    SCENARIO_IDEAL,
-    TechScenario,
-)
+from repro.tech.scenarios import ALL_SCENARIOS, SCENARIO_ATACP, SCENARIO_IDEAL
 from repro.workloads.splash import APP_ORDER
 
 #: architecture columns of Figures 7/8: the four ATAC+ flavors + the
 #: electrical meshes of the runtime-comparison axis.
-RUNTIME_AXIS = experiment_axis("runtime")
-MESHES = tuple(n for n in RUNTIME_AXIS if not get_network(n).optical)
+MESHES = tuple(n for n in NETWORKS if not get_network(n).optical)
 #: the Figure 9 ATAC+-vs-mesh pair.
 EDP_AXIS = experiment_axis("edp")
 
 
-def _energy_model(network: str, mesh_width: int | None,
-                  photonics: PhotonicParams | None = None) -> EnergyModel:
-    return EnergyModel(make_config(network, mesh_width), photonics=photonics)
+def fig9_grid(apps: tuple[str, ...] = APP_ORDER, mesh_width: int | None = None,
+              scale: float | None = None) -> list[RunSpec]:
+    """Figure 9's runs: every app on ATAC+ and EMesh-BCast."""
+    return grid(apps, EDP_AXIS, mesh_width, scale)
 
 
-def _grid(apps, networks, mesh_width, scale):
-    """Run the (app, network) grid; returns {(app, net): RunResult}."""
-    keys = [(app, net) for app in apps for net in networks]
-    specs = [
-        spec_for(app, network=net, mesh_width=mesh_width, scale=scale)
-        for app, net in keys
-    ]
-    return dict(zip(keys, run_specs(specs)))
+def _priced(specs: list[RunSpec]) -> dict:
+    """Run ``specs``; returns {(app, net): (RunResult, EnergyModel)}."""
+    return {
+        (spec.app, spec.network): (result, model)
+        for spec, result, model in zip(specs, run_specs(specs),
+                                       energy_models(specs))
+    }
 
 
 def run_fig7(
@@ -61,23 +58,23 @@ def run_fig7(
 ) -> dict[str, dict[str, float]]:
     """Average per-component energy by architecture, normalized to
     ATAC+(Ideal)'s total; keys follow Figure 7's wedges."""
-    results = _grid(apps, RUNTIME_AXIS, mesh_width, scale)
+    priced = _priced(fig4_grid(apps, mesh_width, scale))
     totals: dict[str, dict[str, float]] = {}
     n = len(apps)
-    atac_model = _energy_model("atac+", mesh_width)
     for scenario in ALL_SCENARIOS:
         acc = {k: 0.0 for k in ALL_KEYS}
         for app in apps:
-            b = atac_model.evaluate(results[app, "atac+"], scenario)
+            result, model = priced[app, "atac+"]
+            b = model.evaluate(result, scenario)
             for k in ALL_KEYS:
                 acc[k] += b[k] / n
         totals[scenario.name] = acc
     for net in MESHES:
-        model = _energy_model(net, mesh_width)
         acc = {k: 0.0 for k in ALL_KEYS}
         name = None
         for app in apps:
-            b = model.evaluate(results[app, net])
+            result, model = priced[app, net]
+            b = model.evaluate(result)
             name = b.network
             for k in ALL_KEYS:
                 acc[k] += b[k] / n
@@ -97,13 +94,11 @@ def run_fig8(
     scale: float | None = None,
 ) -> list[dict]:
     """Per-app EDP normalized to ATAC+(Ideal); plus the average row."""
-    results = _grid(apps, RUNTIME_AXIS, mesh_width, scale)
-    atac_model = _energy_model("atac+", mesh_width)
-    mesh_models = {net: _energy_model(net, mesh_width) for net in MESHES}
+    priced = _priced(fig4_grid(apps, mesh_width, scale))
     rows = []
     sums: dict[str, float] = {}
     for app in apps:
-        res = results[app, "atac+"]
+        res, atac_model = priced[app, "atac+"]
         ref = atac_model.evaluate(res, SCENARIO_IDEAL).edp()
         row = {"app": app}
         for scenario in ALL_SCENARIOS:
@@ -111,7 +106,8 @@ def run_fig8(
                 atac_model.evaluate(res, scenario).edp() / ref, 3
             )
         for net in MESHES:
-            b = mesh_models[net].evaluate(results[app, net])
+            result, model = priced[app, net]
+            b = model.evaluate(result)
             row[b.network] = round(b.edp() / ref, 3)
         rows.append(row)
         for k, v in row.items():
@@ -133,16 +129,17 @@ def run_fig9(
 
     Per app and averaged; ATAC+ (power-gated, athermal) under each loss.
     """
-    results = _grid(apps, EDP_AXIS, mesh_width, scale)
+    priced = _priced(fig9_grid(apps, mesh_width, scale))
     rows = []
-    bcast_model = _energy_model("emesh-bcast", mesh_width)
     for app in apps:
-        ref = bcast_model.evaluate(results[app, "emesh-bcast"]).chip_energy_j
+        bcast, bcast_model = priced[app, "emesh-bcast"]
+        ref = bcast_model.evaluate(bcast).chip_energy_j
+        atac, atac_model = priced[app, "atac+"]
         row = {"app": app}
         for loss in losses_db_per_cm:
             photonics = PhotonicParams(waveguide_loss_db_per_cm=loss)
-            model = _energy_model("atac+", mesh_width, photonics=photonics)
-            b = model.evaluate(results[app, "atac+"], SCENARIO_ATACP)
+            model = EnergyModel(atac_model.config, photonics=photonics)
+            b = model.evaluate(atac, SCENARIO_ATACP)
             row[f"loss{loss}"] = round(b.chip_energy_j / ref, 3)
         rows.append(row)
     avg = {"app": "average"}
@@ -179,7 +176,3 @@ def main() -> None:
     rows9 = run_fig9()
     print(format_table(rows9, list(rows9[0].keys())))
     print("crossover at:", crossover_loss(rows9[-1]), "dB/cm")
-
-
-if __name__ == "__main__":
-    main()

@@ -12,8 +12,9 @@
 from __future__ import annotations
 
 from repro.energy.area import AreaModel
-from repro.experiments.common import format_table, make_config, run_specs, spec_for
+from repro.experiments.common import RunSpec, format_table, run_specs, spec_for
 from repro.network.registry import experiment_axis, get_network
+from repro.sim.config import SystemConfig
 from repro.tech.photonics import OnetGeometry
 
 #: the four applications Figure 11 sweeps
@@ -26,13 +27,25 @@ def run_fig10(mesh_width: int = 32) -> dict[str, dict[str, float]]:
     paper's 32x32 chip unless ``mesh_width`` says otherwise."""
     out = {}
     for net in experiment_axis("edp"):
-        config = make_config(net, mesh_width)
+        config = SystemConfig(network=net).scaled(mesh_width)
         breakdown = AreaModel(config).breakdown()
         d = dict(breakdown.components)
         d["total"] = breakdown.total_mm2
         d["cache_fraction"] = breakdown.cache_fraction
         out[get_network(net).display_name] = d
     return out
+
+
+def fig11_grid(apps: tuple[str, ...] = FIG11_APPS,
+               widths: tuple[int, ...] = FLIT_WIDTHS,
+               mesh_width: int | None = None,
+               scale: float | None = None) -> list[RunSpec]:
+    """Figure 11's runs: each app on ATAC+ at 64 bits, then each width."""
+    return [
+        spec_for(app, network="atac+", flit_bits=w,
+                 mesh_width=mesh_width, scale=scale)
+        for app in apps for w in (64, *widths)
+    ]
 
 
 def run_fig11(
@@ -42,13 +55,11 @@ def run_fig11(
     scale: float | None = None,
 ) -> list[dict]:
     """Runtime (normalized to 64-bit) and photonic area per flit width."""
-    keys = [(app, w) for app in apps for w in (64, *widths)]
-    specs = [
-        spec_for(app, network="atac+", flit_bits=w,
-                 mesh_width=mesh_width, scale=scale)
-        for app, w in keys
-    ]
-    results = dict(zip(keys, run_specs(specs)))
+    specs = fig11_grid(apps, widths, mesh_width, scale)
+    results = {
+        (spec.app, spec.flit_bits): result
+        for spec, result in zip(specs, run_specs(specs))
+    }
     rows = []
     for app in apps:
         ref = results[app, 64].completion_cycles
@@ -83,7 +94,3 @@ def main() -> None:
     print("\nphotonic area by flit width (mm^2):", {
         k: round(v, 1) for k, v in photonic_area_by_width().items()
     })
-
-
-if __name__ == "__main__":
-    main()

@@ -11,12 +11,35 @@
 
 from __future__ import annotations
 
-from repro.energy.accounting import EnergyModel
-from repro.experiments.common import format_table, make_config, run_specs, spec_for
+from repro.experiments.common import (
+    RunSpec, energy_models, format_table, run_specs, spec_for,
+)
 from repro.workloads.splash import APP_ORDER
 
 #: the four applications Figure 13 sweeps
 FIG13_APPS = ("radix", "barnes", "ocean_contig", "ocean_non_contig")
+
+
+def fig12_grid(apps: tuple[str, ...] = APP_ORDER, mesh_width: int | None = None,
+               scale: float | None = None) -> list[RunSpec]:
+    """Figure 12's runs: each app on cluster-routed ATAC+, BNet then StarNet."""
+    return [
+        spec_for(app, network="atac+", rthres=0, receive_net=rn,
+                 mesh_width=mesh_width, scale=scale)
+        for app in apps for rn in ("bnet", "starnet")
+    ]
+
+
+def fig13_grid(apps: tuple[str, ...] = FIG13_APPS,
+               thresholds: tuple[int, ...] = (5, 10, 15, 20, 25),
+               mesh_width: int | None = None,
+               scale: float | None = None) -> list[RunSpec]:
+    """Figure 13's runs: each app on ATAC+ at ``rthres=0``, then each threshold."""
+    return [
+        spec_for(app, network="atac+", rthres=t,
+                 mesh_width=mesh_width, scale=scale)
+        for app in apps for t in (0, *thresholds)
+    ]
 
 
 def run_fig12(
@@ -30,27 +53,18 @@ def run_fig12(
     paper does ("conducted with a cluster-based routing protocol in
     order to quantify just the reduction in energy").
     """
-    keys = [(app, rn) for app in apps for rn in ("bnet", "starnet")]
-    specs = [
-        spec_for(app, network="atac+", rthres=0, receive_net=rn,
-                 mesh_width=mesh_width, scale=scale)
-        for app, rn in keys
-    ]
-    results = dict(zip(keys, run_specs(specs)))
+    specs = fig12_grid(apps, mesh_width, scale)
+    energies = {
+        (spec.app, spec.receive_net): model.evaluate(result).chip_energy_j
+        for spec, result, model in zip(specs, run_specs(specs),
+                                       energy_models(specs))
+    }
     rows = []
     for app in apps:
         row = {"app": app}
-        energies = {}
-        for receive_net in ("bnet", "starnet"):
-            model = EnergyModel(
-                make_config("atac+", mesh_width, receive_net=receive_net)
-            )
-            energies[receive_net] = model.evaluate(
-                results[app, receive_net]
-            ).chip_energy_j
-        row["bnet_j"] = energies["bnet"]
-        row["starnet_j"] = energies["starnet"]
-        row["starnet_norm"] = round(energies["starnet"] / energies["bnet"], 4)
+        row["bnet_j"] = energies[app, "bnet"]
+        row["starnet_j"] = energies[app, "starnet"]
+        row["starnet_norm"] = round(row["starnet_j"] / row["bnet_j"], 4)
         rows.append(row)
     avg = sum(r["starnet_norm"] for r in rows) / len(rows)
     rows.append({"app": "average", "starnet_norm": round(avg, 4)})
@@ -68,22 +82,18 @@ def run_fig13(
     ``rthres=0`` degenerates to cluster routing (every inter-cluster
     unicast over the ONet) and serves as the normalization baseline.
     """
-    keys = [(app, t) for app in apps for t in (0, *thresholds)]
-    specs = [
-        spec_for(app, network="atac+", rthres=t,
-                 mesh_width=mesh_width, scale=scale)
-        for app, t in keys
-    ]
-    results = dict(zip(keys, run_specs(specs)))
+    specs = fig13_grid(apps, thresholds, mesh_width, scale)
+    edp = {
+        (spec.app, spec.rthres): model.evaluate(result).edp()
+        for spec, result, model in zip(specs, run_specs(specs),
+                                       energy_models(specs))
+    }
     rows = []
-    model = EnergyModel(make_config("atac+", mesh_width))
     for app in apps:
-        ref = model.evaluate(results[app, 0]).edp()
+        ref = edp[app, 0]
         row = {"app": app, "Cluster": 1.0}
         for t in thresholds:
-            row[f"Distance-{t}"] = round(
-                model.evaluate(results[app, t]).edp() / ref, 4
-            )
+            row[f"Distance-{t}"] = round(edp[app, t] / ref, 4)
         rows.append(row)
     avg = {"app": "average", "Cluster": 1.0}
     for t in thresholds:
@@ -108,7 +118,3 @@ def main() -> None:
     rows13 = run_fig13()
     print(format_table(rows13, list(rows13[0].keys())))
     print("best scheme:", best_threshold(rows13))
-
-
-if __name__ == "__main__":
-    main()

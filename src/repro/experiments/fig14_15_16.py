@@ -14,9 +14,13 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 from repro.coherence.directory import Protocol
-from repro.energy.accounting import ALL_KEYS, EnergyModel
-from repro.experiments.common import format_table, make_config, run_specs, spec_for
+from repro.energy.accounting import ALL_KEYS
+from repro.experiments.common import (
+    RunSpec, energy_models, format_table, run_specs, spec_for,
+)
 from repro.network.registry import experiment_axis, get_network
 from repro.workloads.splash import APP_ORDER
 
@@ -25,6 +29,31 @@ FIG14_APPS = ("radix", "barnes", "fmm", "ocean_contig", "lu_contig", "lu_non_con
 #: Figure 15/16's five sharer counts.
 SHARER_SWEEP = (4, 8, 16, 32, 1024)
 FIG15_APPS = ("radix", "barnes", "fmm", "ocean_contig", "lu_contig")
+#: Figure 14's (network, protocol) columns.
+FIG14_CELLS = tuple(product(experiment_axis("edp"),
+                            (Protocol.ACKWISE, Protocol.DIRKB)))
+
+
+def fig14_grid(apps: tuple[str, ...] = FIG14_APPS, mesh_width: int | None = None,
+               scale: float | None = None) -> list[RunSpec]:
+    """Figure 14's runs: each app in every (network, protocol) cell."""
+    return [
+        spec_for(app, network=net, protocol=proto,
+                 mesh_width=mesh_width, scale=scale)
+        for app in apps for net, proto in FIG14_CELLS
+    ]
+
+
+def sharers_grid(apps: tuple[str, ...] = FIG15_APPS,
+                 sharers: tuple[int, ...] = SHARER_SWEEP,
+                 mesh_width: int | None = None,
+                 scale: float | None = None) -> list[RunSpec]:
+    """Figures 15-16's runs: each app on ATAC+ at k=4, then each other k."""
+    return [
+        spec_for(app, network="atac+", hardware_sharers=k,
+                 mesh_width=mesh_width, scale=scale)
+        for app in apps for k in dict.fromkeys((4, *sharers))
+    ]
 
 
 def run_fig14(
@@ -34,31 +63,21 @@ def run_fig14(
 ) -> list[dict]:
     """EDP of {ATAC+, EMesh-BCast} x {ACKwise4, Dir4B}, normalized to
     ATAC+/ACKwise4 per app."""
-    cells = [
-        (net, proto)
-        for net in experiment_axis("edp")
-        for proto in (Protocol.ACKWISE, Protocol.DIRKB)
-    ]
-    keys = [(app, net, proto) for app in apps for net, proto in cells]
-    specs = [
-        spec_for(app, network=net, protocol=proto,
-                 mesh_width=mesh_width, scale=scale)
-        for app, net, proto in keys
-    ]
-    results = dict(zip(keys, run_specs(specs)))
+    specs = fig14_grid(apps, mesh_width, scale)
+    edp = {
+        (spec.app, spec.network, spec.protocol): model.evaluate(result).edp()
+        for spec, result, model in zip(specs, run_specs(specs),
+                                       energy_models(specs))
+    }
     rows = []
     for app in apps:
         row = {"app": app}
-        ref = None
-        for net, proto in cells:
-            model = EnergyModel(make_config(net, mesh_width, protocol=proto))
-            edp = model.evaluate(results[app, net, proto]).edp()
-            if ref is None:
-                ref = edp
+        ref = edp[app, "atac+", Protocol.ACKWISE]
+        for net, proto in FIG14_CELLS:
             label = get_network(net).display_name + (
                 "/ACKwise4" if proto is Protocol.ACKWISE else "/Dir4B"
             )
-            row[label] = round(edp / ref, 3)
+            row[label] = round(edp[app, net, proto] / ref, 3)
         rows.append(row)
     return rows
 
@@ -70,19 +89,17 @@ def run_fig15(
     scale: float | None = None,
 ) -> list[dict]:
     """ATAC+ completion time vs ACKwise hardware sharers, normalized to k=4."""
-    keys = [(app, k) for app in apps for k in (4, *sharers)]
-    specs = [
-        spec_for(app, network="atac+", hardware_sharers=k,
-                 mesh_width=mesh_width, scale=scale)
-        for app, k in keys
-    ]
-    results = dict(zip(keys, run_specs(specs)))
+    specs = sharers_grid(apps, sharers, mesh_width, scale)
+    cycles = {
+        (spec.app, spec.hardware_sharers): result.completion_cycles
+        for spec, result in zip(specs, run_specs(specs))
+    }
     rows = []
     for app in apps:
-        ref = results[app, 4].completion_cycles
+        ref = cycles[app, 4]
         row = {"app": app}
         for k in sharers:
-            row[f"k{k}"] = round(results[app, k].completion_cycles / ref, 4)
+            row[f"k{k}"] = round(cycles[app, k] / ref, 4)
         rows.append(row)
     return rows
 
@@ -96,19 +113,17 @@ def run_fig16(
     """ATAC+ chip energy breakdown vs k, averaged over apps and
     normalized to k=4 (Figure 16's 2x growth, driven by the directory)."""
     chip_keys = [k for k in ALL_KEYS if k not in ("core_dd", "core_ndd", "dram")]
-    keys = [(app, k) for app in apps for k in sharers]
-    specs = [
-        spec_for(app, network="atac+", hardware_sharers=k,
-                 mesh_width=mesh_width, scale=scale)
-        for app, k in keys
-    ]
-    results = dict(zip(keys, run_specs(specs)))
+    specs = sharers_grid(apps, sharers, mesh_width, scale)
+    breakdowns = {
+        (spec.app, spec.hardware_sharers): model.evaluate(result)
+        for spec, result, model in zip(specs, run_specs(specs),
+                                       energy_models(specs))
+    }
     per_k: dict[int, dict[str, float]] = {}
     for k in sharers:
-        model = EnergyModel(make_config("atac+", mesh_width, hardware_sharers=k))
         acc = {key: 0.0 for key in chip_keys}
         for app in apps:
-            b = model.evaluate(results[app, k])
+            b = breakdowns[app, k]
             for key in chip_keys:
                 acc[key] += b[key] / len(apps)
         per_k[k] = acc
@@ -131,7 +146,3 @@ def main() -> None:
     print("\nFigure 16: ATAC+ energy vs sharers (norm. to k=4 total)")
     rows16 = run_fig16()
     print(format_table(rows16, list(rows16[0].keys())))
-
-
-if __name__ == "__main__":
-    main()

@@ -11,8 +11,10 @@
 
 from __future__ import annotations
 
-from repro.energy.accounting import EnergyModel
-from repro.experiments.common import format_table, make_config, run_specs, spec_for
+from repro.experiments.common import (
+    RunSpec, energy_models, format_table, grid, run_specs,
+)
+from repro.experiments.fig04_05_06 import atac_grid
 from repro.network.registry import experiment_axis
 from repro.tech.core import CorePowerModel
 from repro.workloads.splash import APP_ORDER
@@ -22,6 +24,12 @@ FIG17_APPS = ("radix", "fmm", "ocean_contig", "ocean_non_contig")
 FIG17_NETWORKS = experiment_axis("edp")
 
 
+def fig17_grid(apps: tuple[str, ...] = FIG17_APPS, mesh_width: int | None = None,
+               scale: float | None = None) -> list[RunSpec]:
+    """Figure 17's runs: every app on ATAC+ and EMesh-BCast."""
+    return grid(apps, FIG17_NETWORKS, mesh_width, scale)
+
+
 def run_fig17(
     apps: tuple[str, ...] = FIG17_APPS,
     ndd_fractions: tuple[float, ...] = (0.10, 0.40),
@@ -29,33 +37,26 @@ def run_fig17(
     scale: float | None = None,
 ) -> list[dict]:
     """Rows of (app, network, ndd_fraction) with core/cache/network J."""
-    keys = [(app, net) for app in apps for net in FIG17_NETWORKS]
-    specs = [
-        spec_for(app, network=net, mesh_width=mesh_width, scale=scale)
-        for app, net in keys
-    ]
-    results = dict(zip(keys, run_specs(specs)))
+    specs = fig17_grid(apps, mesh_width, scale)
+    results = run_specs(specs)
     rows = []
     for ndd in ndd_fractions:
         core_model = CorePowerModel(ndd_fraction=ndd)
-        for app in apps:
-            for net in FIG17_NETWORKS:
-                model = EnergyModel(
-                    make_config(net, mesh_width), core_power=core_model
-                )
-                b = model.evaluate(results[app, net])
-                rows.append(
-                    {
-                        "app": app,
-                        "network": b.network,
-                        "ndd_frac": ndd,
-                        "core_ndd_j": b["core_ndd"],
-                        "core_dd_j": b["core_dd"],
-                        "cache_j": b.cache_energy_j,
-                        "network_j": b.network_energy_j,
-                        "total_j": b.total_energy_j,
-                    }
-                )
+        models = energy_models(specs, core_power=core_model)
+        for spec, result, model in zip(specs, results, models):
+            b = model.evaluate(result)
+            rows.append(
+                {
+                    "app": spec.app,
+                    "network": b.network,
+                    "ndd_frac": ndd,
+                    "core_ndd_j": b["core_ndd"],
+                    "core_dd_j": b["core_dd"],
+                    "cache_j": b.cache_energy_j,
+                    "network_j": b.network_energy_j,
+                    "total_j": b.total_energy_j,
+                }
+            )
     return rows
 
 
@@ -65,12 +66,8 @@ def run_table5(
     scale: float | None = None,
 ) -> list[dict]:
     """Table V: link utilization % and unicasts-per-broadcast on ATAC+."""
-    specs = [
-        spec_for(app, network="atac+", mesh_width=mesh_width, scale=scale)
-        for app in apps
-    ]
     rows = []
-    for app, res in zip(apps, run_specs(specs)):
+    for app, res in zip(apps, run_specs(atac_grid(apps, mesh_width, scale))):
         upb = res.unicasts_per_broadcast
         rows.append(
             {
@@ -98,7 +95,3 @@ def main() -> None:
     print("\nTable V: adaptive SWMR link utilization / unicasts per broadcast")
     rows5 = run_table5()
     print(format_table(rows5, list(rows5[0].keys())))
-
-
-if __name__ == "__main__":
-    main()

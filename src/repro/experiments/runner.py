@@ -53,7 +53,7 @@ def _timed_execute(spec):
     return result, time.perf_counter() - t0
 
 
-def _bypass_cache_on_load(spec) -> bool:
+def bypass_cache_on_load(spec) -> bool:
     """Whether executing ``spec`` would attach the sanitizer or telemetry.
 
     Both share the plain content hash (the simulation is
@@ -142,7 +142,7 @@ class Runner:
         for h in order:
             cached = (
                 self.store.load(unique[h])
-                if use_cache and not _bypass_cache_on_load(unique[h])
+                if use_cache and not bypass_cache_on_load(unique[h])
                 else None
             )
             if cached is not None:

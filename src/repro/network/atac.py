@@ -131,7 +131,7 @@ class AtacNetwork(_MeshBase):
         hub is reached), the destination hub, and its receive network.
         Returns the arrival time at ``dst``."""
         at_hub = self._to_hub(src, t, n_flits)
-        _, hub_arrival = link.transmit(at_hub + ready_offset, n_flits, False)
+        hub_arrival = link.transmit(at_hub + ready_offset, n_flits, False)
         # receive-side hub crossing, then the cluster receive network
         self.stats.hub_flit_traversals += n_flits
         return self.receive_nets[self._cluster_of_core[dst]].deliver_unicast(
@@ -165,7 +165,7 @@ class AtacNetwork(_MeshBase):
     def _send_broadcast(self, src: int, t: int,
                         n_flits: int) -> list[tuple[int, int]]:
         at_hub = self._to_hub(src, t, n_flits)
-        _, hub_arrival = self.onet_links[self._cluster_of_core[src]].transmit(
+        hub_arrival = self.onet_links[self._cluster_of_core[src]].transmit(
             at_hub, n_flits, broadcast=True
         )
         ready = [hub_arrival + HUB_DELAY] * self.topology.n_clusters

@@ -84,7 +84,7 @@ class CoronaNetwork(AtacNetwork):
     def _send_broadcast(self, src: int, t: int,
                         n_flits: int) -> list[tuple[int, int]]:
         at_hub = self._to_hub(src, t, n_flits)
-        _, hub_arrival = self.broadcast_channel.transmit(
+        hub_arrival = self.broadcast_channel.transmit(
             at_hub + TOKEN_DELAY, n_flits, broadcast=True
         )
         ready = [hub_arrival + HUB_DELAY] * self.topology.n_clusters

@@ -104,7 +104,7 @@ class HermesNetwork(AtacNetwork):
     def _send_broadcast(self, src: int, t: int,
                         n_flits: int) -> list[tuple[int, int]]:
         at_hub = self._to_hub(src, t, n_flits)
-        _, head_arrival = self.global_channel.transmit(
+        head_arrival = self.global_channel.transmit(
             at_hub, n_flits, broadcast=True
         )
         head_ready = head_arrival + HUB_DELAY
@@ -116,7 +116,7 @@ class HermesNetwork(AtacNetwork):
         ):
             ready[head] = head_ready
             if channel is not None:
-                _, region_arrival = channel.transmit(
+                region_arrival = channel.transmit(
                     head_ready, n_flits, broadcast=True
                 )
                 for cluster in members:

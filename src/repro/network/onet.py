@@ -78,9 +78,7 @@ class AdaptiveSWMRLink:
         self.mode_transitions = 0
 
     # ------------------------------------------------------------------
-    def transmit(
-        self, time: int, n_flits: int, broadcast: bool
-    ) -> tuple[int, int]:
+    def transmit(self, time: int, n_flits: int, broadcast: bool) -> int:
         """Send one message on this channel.
 
         Parameters
@@ -94,12 +92,12 @@ class AdaptiveSWMRLink:
 
         Returns
         -------
-        (data_start, hub_arrival):
-            ``data_start`` is when the first flit hits the waveguide;
-            ``hub_arrival`` is when the tail flit is available at the
-            receiving hub(s) -- identical for every receiver, since all
-            hubs see the ring simultaneously (modulo ps-scale flight
-            time folded into the 3-cycle link delay).
+        hub_arrival:
+            When the tail flit is available at the receiving hub(s) --
+            identical for every receiver, since all hubs see the ring
+            simultaneously (modulo ps-scale flight time folded into the
+            3-cycle link delay).  The first flit hit the waveguide at
+            ``free_at - n_flits``.
         """
         if time < 0:
             raise ValueError(f"time must be non-negative, got {time}")
@@ -113,7 +111,6 @@ class AdaptiveSWMRLink:
         if prev_free_at > data_start:
             data_start = prev_free_at
         self.free_at = data_start + n_flits
-        hub_arrival = data_start + ONET_LINK_DELAY + n_flits
 
         mode = _BROADCAST if broadcast else _UNICAST
         if data_start > prev_free_at:
@@ -143,7 +140,7 @@ class AdaptiveSWMRLink:
             s.onet_unicast_flits += n_flits
             s.onet_unicast_cycles += n_flits
             s.onet_receiver_flits += n_flits
-        return data_start, hub_arrival
+        return data_start + ONET_LINK_DELAY + n_flits
 
     # ------------------------------------------------------------------
     def idle_cycles(self, total_cycles: int) -> int:

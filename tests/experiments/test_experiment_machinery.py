@@ -7,7 +7,8 @@ import pytest
 from repro.cli import build_parser, main as cli_main
 from repro.coherence.directory import Protocol
 from repro.experiments import common
-from repro.experiments.common import format_table, make_config, run_app
+from repro.experiments.common import format_table, run_app
+from repro.experiments.runspec import RunSpec
 from repro.network.registry import REGISTRY
 
 
@@ -23,17 +24,17 @@ def no_disk_cache(monkeypatch, tmp_path):
 
 class TestMakeConfig:
     def test_full_scale_untouched(self):
-        cfg = make_config("atac+", mesh_width=32)
+        cfg = RunSpec("lu_contig", "atac+", mesh_width=32).config()
         assert cfg.n_cores == 1024
         assert cfg.l2_sets == 512
 
     def test_small_scale_shrinks_caches(self):
-        cfg = make_config("atac+", mesh_width=8)
+        cfg = RunSpec("lu_contig", "atac+", mesh_width=8).config()
         assert cfg.n_cores == 64
         assert cfg.l2_sets < 512
 
     def test_atac_gets_bnet(self):
-        cfg = make_config("atac", mesh_width=8)
+        cfg = RunSpec("lu_contig", "atac", mesh_width=8).config()
         assert cfg.network == "atac"
 
 
@@ -198,6 +199,19 @@ class TestCli:
         assert cli_main(["fig3", "--mesh-width", str(width), "--no-cache"]) == 2
         assert fig3_widths == []
         assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("experiment", ["fig4", "fig13", "table5", "all"])
+    def test_figure_bad_mesh_width_exits_2(self, capsys, monkeypatch,
+                                           experiment):
+        """Each figure's grid is built before anything runs, so a ragged
+        width is one line and exit 2, not a traceback mid-figure."""
+        from repro.experiments import runner
+
+        monkeypatch.setattr(runner, "_timed_execute", None)  # never called
+        assert cli_main([experiment, "--mesh-width", "6", "--no-cache"]) == 2
+        assert capsys.readouterr().err == (
+            "mesh width 6 not a multiple of cluster width 4\n"
+        )
 
     def test_fig10_runs_quickly(self, capsys):
         # fig10 is pure area modeling: safe to run through the CLI

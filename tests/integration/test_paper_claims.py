@@ -8,25 +8,34 @@ result.  Benchmark-scale numbers live in benchmarks/ and EXPERIMENTS.md.
 import pytest
 
 from repro.energy.accounting import EnergyModel
+from repro.experiments.runner import Runner
+from repro.experiments.runspec import RunSpec
+from repro.experiments.store import ResultStore
 from repro.sim.config import SystemConfig
 from repro.sim.system import ManycoreSystem
 from repro.tech.scenarios import SCENARIO_ATACP
 from repro.workloads.splash import APP_PROFILES, generate_traces
 
 
-def run(app: str, network: str, mesh_width: int = 16, scale: float = 0.35,
-        **cfg_kw):
-    cfg = SystemConfig(network=network, **cfg_kw).scaled(mesh_width)
-    system = ManycoreSystem(cfg)
-    traces = generate_traces(
-        APP_PROFILES[app], system.topology,
-        l2_lines=cfg.l2_sets * cfg.l2_ways, scale=scale,
-    )
-    return cfg, system.run(traces, app=app)
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    """``run(app, network, **spec_fields) -> (config, result)`` at w16
+    and scale 0.35 unless given.  One runner on a private store serves
+    the module, so a run several tests read is simulated once."""
+    store = ResultStore(tmp_path_factory.mktemp("paper_claims"))
+    runner = Runner(jobs=1, store=store, progress=False)
+
+    def run(app: str, network: str, mesh_width: int = 16,
+            scale: float = 0.35, **spec_fields):
+        spec = RunSpec(app, network, mesh_width=mesh_width, scale=scale,
+                       **spec_fields)
+        return spec.config(), runner.run_one(spec)
+
+    return run
 
 
 @pytest.fixture(scope="module")
-def barnes_by_network():
+def barnes_by_network(run):
     return {net: run("barnes", net) for net in
             ("atac+", "emesh-bcast", "emesh-pure")}
 
@@ -43,7 +52,7 @@ class TestFigure4Shape:
         cycles = {n: r.completion_cycles for n, (_, r) in barnes_by_network.items()}
         assert cycles["emesh-pure"] > 1.5 * cycles["atac+"]
 
-    def test_low_sharing_app_insensitive_to_broadcast_support(self):
+    def test_low_sharing_app_insensitive_to_broadcast_support(self, run):
         _, pure = run("lu_contig", "emesh-pure")
         _, bcast = run("lu_contig", "emesh-bcast")
         assert pure.completion_cycles == pytest.approx(
@@ -76,7 +85,7 @@ class TestFigure8Shape:
 
 
 class TestSequenceNumbersInAction:
-    def test_out_of_order_machinery_exercised(self):
+    def test_out_of_order_machinery_exercised(self, run):
         """Under ATAC+ distance routing, broadcasts (ONet) and unicasts
         (often ENet) take different routes; the run must exercise the
         Section IV-C1 buffering at least somewhere, and still complete
@@ -91,12 +100,19 @@ class TestSequenceNumbersInAction:
     def test_disabling_sequencing_still_runs_on_mesh(self):
         """Meshes deliver in FIFO order per pair, so sequencing off is
         safe there (the mechanism exists for the hybrid network)."""
-        cfg, res = run("barnes", "emesh-bcast", sequencing=False)
+        # sequencing is a config field, not a spec field: a direct run
+        cfg = SystemConfig(network="emesh-bcast", sequencing=False).scaled(16)
+        system = ManycoreSystem(cfg)
+        traces = generate_traces(
+            APP_PROFILES["barnes"], system.topology,
+            l2_lines=cfg.l2_sets * cfg.l2_ways, scale=0.35,
+        )
+        res = system.run(traces, app="barnes")
         assert res.completion_cycles > 0
 
 
 class TestProtocolComparisonShape:
-    def test_dirkb_slower_on_broadcast_heavy_app(self):
+    def test_dirkb_slower_on_broadcast_heavy_app(self, run):
         """Fig 14: Dir_kB's whole-chip ack storms cost performance."""
         from repro.coherence.directory import Protocol
 
@@ -104,7 +120,7 @@ class TestProtocolComparisonShape:
         _, dkb = run("barnes", "atac+", protocol=Protocol.DIRKB)
         assert dkb.completion_cycles > ack.completion_cycles
 
-    def test_dirkb_penalty_worse_on_mesh(self):
+    def test_dirkb_penalty_worse_on_mesh(self, run):
         """Fig 14: 'The performance degradation is felt to a greater
         extent on the EMesh-BCast network.'"""
         from repro.coherence.directory import Protocol
@@ -119,7 +135,7 @@ class TestProtocolComparisonShape:
 
 
 class TestSharerSweepShape:
-    def test_runtime_insensitive_to_k(self):
+    def test_runtime_insensitive_to_k(self, run):
         """Fig 15: 'little runtime variation from 4 to 1024 sharers'."""
         cycles = []
         for k in (4, 16, 1024):
@@ -128,7 +144,7 @@ class TestSharerSweepShape:
         spread = (max(cycles) - min(cycles)) / min(cycles)
         assert spread < 0.30
 
-    def test_energy_grows_with_k(self):
+    def test_energy_grows_with_k(self, run):
         """Fig 16: energy grows (directory-driven) with k."""
         energies = []
         for k in (4, 1024):
@@ -140,33 +156,26 @@ class TestSharerSweepShape:
 
 
 class TestTableVShape:
-    def test_link_utilization_modest(self):
+    def test_link_utilization_modest(self, run):
         """Table V: links idle most of the time (6-29% utilization)."""
         for app in ("barnes", "lu_contig"):
             _, res = run(app, "atac+")
             assert 0.0 <= res.onet_utilization < 0.5
 
-    def test_broadcast_heavy_app_has_low_unicast_ratio(self):
+    def test_broadcast_heavy_app_has_low_unicast_ratio(self, run):
         _, barnes = run("barnes", "atac+")
         _, ocean = run("ocean_non_contig", "atac+")
         assert barnes.unicasts_per_broadcast < ocean.unicasts_per_broadcast
 
 
 class TestStarNetVsBNet:
-    def test_same_performance_different_energy(self):
+    def test_same_performance_different_energy(self, run):
         """Section IV-B: StarNet == BNet performance; unicast-heavy apps
         save energy with the StarNet."""
-        cfg_s = SystemConfig(network="atac+", rthres=0, receive_net="starnet").scaled(16)
-        cfg_b = SystemConfig(network="atac+", rthres=0, receive_net="bnet").scaled(16)
-        out = {}
-        for name, cfg in (("starnet", cfg_s), ("bnet", cfg_b)):
-            system = ManycoreSystem(cfg)
-            traces = generate_traces(
-                APP_PROFILES["ocean_contig"], system.topology,
-                l2_lines=cfg.l2_sets * cfg.l2_ways, scale=0.35,
-            )
-            res = system.run(traces, app="ocean_contig")
-            out[name] = (cfg, res)
+        out = {
+            rn: run("ocean_contig", "atac+", rthres=0, receive_net=rn)
+            for rn in ("starnet", "bnet")
+        }
         (s_cfg, s_res), (b_cfg, b_res) = out["starnet"], out["bnet"]
         assert s_res.completion_cycles == b_res.completion_cycles
         e_s = EnergyModel(s_cfg).evaluate(s_res)["receive_net"]

@@ -33,7 +33,7 @@ class StagedAtac(AtacNetwork):
         src_cluster = topo.cluster_of(src)
         dst_cluster = topo.cluster_of(dst)
         at_hub = self._to_hub(src, t, n_flits)
-        _, hub_arrival = self.onet_links[src_cluster].transmit(
+        hub_arrival = self.onet_links[src_cluster].transmit(
             at_hub, n_flits, broadcast=False
         )
         self.stats.hub_flit_traversals += n_flits
@@ -52,7 +52,7 @@ class StagedCorona(CoronaNetwork):
         if topo.cluster_of(src) == dst_cluster:
             return self._traverse(src, dst, t, n_flits)
         at_hub = self._to_hub(src, t, n_flits)
-        _, hub_arrival = self.onet_links[dst_cluster].transmit(
+        hub_arrival = self.onet_links[dst_cluster].transmit(
             at_hub + TOKEN_DELAY, n_flits, broadcast=False
         )
         self.stats.hub_flit_traversals += n_flits

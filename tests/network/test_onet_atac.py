@@ -19,16 +19,17 @@ def topo():
 class TestAdaptiveSWMRLink:
     def test_zero_load_timing(self):
         link = AdaptiveSWMRLink(hub=0, n_hubs=4)
-        data_start, arrival = link.transmit(time=10, n_flits=2, broadcast=False)
+        arrival = link.transmit(time=10, n_flits=2, broadcast=False)
         # select lag 1, link delay 3, serialization 2
-        assert data_start == 11
+        assert link.free_at - 2 == 11  # data start
         assert arrival == 11 + 3 + 2
 
     def test_channel_serializes(self):
         link = AdaptiveSWMRLink(hub=0, n_hubs=4)
         link.transmit(time=0, n_flits=10, broadcast=False)
-        data_start, _ = link.transmit(time=0, n_flits=2, broadcast=False)
-        assert data_start == 11  # behind the 10-flit worm starting at t=1
+        link.transmit(time=0, n_flits=2, broadcast=False)
+        # data starts behind the 10-flit worm that started at t=1
+        assert link.free_at - 2 == 11
 
     def test_mode_cycle_accounting(self):
         link = AdaptiveSWMRLink(hub=0, n_hubs=4)

@@ -307,11 +307,11 @@ class TestConfigKnobs:
         assert len(windows) >= result.completion_cycles // 250
 
     def test_rejects_bad_window(self):
-        from repro.experiments.common import make_config
+        from repro.experiments.runspec import RunSpec
 
         with pytest.raises(ValueError):
             ManycoreSystem(
-                make_config(mesh_width=4, network="emesh-pure"),
+                RunSpec("radix", "emesh-pure", mesh_width=4).config(),
                 telemetry=TelemetryConfig(window_cycles=0),
             )
 
@@ -320,12 +320,12 @@ class TestConfigKnobs:
         observer package and every seam is the class's own."""
         script = textwrap.dedent("""
             import sys
-            from repro.experiments.common import make_config
+            from repro.experiments.runspec import RunSpec
             from repro.sim.eventq import EventQueue
             from repro.sim.system import ManycoreSystem
             from repro.workloads.splash import APP_PROFILES, generate_traces
 
-            config = make_config("emesh-pure", 4)
+            config = RunSpec("radix", "emesh-pure", mesh_width=4).config()
             system = ManycoreSystem(config)
             traces = generate_traces(
                 APP_PROFILES["radix"], system.topology,
