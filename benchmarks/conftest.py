@@ -14,8 +14,10 @@ Fig 3 and ablation benches pass their own widths and loads.
 
 Scale knobs (environment):
 
-* ``REPRO_MESH_WIDTH`` -- 16 (default, 256 cores, minutes) or 32 (the
-  paper's 1024 cores, ~an hour cold).
+* ``REPRO_MESH_WIDTH`` -- 16 (default, 256 cores, about a minute cold
+  on 2 cores) or 32 (the paper's 1024 cores: 256 s on 2 cores with the
+  Figs 4-6 runs already in the store; a cold ``repro all`` at w32/0.6
+  takes 388 s).
 * ``REPRO_SCALE``      -- per-core trace length multiplier (default 0.6).
 * ``REPRO_JOBS``       -- runner worker processes (default: all cores).
 """

@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md section 7 calls out."""
+"""Ablation benches for the design choices DESIGN.md section 8 calls out."""
 
 from repro.experiments.ablations import (
     adaptive_gap,

@@ -58,10 +58,6 @@ class SetAssocCache:
         # with the sets a run touches, not with its geometry.
         self._sets: list[dict[int, CacheState]] = [_EMPTY_SET] * n_sets
 
-    @property
-    def capacity_lines(self) -> int:
-        return self.n_sets * self.associativity
-
     # ------------------------------------------------------------------
     def lookup(self, line: int, touch: bool = True) -> CacheState:
         """State of a line (``INVALID`` if absent); updates LRU on hit."""
@@ -109,7 +105,3 @@ class SetAssocCache:
         """Drop a line; returns its previous state (INVALID if absent)."""
         s = self._sets[line % self.n_sets]
         return s.pop(line, _INVALID)
-
-    def resident_lines(self) -> list[int]:
-        """All resident line ids (test helper)."""
-        return [line for s in self._sets for line in s]

@@ -279,10 +279,11 @@ class EnergyModel:
         if scenario.laser_power_gated:
             comp["laser"] = active
         else:
-            # Laser stuck at worst-case broadcast power on every channel
-            # for the whole run (ATAC+(Cons)).
+            # Every channel idles at its provisioned power for the whole
+            # run (ATAC+(Cons)).
             comp["laser"] = (
-                bcast_w * n_onet_links * result.completion_cycles * cycle_s
+                channel.idle_power_w(power_gated=False) * self.config.flit_bits
+                * n_onet_links * result.completion_cycles * cycle_s
             )
         comp["ring_tuning"] = (
             geometry.ring_tuning_power_w(athermal=scenario.athermal_rings)

@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices DESIGN.md section 7 flags.
+"""Ablation studies for the design choices DESIGN.md section 8 flags.
 
 These go beyond the paper's figures:
 

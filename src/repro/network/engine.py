@@ -16,7 +16,7 @@ This reproduces the two behaviours the paper's evaluations depend on:
   diverges -- the hockey-stick of Figure 3.
 
 The approximation versus flit-accurate wormhole is that buffers are
-unbounded (virtual-cut-through-like); DESIGN.md section 7 flags this
+unbounded (virtual-cut-through-like); DESIGN.md section 8 flags this
 and ``benchmarks`` cross-validate zero-load latency analytically.
 
 A packet is four scalars, not a record.  A network has two entry

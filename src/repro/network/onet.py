@@ -143,13 +143,6 @@ class AdaptiveSWMRLink:
         return data_start + ONET_LINK_DELAY + n_flits
 
     # ------------------------------------------------------------------
-    def idle_cycles(self, total_cycles: int) -> int:
-        """Cycles this channel spent dark over a run of ``total_cycles``."""
-        if total_cycles < 0:
-            raise ValueError(f"total_cycles must be non-negative, got {total_cycles}")
-        busy = self.unicast_cycles + self.broadcast_cycles
-        return max(0, total_cycles - busy)
-
     def utilization(self, total_cycles: int) -> float:
         """Fraction of time in unicast or broadcast mode (Table V)."""
         if total_cycles <= 0:

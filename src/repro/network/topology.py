@@ -1,16 +1,16 @@
-"""Mesh/cluster geometry: coordinates, XY routes, clusters and hubs.
+"""Mesh/cluster geometry: coordinates, clusters, hubs and broadcast trees.
 
 The 1024-core ATAC chip is a 32x32 mesh of cores grouped into 64
 clusters of 4x4 cores (Section III-A).  All geometric questions --
 "what is the Manhattan distance between cores 37 and 901?", "which hub
-serves core 512?", "what is the XY route?" -- are answered here, for
-any square mesh whose edge is a multiple of the cluster edge.
+serves core 512?", "which cores span a broadcast?" -- are answered
+here, for any square mesh whose edge is a multiple of the cluster edge.
 
 Geometry is pure and a :class:`MeshTopology` is immutable.  The timing
 engines never ask for routes or spanning trees: a mesh walks its own
-per-width port legs (:mod:`repro.network.mesh`), so ``xy_route`` and
-``broadcast_tree`` are plain geometry functions, the definitions the
-tests check the engines against.  What the engines do read per packet
+per-width port legs (:mod:`repro.network.mesh`), so ``broadcast_tree``
+is plain geometry: ``broadcast_order`` derives from it, and the tests
+check the engines against it.  What the engines do read per packet
 or per broadcast -- ``cluster_cores``, the core-role lists and
 ``broadcast_order`` -- is memoized per instance as **tuples**, so a
 cache hit can hand out the same object without aliasing bugs.
@@ -174,22 +174,6 @@ class MeshTopology:
         return cached
 
     # -- routing ----------------------------------------------------------
-    def xy_route(self, src: int, dst: int) -> tuple[int, ...]:
-        """Dimension-ordered (X then Y) route, inclusive of endpoints."""
-        sx, sy = self.coords(src)
-        dx, dy = self.coords(dst)
-        path = [src]
-        x, y = sx, sy
-        step = 1 if dx > x else -1
-        while x != dx:
-            x += step
-            path.append(self.core_at(x, y))
-        step = 1 if dy > y else -1
-        while y != dy:
-            y += step
-            path.append(self.core_at(x, y))
-        return tuple(path)
-
     def broadcast_tree(self, src: int) -> dict[int, tuple[int, ...]]:
         """XY-dimension-ordered multicast tree rooted at ``src``.
 

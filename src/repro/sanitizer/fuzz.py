@@ -9,9 +9,10 @@ checked two ways:
    runtime invariant checker (:mod:`repro.sanitizer`), which raises
    :class:`~repro.sanitizer.InvariantViolation` on any cross-layer
    inconsistency;
-2. **differential** -- the same case re-runs on the unbatched
-   reference path (``batch_broadcasts=False``, the PR-2 oracle) and
-   the two :class:`RunResult` payloads are compared field by field.
+2. **differential** -- the same case re-runs on
+   :class:`ReferenceBroadcastSystem`, which delivers each broadcast
+   with one event per receiving core, and the two :class:`RunResult`
+   payloads are compared field by field.
 
 On failure the trace is shrunk (greedy delta debugging: drop whole
 cores, then halving chunks of ops, then simplify surviving ops) to a
@@ -37,15 +38,18 @@ import time
 from pathlib import Path
 
 from repro.coherence.directory import Protocol
+from repro.coherence.messages import MSG_BITS, CoherenceMsg, MsgType
 from repro.log import get_logger, set_verbosity
 from repro.network.registry import (
     UnknownNetworkError,
     get_network,
     networks_for_fuzzing,
 )
+from repro.network.types import BROADCAST
 from repro.sanitizer import InvariantViolation
 from repro.sanitizer.faults import FAULTS, inject_fault
 from repro.sim.config import SystemConfig
+from repro.sim.system import ManycoreSystem
 from repro.workloads.trace import BarrierOp, ComputeOp, CoreTrace, MemoryOp
 
 _logger = get_logger("fuzz")
@@ -163,13 +167,36 @@ def total_ops(case: dict) -> int:
 # checking
 # ----------------------------------------------------------------------
 
-def run_case(case: dict, sanitize: bool, batch: bool, fault: str | None = None):
-    """One simulation of ``case``; returns its RunResult."""
-    from repro.sim.system import ManycoreSystem
+class ReferenceBroadcastSystem(ManycoreSystem):
+    """The differential oracle: one delivery event per receiving core.
 
-    system = ManycoreSystem(
-        case_config(case), batch_broadcasts=batch, sanitize=sanitize
-    )
+    :class:`ManycoreSystem` fans an ``INV_BCAST`` out with one event per
+    distinct arrival time and dispatches the member caches inline.  This
+    subclass schedules each receiving core's ``L2Controller.handle`` as
+    its own event and shares none of that grouping code, so comparing
+    the two checks the batched path against an independent one (the
+    fuzzer's differential and
+    ``tests/integration/test_fastpath_equivalence.py``).
+    """
+
+    def _inject(self, msg: CoherenceMsg, now: int) -> None:
+        if msg.mtype is not MsgType.INV_BCAST:
+            super()._inject(msg, now)
+            return
+        schedule = self.eventq.schedule
+        for core, arrival in self.network.send(
+                msg.sender, BROADCAST, MSG_BITS[MsgType.INV_BCAST], now):
+            if core in self._compute_set:
+                schedule(arrival, self.caches[core].handle, msg)
+        # Local loopback: the network never delivers to the sender.
+        if msg.sender in self._compute_set:
+            schedule(now + 1, self.caches[msg.sender].handle, msg)
+
+
+def run_case(case: dict, sanitize: bool, fault: str | None = None,
+             system_cls: type[ManycoreSystem] = ManycoreSystem):
+    """One simulation of ``case`` on ``system_cls``; returns its RunResult."""
+    system = system_cls(case_config(case), sanitize=sanitize)
     if fault is not None:
         inject_fault(system, fault)
     return system.run(case_traces(case), app="fuzz", max_events=MAX_EVENTS)
@@ -183,7 +210,7 @@ def check_case(case: dict, fault: str | None = None) -> dict | None:
     the same outcome.
     """
     try:
-        result = run_case(case, sanitize=True, batch=True, fault=fault)
+        result = run_case(case, sanitize=True, fault=fault)
     except InvariantViolation as violation:
         return {"kind": "invariant", "violation": violation.to_dict()}
     except Exception as exc:  # noqa: BLE001 - any crash is a finding
@@ -191,7 +218,8 @@ def check_case(case: dict, fault: str | None = None) -> dict | None:
     if fault is not None:
         return None  # fault armed but never fired / never detected
     try:
-        oracle = run_case(case, sanitize=False, batch=False)
+        oracle = run_case(case, sanitize=False,
+                          system_cls=ReferenceBroadcastSystem)
     except Exception as exc:  # noqa: BLE001
         return {"kind": "oracle-crash", "error": f"{type(exc).__name__}: {exc}"}
     got, want = result.to_dict(), oracle.to_dict()
@@ -359,12 +387,11 @@ def capture_timeline(case: dict, fault: str | None) -> dict | None:
     final counter windows plus the trace ring tail.  Every error path
     degrades to ``None``: the reproducer is complete without it.
     """
-    from repro.sim.system import ManycoreSystem
     from repro.telemetry.collector import TelemetryConfig
 
     try:
         system = ManycoreSystem(
-            case_config(case), batch_broadcasts=True, sanitize=True,
+            case_config(case), sanitize=True,
             telemetry=TelemetryConfig(window_cycles=64),
         )
         if fault is not None:

@@ -65,8 +65,3 @@ class BarrierManager:
             del self._arrived[barrier_id]
             del self._latest[barrier_id]
             self.barriers_completed += 1
-
-    @property
-    def open_barriers(self) -> int:
-        """Barriers with at least one waiter (diagnostic)."""
-        return len(self._waiting)

@@ -73,11 +73,12 @@ class SystemConfig:
         return self.mesh_width * self.mesh_width
 
     def scaled(self, mesh_width: int, cluster_width: int = 4, **overrides) -> "SystemConfig":
-        """A smaller chip with caches shrunk in proportion, for tests.
+        """A smaller chip, per-core caches shrunk by the core-count ratio.
 
-        Keeping cache capacity per core fixed while shrinking the core
-        count (and trace lengths) would make everything fit and no
-        traffic flow; scaling keeps miss behaviour representative.
+        Tests and reduced-scale figures run on it.  The shrink does not
+        make misses capacity-bound: at the figure scales a core's trace
+        never fills even the shrunk L2, so every L2 miss is compulsory
+        (ROADMAP item 1).
         """
         scale = max(1, (32 * 32) // (mesh_width * mesh_width))
         return replace(

@@ -42,17 +42,16 @@ _DIRECTORY_TYPES = (
 #: Bound once: ``_inject`` tests it per message, and an enum member read
 #: through its class costs about ten times a module-global read.
 _INV_BCAST = MsgType.INV_BCAST
+_CACHE_FIELDS = tuple(f.name for f in fields(CacheCounters))
 
 
 class ManycoreSystem:
     """One configured chip, ready to run one workload.
 
-    ``batch_broadcasts`` selects the broadcast delivery path: batched
-    (default -- one event per distinct arrival time, dispatching to the
-    member caches inline) or the reference one-event-per-core path.
-    Both produce identical simulations (see DESIGN.md section 9 and
-    ``tests/integration/test_fastpath_equivalence.py``); the reference
-    path exists as the oracle the equivalence tests compare against.
+    A broadcast is delivered with one event per distinct arrival time,
+    dispatching to the member caches inline (DESIGN.md section 9);
+    :class:`repro.sanitizer.fuzz.ReferenceBroadcastSystem` is the
+    one-event-per-core oracle it is checked against.
 
     ``sanitize`` attaches the runtime invariant checker
     (:mod:`repro.sanitizer`, DESIGN.md section 10): every event is then
@@ -78,11 +77,9 @@ class ManycoreSystem:
     every seam is this class's own method.
     """
 
-    def __init__(self, config: SystemConfig, batch_broadcasts: bool = True,
-                 sanitize: bool = False,
+    def __init__(self, config: SystemConfig, sanitize: bool = False,
                  telemetry: TelemetryConfig | bool = False) -> None:
         self.config = config
-        self.batch_broadcasts = batch_broadcasts
         self.topology = config.topology
         self.network = make_network(config)
         self.eventq = EventQueue()
@@ -222,34 +219,25 @@ class ManycoreSystem:
         if mtype is _INV_BCAST:
             deliveries = self.network.send(msg.sender, BROADCAST,
                                            size_bits, now)
-            if self.batch_broadcasts:
-                # Batched fan-out: one event per distinct arrival time
-                # instead of one per core.  Within one arrival the
-                # member caches are dispatched inline in delivery-list
-                # order -- exactly the order the per-core path would
-                # process them, since all per-core events are scheduled
-                # consecutively here (appended back to back to their
-                # time's list, so no foreign event can interleave; see
-                # DESIGN.md sec. 9).
-                compute = self._compute_set
-                schedule = self.eventq.schedule
-                groups: dict[int, list[int]] = {}
-                for core, arrival in deliveries:
-                    if core in compute:
-                        group = groups.get(arrival)
-                        if group is None:
-                            groups[arrival] = [core]
-                        else:
-                            group.append(core)
-                deliver = self._deliver_broadcast_group
-                for arrival, cores in groups.items():
-                    schedule(arrival, deliver, (msg, cores))
-            else:
-                for core, arrival in deliveries:
-                    if core in self._compute_set:
-                        self.eventq.schedule(
-                            arrival, self.caches[core].handle, msg
-                        )
+            # One event per distinct arrival time instead of one per
+            # core.  Within one arrival the member caches are dispatched
+            # inline in delivery-list order -- exactly the order per-core
+            # events would run in, since they would be scheduled back to
+            # back here, so no foreign event can interleave (DESIGN.md
+            # sec. 9).
+            compute = self._compute_set
+            schedule = self.eventq.schedule
+            groups: dict[int, list[int]] = {}
+            for core, arrival in deliveries:
+                if core in compute:
+                    group = groups.get(arrival)
+                    if group is None:
+                        groups[arrival] = [core]
+                    else:
+                        group.append(core)
+            deliver = self._deliver_broadcast_group
+            for arrival, cores in groups.items():
+                schedule(arrival, deliver, (msg, cores))
             # Local loopback: the home's own L2 must also see the
             # invalidation (the network never delivers to the sender).
             if msg.sender in self._compute_set:
@@ -307,23 +295,45 @@ class ManycoreSystem:
         end_run(self, result)
         return result
 
+    def counter_totals(self) -> tuple[tuple[int, ...], ...]:
+        """Chip-wide sums of the per-controller event counters.
+
+        Returns ``(caches, directory, memory, cores)``: ``caches`` in
+        ``CacheCounters`` field order, ``directory`` as (lookups,
+        updates, unicast invalidations, broadcast invalidations),
+        ``memory`` as (reads, writes) and ``cores`` as (instructions,
+        stalled cycles).  It only reads counters, so telemetry samples
+        it mid-run; the telemetry window groups follow this order.
+        """
+        caches = [0] * len(_CACHE_FIELDS)
+        for ctrl in self.caches.values():
+            cc = ctrl.counters
+            for i, name in enumerate(_CACHE_FIELDS):
+                caches[i] += getattr(cc, name)
+        lookups = updates = inv_u = inv_b = 0
+        for d in self.directories.values():
+            st = d.stats
+            lookups += st.lookups
+            updates += st.updates
+            inv_u += st.invalidations_unicast
+            inv_b += st.invalidations_broadcast
+        reads = writes = 0
+        for m in self.memctrls.values():
+            reads += m.reads
+            writes += m.writes
+        instructions = stalled = 0
+        for cm in self.cores.values():
+            instructions += cm.instructions
+            stalled += cm.stalled_cycles
+        return (tuple(caches), (lookups, updates, inv_u, inv_b),
+                (reads, writes), (instructions, stalled))
+
     def _collect(self, app: str) -> RunResult:
         completion = max(cm.done_at for cm in self.cores.values())
-        counters = CacheCounters()
-        for cc in self.caches.values():
-            for f in fields(CacheCounters):
-                setattr(
-                    counters, f.name,
-                    getattr(counters, f.name) + getattr(cc.counters, f.name),
-                )
-        dir_lookups = sum(d.stats.lookups for d in self.directories.values())
-        dir_updates = sum(d.stats.updates for d in self.directories.values())
-        dir_inv_u = sum(
-            d.stats.invalidations_unicast for d in self.directories.values()
-        )
-        dir_inv_b = sum(
-            d.stats.invalidations_broadcast for d in self.directories.values()
-        )
+        caches, directory, memory, cores = self.counter_totals()
+        dir_lookups, dir_updates, dir_inv_u, dir_inv_b = directory
+        mem_reads, mem_writes = memory
+        instructions, stalled = cores
         onet_util = 0.0
         if isinstance(self.network, AtacNetwork) and completion > 0:
             onet_util = self.network.onet_utilization(completion)
@@ -334,17 +344,17 @@ class ManycoreSystem:
             completion_cycles=completion,
             n_cores=self.topology.n_cores,
             n_compute_cores=len(self.compute_cores),
-            total_instructions=sum(per_core),
+            total_instructions=instructions,
             per_core_instructions=per_core,
-            stalled_cycles=sum(cm.stalled_cycles for cm in self.cores.values()),
+            stalled_cycles=stalled,
             network_stats=self.network.stats,
-            cache_counters=counters,
+            cache_counters=CacheCounters(*caches),
             dir_lookups=dir_lookups,
             dir_updates=dir_updates,
             dir_inv_unicast=dir_inv_u,
             dir_inv_broadcast=dir_inv_b,
-            mem_reads=sum(m.reads for m in self.memctrls.values()),
-            mem_writes=sum(m.writes for m in self.memctrls.values()),
+            mem_reads=mem_reads,
+            mem_writes=mem_writes,
             barriers_completed=self.barriers.barriers_completed,
             freq_hz=self.config.freq_hz,
             onet_utilization=onet_util,

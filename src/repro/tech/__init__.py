@@ -7,8 +7,8 @@ models of Georgas et al. [28].  The public entry points are:
 
 * :class:`repro.tech.transistor.TransistorModel` -- Table III parameters
   and first-order derived circuit quantities.
-* :class:`repro.tech.electrical.WireModel`, ``InverterModel`` -- wires,
-  repeaters, registers.
+* :class:`repro.tech.electrical.WireModel`, ``RegisterModel`` -- repeated
+  wires, registers.
 * :class:`repro.tech.dsent.RouterModel`, ``LinkModel``, ``HubModel`` --
   DSENT-like per-event energies and leakage for on-chip network blocks.
 * :class:`repro.tech.photonics.PhotonicParams`, ``OpticalLinkModel`` --
@@ -21,7 +21,7 @@ models of Georgas et al. [28].  The public entry points are:
 """
 
 from repro.tech.transistor import TransistorModel, TECH_11NM
-from repro.tech.electrical import WireModel, InverterModel, RegisterModel
+from repro.tech.electrical import WireModel, RegisterModel
 from repro.tech.dsent import RouterModel, LinkModel, HubModel, ReceiveNetModel
 from repro.tech.photonics import PhotonicParams, OpticalLinkModel, OnetGeometry
 from repro.tech.scenarios import (
@@ -52,7 +52,6 @@ __all__ = [
     "TransistorModel",
     "TECH_11NM",
     "WireModel",
-    "InverterModel",
     "RegisterModel",
     "RouterModel",
     "LinkModel",

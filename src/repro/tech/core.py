@@ -56,12 +56,6 @@ class CorePowerModel:
         """Data-dependent power at IPC = 1 (W)."""
         return self.peak_power_w * (1.0 - self.ndd_fraction)
 
-    def dd_power_w(self, ipc: float) -> float:
-        """Data-dependent power at the measured IPC (W)."""
-        if ipc < 0:
-            raise ValueError(f"ipc must be non-negative, got {ipc}")
-        return self.peak_dd_power_w * min(1.0, ipc)
-
     def ndd_energy_j(self, runtime_s: float) -> float:
         """NDD energy over a run (J)."""
         if runtime_s < 0:

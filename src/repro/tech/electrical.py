@@ -1,4 +1,4 @@
-"""Electrical circuit primitives: wires, inverters/repeaters, registers.
+"""Electrical circuit primitives: repeated wires, registers, switches.
 
 These are the building blocks the DSENT-like network models in
 :mod:`repro.tech.dsent` compose into routers, links and hubs.  Each
@@ -80,26 +80,6 @@ class WireModel:
     def area_per_bit_mm_um2(self) -> float:
         """Routing area of one bit-lane per mm (um^2), at the wire pitch."""
         return self.wire_pitch_um * 1000.0  # pitch (um) x 1 mm (=1000 um)
-
-
-@dataclass(frozen=True)
-class InverterModel:
-    """A sized CMOS inverter / buffer stage."""
-
-    tech: TransistorModel = TECH_11NM
-    width_um: float = 0.15  # N + P total width
-
-    def switch_energy_j(self) -> float:
-        """Energy for one full output transition (J)."""
-        return self.width_um * self.tech.switch_energy_per_um_j
-
-    def leakage_power_w(self) -> float:
-        """Static leakage (W); half the width leaks at any given time."""
-        return 0.5 * self.width_um * self.tech.leakage_power_per_um_w
-
-    def area_um2(self) -> float:
-        """Layout footprint (um^2): width x contacted gate pitch."""
-        return self.width_um * self.tech.contacted_gate_pitch_nm * 1e-3
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ class PhotonicParams:
     laser_efficiency: float = 0.30  # wall-plug
     waveguide_pitch_um: float = 4.0
     waveguide_loss_db_per_cm: float = 0.2
-    waveguide_nonlinearity_limit_mw: float = 30.0
     ring_through_loss_db: float = 0.0001
     ring_drop_loss_db: float = 1.0
     ring_area_um2: float = 100.0
@@ -68,7 +67,6 @@ class PhotonicParams:
             )
         for name in (
             "waveguide_pitch_um",
-            "waveguide_nonlinearity_limit_mw",
             "photodetector_responsivity_a_per_w",
             "receiver_sensitivity_ua",
         ):
@@ -195,32 +193,6 @@ class OpticalLinkModel:
         if power_gated:
             return 0.0
         return self.broadcast_power_w()
-
-    def check_nonlinearity(self) -> bool:
-        """True if the broadcast optical power respects the waveguide limit."""
-        limit_w = self.params.waveguide_nonlinearity_limit_mw * 1e-3
-        return self.optical_power_w(self.n_receivers) <= limit_w
-
-    def max_receivers_per_transmission(self) -> int:
-        """Receivers reachable in one transmission under the 30 mW
-        waveguide nonlinearity limit (Table II).
-
-        When losses grow (Figure 9's sweep) the power needed to reach
-        all receivers can exceed what a silicon waveguide carries
-        linearly; a broadcast must then be split into sequential
-        receiver groups.
-        """
-        limit_w = self.params.waveguide_nonlinearity_limit_mw * 1e-3
-        per_target = self.optical_power_w(1)
-        if per_target <= 0:
-            return self.n_receivers
-        return max(1, min(self.n_receivers, int(limit_w / per_target)))
-
-    def broadcast_groups(self) -> int:
-        """Sequential transmissions needed to broadcast to everyone
-        under the nonlinearity limit (1 = a single shot suffices)."""
-        per_shot = self.max_receivers_per_transmission()
-        return -(-self.n_receivers // per_shot)
 
     def transition_energy_j(self) -> float:
         """Energy of one laser mode transition (power-up / re-bias).

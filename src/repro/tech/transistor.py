@@ -5,8 +5,8 @@ transport model of Khakifirooz et al. [29] and the parasitic-capacitance
 model of Wei et al. [30], then feeds the resulting parameters to both
 McPAT and DSENT.  We capture the *published outputs* of that derivation
 (Table III) and expose the first-order circuit quantities every other
-model in this package needs: switching energy per unit width, effective
-drive resistance, FO4 delay, and leakage power per unit width.
+model in this package needs: switching energy and leakage power per
+unit width.
 
 High-threshold (HVT) devices are assumed throughout, as in the paper
 ("As clock frequencies are relatively slow, high threshold (HVT)
@@ -87,47 +87,6 @@ class TransistorModel:
         pass effective width, so no double counting here).
         """
         return self.ioff_na_per_um * 1e-9 * self.vdd_v
-
-    @property
-    def ion_avg_ua_per_um(self) -> float:
-        """N/P-averaged effective on current (uA/um)."""
-        return 0.5 * (self.ion_n_ua_per_um + self.ion_p_ua_per_um)
-
-    @property
-    def drive_resistance_ohm_um(self) -> float:
-        """Effective switching resistance * width (ohm * um).
-
-        R_eff ~= V_DD / I_on_eff; dividing by device width in um gives
-        the resistance of a sized driver.
-        """
-        return self.vdd_v / (self.ion_avg_ua_per_um * 1e-6)
-
-    def driver_resistance_ohm(self, width_um: float) -> float:
-        """Switching resistance of a driver of the given width (ohm)."""
-        if width_um <= 0:
-            raise ValueError(f"driver width must be positive, got {width_um}")
-        return self.drive_resistance_ohm_um / width_um
-
-    def gate_cap_f(self, width_um: float) -> float:
-        """Gate capacitance of a device of the given width (F)."""
-        return self.gate_cap_ff_per_um * 1e-15 * width_um
-
-    def drain_cap_f(self, width_um: float) -> float:
-        """Drain capacitance of a device of the given width (F)."""
-        return self.drain_cap_ff_per_um * 1e-15 * width_um
-
-    @property
-    def fo4_delay_s(self) -> float:
-        """Fanout-of-4 inverter delay (s), the canonical logic-speed unit.
-
-        tau = 0.69 * R_drv * (C_self + 4 * C_gate) for a minimum inverter
-        (NMOS width W, PMOS width 2W -> total 3W per input).
-        """
-        w = self.min_width_um * 3.0  # inverter total width (N + 2x P)
-        r = self.driver_resistance_ohm(w)
-        c_self = self.drain_cap_f(w)
-        c_load = 4.0 * self.gate_cap_f(w)
-        return 0.69 * r * (c_self + c_load)
 
     def validate(self) -> None:
         """Raise ``ValueError`` if any parameter is physically nonsensical."""

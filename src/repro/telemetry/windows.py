@@ -33,8 +33,9 @@ DEFAULT_WINDOW_CYCLES = 1000
 
 #: Window record groups -> ordered counter names.  ``net`` and
 #: ``caches`` mirror the counter dataclasses exactly; ``directory`` /
-#: ``memory`` / ``cores`` use the ``RunResult`` aggregate names so a
-#: window delta maps 1:1 onto a synthetic result.
+#: ``memory`` / ``cores`` use the ``RunResult`` aggregate names, in the
+#: order of ``ManycoreSystem.counter_totals``, so a window delta maps
+#: 1:1 onto a synthetic result.
 NET_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(NetworkStats))
 CACHE_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(CacheCounters))
 DIR_FIELDS: tuple[str, ...] = (
@@ -84,39 +85,14 @@ def take_snapshot(system, t: int) -> Snapshot:
     ns = system.network.stats
     net = tuple(getattr(ns, name) for name in NET_FIELDS)
 
-    caches = [0] * len(CACHE_FIELDS)
-    for ctrl in system.caches.values():
-        cc = ctrl.counters
-        for i, name in enumerate(CACHE_FIELDS):
-            caches[i] += getattr(cc, name)
-
-    lookups = updates = inv_u = inv_b = 0
-    for d in system.directories.values():
-        st = d.stats
-        lookups += st.lookups
-        updates += st.updates
-        inv_u += st.invalidations_unicast
-        inv_b += st.invalidations_broadcast
-
-    reads = writes = 0
-    for m in system.memctrls.values():
-        reads += m.reads
-        writes += m.writes
-
-    instructions = stalled = 0
-    for cm in system.cores.values():
-        instructions += cm.instructions
-        stalled += cm.stalled_cycles
+    caches, directory, memory, cores = system.counter_totals()
 
     links = getattr(system.network, "onet_links", None)
     onet_busy = (
         tuple(l.unicast_cycles + l.broadcast_cycles for l in links)
         if links is not None else None
     )
-    return Snapshot(
-        t, net, tuple(caches), (lookups, updates, inv_u, inv_b),
-        (reads, writes), (instructions, stalled), onet_busy,
-    )
+    return Snapshot(t, net, caches, directory, memory, cores, onet_busy)
 
 
 def window_between(prev: Snapshot, cur: Snapshot, queue_depth: int) -> dict:

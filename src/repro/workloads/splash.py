@@ -271,7 +271,8 @@ def generate_traces(
     # is hoisted out of the loop, and the immutable ops are interned
     # (one ``ComputeOp`` per cycle count, one ``MemoryOp`` per address
     # and direction) in tables local to this call.  The RNG *call
-    # sequence* is part of the determinism contract (``trace_digest``):
+    # sequence* is part of the determinism contract (the trace digests
+    # pinned in ``tests/workloads/test_traces.py``):
     # one ``random.Random`` stream per core, consumed in exactly the
     # historical order.  ``randbelow`` and the inlined exponential draw
     # are ``randrange`` and ``expovariate`` without their Python-level

@@ -17,7 +17,6 @@ The Graphite-like simulator (:mod:`repro.sim`) executes one
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Union
 
@@ -97,26 +96,3 @@ class CoreTrace:
     @property
     def n_barriers(self) -> int:
         return sum(1 for op in self.ops if isinstance(op, BarrierOp))
-
-
-def trace_digest(traces: dict[int, CoreTrace]) -> str:
-    """Deterministic digest of a trace set.
-
-    The experiment runner's correctness rests on trace generation being
-    a pure function of the spec's seed: a ``ProcessPoolExecutor``
-    worker regenerating an app's traces must produce bit-identical
-    streams to an in-process run, or parallel and serial sweeps would
-    diverge.  This digest makes that contract cheap to assert (see
-    ``tests/workloads`` and ``tests/experiments/test_runner.py``).
-    """
-    h = hashlib.sha256()
-    for core in sorted(traces):
-        h.update(f"core{core}:".encode())
-        for op in traces[core].ops:
-            if isinstance(op, ComputeOp):
-                h.update(f"c{op.cycles};".encode())
-            elif isinstance(op, MemoryOp):
-                h.update(f"m{op.address},{int(op.is_write)};".encode())
-            else:
-                h.update(f"b{op.barrier_id};".encode())
-    return h.hexdigest()

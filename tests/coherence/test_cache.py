@@ -8,6 +8,11 @@ from hypothesis import given, settings, strategies as st
 from repro.coherence.cache import CacheState, SetAssocCache
 
 
+def resident_lines(cache: SetAssocCache) -> list[int]:
+    """All resident line ids, set by set in LRU order."""
+    return [line for s in cache._sets for line in s]
+
+
 class TestBasics:
     def test_empty_lookup_is_invalid(self):
         c = SetAssocCache(4, 2)
@@ -30,7 +35,7 @@ class TestBasics:
 
     def test_capacity(self):
         c = SetAssocCache(8, 4)
-        assert c.capacity_lines == 32
+        assert c.n_sets * c.associativity == 32
 
     def test_bad_geometry(self):
         with pytest.raises(ValueError):
@@ -85,7 +90,7 @@ class TestReplacement:
         c = SetAssocCache(2, 1)
         c.install(0, CacheState.SHARED)  # set 0
         assert c.install(1, CacheState.SHARED) is None  # set 1
-        assert len(c.resident_lines()) == 2
+        assert len(resident_lines(c)) == 2
 
 
 class TestStateChanges:
@@ -100,7 +105,7 @@ class TestStateChanges:
         c.install(5, CacheState.SHARED)
         c.set_state(5, CacheState.INVALID)
         assert c.lookup(5) is CacheState.INVALID
-        assert len(c.resident_lines()) == 0
+        assert len(resident_lines(c)) == 0
 
     def test_set_state_missing_raises(self):
         c = SetAssocCache(4, 2)
@@ -129,9 +134,9 @@ class TestProperties:
         c = SetAssocCache(n_sets, ways)
         for line in lines:
             c.install(line, CacheState.SHARED)
-        assert len(c.resident_lines()) <= c.capacity_lines
+        assert len(resident_lines(c)) <= n_sets * ways
         # no duplicates
-        resident = c.resident_lines()
+        resident = resident_lines(c)
         assert len(resident) == len(set(resident))
 
     @settings(max_examples=50, deadline=None)
@@ -226,7 +231,7 @@ class TestAgainstModel:
             # equal return values, including victims ``(line, state)``
             assert outcomes[0] == outcomes[1], (name, args)
             # equal residents, in LRU order set by set
-            assert cache.resident_lines() == model.resident_lines()
+            assert resident_lines(cache) == model.resident_lines()
         # a fresh cache still starts empty: no write reached a set two
         # caches (or two sets) share
-        assert SetAssocCache(n_sets, ways).resident_lines() == []
+        assert resident_lines(SetAssocCache(n_sets, ways)) == []

@@ -286,7 +286,7 @@ class TestTraceDeterminism:
     def test_trace_digest_stable_across_calls(self):
         from repro.sim.config import SystemConfig
         from repro.workloads.splash import APP_PROFILES, generate_traces
-        from repro.workloads.trace import trace_digest
+        from tests.workloads.test_traces import trace_digest
 
         config = SystemConfig(network="atac+").scaled(mesh_width=8)
         digests = {

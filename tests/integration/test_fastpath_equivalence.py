@@ -1,8 +1,9 @@
 """Batched vs reference broadcast delivery: bit-for-bit equivalence.
 
-The fast path delivers a broadcast with one event per distinct arrival
-time (dispatching to all member caches inline); the reference path
-schedules one event per receiving core.  DESIGN.md section 9 argues
+``ManycoreSystem`` delivers a broadcast with one event per distinct
+arrival time (dispatching to all member caches inline);
+``ReferenceBroadcastSystem`` schedules one event per receiving core.
+DESIGN.md section 9 argues
 they are observably identical because the batched dispatch preserves
 the exact ``(time, insertion order)`` order the per-core events would
 have had.
@@ -14,6 +15,7 @@ import pytest
 
 from repro.experiments.runspec import RunSpec
 from repro.network.registry import network_names
+from repro.sanitizer.fuzz import ReferenceBroadcastSystem
 from repro.sim.system import ManycoreSystem
 from repro.workloads.splash import APP_ORDER, APP_PROFILES, generate_traces
 
@@ -24,10 +26,10 @@ MESH_WIDTH = 8
 SCALE = 0.1
 
 
-def run_result_dict(spec: RunSpec, batch_broadcasts: bool) -> dict:
+def run_result_dict(spec: RunSpec, system_cls: type[ManycoreSystem]) -> dict:
     """Execute ``spec`` through an explicitly-constructed system."""
     config = spec.config()
-    system = ManycoreSystem(config, batch_broadcasts=batch_broadcasts)
+    system = system_cls(config)
     traces = generate_traces(
         APP_PROFILES[spec.app],
         system.topology,
@@ -42,14 +44,9 @@ def run_result_dict(spec: RunSpec, batch_broadcasts: bool) -> dict:
 @pytest.mark.parametrize("app", APP_ORDER)
 def test_batched_equals_reference(app, network):
     spec = RunSpec(app=app, network=network, mesh_width=MESH_WIDTH, scale=SCALE)
-    batched = run_result_dict(spec, batch_broadcasts=True)
-    reference = run_result_dict(spec, batch_broadcasts=False)
+    batched = run_result_dict(spec, ManycoreSystem)
+    reference = run_result_dict(spec, ReferenceBroadcastSystem)
     assert batched == reference
-
-
-def test_default_is_batched():
-    spec = RunSpec(app="barnes", mesh_width=MESH_WIDTH, scale=SCALE)
-    assert ManycoreSystem(spec.config()).batch_broadcasts is True
 
 
 def test_runspec_execute_matches_explicit_batched_system():
@@ -57,6 +54,4 @@ def test_runspec_execute_matches_explicit_batched_system():
     spec = RunSpec(
         app="barnes", network="atac+", mesh_width=MESH_WIDTH, scale=SCALE
     )
-    assert spec.execute().to_dict() == run_result_dict(
-        spec, batch_broadcasts=True
-    )
+    assert spec.execute().to_dict() == run_result_dict(spec, ManycoreSystem)

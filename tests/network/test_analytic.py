@@ -1,6 +1,6 @@
 """Cross-validation: analytic latency model vs the event-driven engine.
 
-DESIGN.md section 7 flags the packet-level wormhole approximation for
+DESIGN.md section 8 flags the packet-level wormhole approximation for
 validation: at zero load the engine must match the closed forms
 *exactly*.
 """

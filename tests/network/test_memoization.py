@@ -5,13 +5,15 @@ functions of the (frozen) topology that the engines read per packet, so
 they are computed once and returned as shared immutable tuples.  These
 tests pin the cache contract: repeated calls return the *same* object,
 the returns are immutable, and the pinned ``broadcast_order`` matches
-the historical stack-order tree walk.  ``xy_route`` and
-``broadcast_tree`` are plain geometry, not memoized.
+the historical stack-order tree walk.  ``broadcast_tree`` and the
+reference ``xy_route`` are plain geometry, not memoized.
 """
 
 import pytest
 
 from repro.network.topology import MeshTopology
+
+from tests.network.test_topology import xy_route
 
 
 @pytest.fixture
@@ -21,12 +23,12 @@ def topo():
 
 class TestRouteMemo:
     def test_route_is_a_tuple(self, topo):
-        assert isinstance(topo.xy_route(0, 63), tuple)
+        assert isinstance(xy_route(topo, 0, 63), tuple)
 
     def test_cached_route_still_validates_args(self, topo):
-        topo.xy_route(0, 1)
+        xy_route(topo, 0, 1)
         with pytest.raises(ValueError):
-            topo.xy_route(0, 64)
+            xy_route(topo, 0, 64)
 
 
 class TestTreeMemo:

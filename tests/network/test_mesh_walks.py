@@ -5,7 +5,7 @@ leg, an EMesh-Pure broadcast each destination's two legs in ascending
 order, an EMesh-BCast broadcast the source's row legs and then every
 row node's column legs.  The reference here knows nothing of legs: it
 holds one ``PortResource`` per output port and reserves every hop of
-``topology.xy_route`` (unicasts, and EMesh-Pure's N-1 unicasts in
+``xy_route`` (unicasts, and EMesh-Pure's N-1 unicasts in
 ascending destination order) or every edge of
 ``topology.broadcast_tree`` (EMesh-BCast, head times parent before
 child, deliveries in ``broadcast_order``).  On random traffic both must
@@ -24,6 +24,7 @@ from repro.network.topology import MeshTopology
 from repro.network.types import BROADCAST, CONTROL_MSG_BITS, DATA_MSG_BITS
 
 from tests.network.test_port_busy import _port_index
+from tests.network.test_topology import xy_route
 
 
 class ReplayMesh(Network):
@@ -51,7 +52,7 @@ class ReplayMesh(Network):
         s.router_arbitrations += routers
 
     def _route(self, src, dst, t, n_flits):
-        path = self.topology.xy_route(src, dst)
+        path = xy_route(self.topology, src, dst)
         head = t
         for u, v in zip(path, path[1:]):
             head = self._reserve(u, v, head, n_flits)

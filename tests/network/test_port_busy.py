@@ -4,7 +4,7 @@ A mesh counts port occupancy once per route leg walk -- unicasts and
 both kinds of broadcast alike -- and ``port_busy()`` expands the legs
 back into per-port totals.  These tests
 drive random unicast and broadcast traffic and require ``port_busy()``
-to equal a plain accumulation over every hop of ``topology.xy_route``
+to equal a plain accumulation over every hop of ``xy_route``
 and every broadcast tree edge, with the sanitizer's port audit clean.
 (``tests/sanitizer/test_fault_injection.py`` checks that the
 double-reserve fault still trips that audit on every mesh kind.)
@@ -19,6 +19,8 @@ from repro.network.mesh import EMeshBCast, EMeshPure
 from repro.network.topology import MeshTopology
 from repro.network.types import BROADCAST, CONTROL_MSG_BITS, DATA_MSG_BITS
 from repro.sanitizer.invariants import port_problems
+
+from tests.network.test_topology import xy_route
 
 NETWORKS = {"emesh-pure": EMeshPure, "emesh-bcast": EMeshBCast,
             "atac+": AtacNetwork}
@@ -69,7 +71,7 @@ def test_port_busy_equals_per_hop_accumulation(kind, width):
     reference = [0] * (topo.n_cores * 4)
 
     def add_route(src, dst, n_flits):
-        path = topo.xy_route(src, dst)
+        path = xy_route(topo, src, dst)
         for u, v in zip(path, path[1:]):
             reference[_port_index(width, u, v)] += n_flits
 

@@ -22,6 +22,7 @@ from repro.network.topology import MeshTopology
 from repro.network.types import CONTROL_MSG_BITS
 
 from tests.network.test_port_busy import _port_index
+from tests.network.test_topology import xy_route
 
 
 def _pairs(topo):
@@ -34,7 +35,7 @@ def test_route_ports_follow_xy_route(width):
     topo = MeshTopology(width=width, cluster_width=4)
     net = EMeshPure(topo)
     for src, dst in _pairs(topo):
-        path = topo.xy_route(src, dst)
+        path = xy_route(topo, src, dst)
         expected = tuple(
             _port_index(width, u, v) for u, v in zip(path, path[1:])
         )
@@ -53,7 +54,7 @@ def test_traverse_reserves_the_xy_route(width):
         net._free_at[:] = [0] * len(net._free_at)
         net._xleg_flits[:] = [0] * len(net._xleg_flits)
         net._yleg_flits[:] = [0] * len(net._yleg_flits)
-        path = topo.xy_route(src, dst)
+        path = xy_route(topo, src, dst)
         ports = [_port_index(width, u, v) for u, v in zip(path, path[1:])]
         arrival = net._traverse(src, dst, 0, 1)
         assert arrival == len(ports) * HOP_LATENCY + 1, (src, dst)

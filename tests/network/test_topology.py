@@ -6,6 +6,24 @@ from hypothesis import given, strategies as st
 from repro.network.topology import ATAC_1024, MeshTopology
 
 
+def xy_route(topo: MeshTopology, src: int, dst: int) -> tuple[int, ...]:
+    """Dimension-ordered (X then Y) route, inclusive of endpoints: the
+    path the mesh engines' per-width port legs must reserve."""
+    sx, sy = topo.coords(src)
+    dx, dy = topo.coords(dst)
+    path = [src]
+    x, y = sx, sy
+    step = 1 if dx > x else -1
+    while x != dx:
+        x += step
+        path.append(topo.core_at(x, y))
+    step = 1 if dy > y else -1
+    while y != dy:
+        y += step
+        path.append(topo.core_at(x, y))
+    return tuple(path)
+
+
 @pytest.fixture
 def topo64():
     """64 cores: 8x8 mesh, four 4x4 clusters."""
@@ -85,14 +103,14 @@ class TestClusters:
 
 class TestRouting:
     def test_xy_route_endpoints(self, topo64):
-        path = topo64.xy_route(0, 63)
+        path = xy_route(topo64, 0, 63)
         assert path[0] == 0 and path[-1] == 63
 
     def test_xy_route_length_is_manhattan(self, topo64):
-        assert len(topo64.xy_route(0, 63)) - 1 == topo64.manhattan(0, 63)
+        assert len(xy_route(topo64, 0, 63)) - 1 == topo64.manhattan(0, 63)
 
     def test_xy_route_goes_x_first(self, topo64):
-        path = topo64.xy_route(0, 63)  # (0,0) -> (7,7)
+        path = xy_route(topo64, 0, 63)  # (0,0) -> (7,7)
         xs = [topo64.coords(n)[0] for n in path]
         ys = [topo64.coords(n)[1] for n in path]
         # first 7 steps move x, remaining move y
@@ -100,12 +118,12 @@ class TestRouting:
         assert all(y == 0 for y in ys[:8])
 
     def test_route_to_self(self, topo64):
-        assert topo64.xy_route(5, 5) == (5,)
+        assert xy_route(topo64, 5, 5) == (5,)
 
     @given(st.integers(0, 63), st.integers(0, 63))
     def test_route_steps_are_neighbors(self, a, b):
         topo = MeshTopology(width=8, cluster_width=4)
-        path = topo.xy_route(a, b)
+        path = xy_route(topo, a, b)
         for u, v in zip(path, path[1:]):
             assert topo.manhattan(u, v) == 1
 

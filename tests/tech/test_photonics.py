@@ -19,7 +19,6 @@ class TestTableIIParameters:
         assert p.laser_efficiency == 0.30
         assert p.waveguide_pitch_um == 4.0
         assert p.waveguide_loss_db_per_cm == 0.2
-        assert p.waveguide_nonlinearity_limit_mw == 30.0
         assert p.ring_through_loss_db == 0.0001
         assert p.ring_drop_loss_db == 1.0
         assert p.ring_area_um2 == 100.0
@@ -110,9 +109,6 @@ class TestOpticalLinkModel:
         ideal = OpticalLinkModel(params=PhotonicParams().ideal())
         assert ideal.unicast_power_w() < real.unicast_power_w()
 
-    def test_nonlinearity_check_default_geometry(self):
-        assert OpticalLinkModel().check_nonlinearity()
-
     @given(loss=st.floats(0.0, 3.0))
     def test_power_monotonic_in_waveguide_loss(self, loss):
         base = OpticalLinkModel(params=PhotonicParams(waveguide_loss_db_per_cm=loss))
@@ -176,44 +172,8 @@ class TestOnetGeometry:
             OnetGeometry(data_width_bits=0)
 
 
-class TestNonlinearityAndTransitions:
-    """Extensions: power-cap-aware broadcasts and laser settle energy."""
-
-    def test_single_group_at_baseline_loss(self):
-        link = OnetGeometry().data_link()
-        assert link.broadcast_groups() == 1
-
-    def test_splitting_kicks_in_at_high_loss(self):
-        lossy = PhotonicParams(waveguide_loss_db_per_cm=8.0)
-        link = OnetGeometry(params=lossy).data_link()
-        assert link.broadcast_groups() > 1
-
-    def test_groups_cover_all_receivers(self):
-        for loss in (0.2, 2.0, 6.0):
-            link = OnetGeometry(
-                params=PhotonicParams(waveguide_loss_db_per_cm=loss)
-            ).data_link()
-            per_shot = link.max_receivers_per_transmission()
-            groups = link.broadcast_groups()
-            assert per_shot * groups >= link.n_receivers
-            # each shot respects the nonlinearity limit
-            limit_w = link.params.waveguide_nonlinearity_limit_mw * 1e-3
-            assert link.optical_power_w(per_shot) <= limit_w + 1e-12
-
-    def test_infeasible_link_degenerates_to_one_receiver(self):
-        """Past the point where even one receiver exceeds the limit,
-        the split floor is one receiver per shot (the link is simply
-        infeasible at such losses; the model reports the floor)."""
-        link = OnetGeometry(
-            params=PhotonicParams(waveguide_loss_db_per_cm=10.0)
-        ).data_link()
-        assert link.max_receivers_per_transmission() == 1
-        assert link.broadcast_groups() == link.n_receivers
-        assert not link.check_nonlinearity()
-
-    def test_max_receivers_never_exceeds_population(self):
-        link = OnetGeometry(params=PhotonicParams().ideal()).data_link()
-        assert link.max_receivers_per_transmission() <= link.n_receivers
+class TestTransitions:
+    """Laser settle energy charged per mode transition."""
 
     def test_transition_energy_positive_and_small(self):
         link = OnetGeometry().data_link()

@@ -1,6 +1,7 @@
 """Unit tests for trace types, the trace build and the synthetic
 traffic generator."""
 
+import hashlib
 import random
 from functools import partial
 from math import log
@@ -27,11 +28,31 @@ from repro.workloads.splash import (
 from repro.workloads.synthetic import (
     LoadSweepPoint, SyntheticTraffic, check_columns, run_load_point,
 )
-from repro.workloads.trace import (
-    BarrierOp, ComputeOp, CoreTrace, MemoryOp, trace_digest,
-)
+from repro.workloads.trace import BarrierOp, ComputeOp, CoreTrace, MemoryOp
 
 from tests.network.test_engine import network_state
+
+
+def trace_digest(traces: dict[int, CoreTrace]) -> str:
+    """Deterministic digest of a trace set.
+
+    The experiment runner's correctness rests on trace generation being
+    a pure function of the spec's seed: a ``ProcessPoolExecutor``
+    worker regenerating an app's traces must produce bit-identical
+    streams to an in-process run, or parallel and serial sweeps would
+    diverge.  This digest makes that contract cheap to assert.
+    """
+    h = hashlib.sha256()
+    for core in sorted(traces):
+        h.update(f"core{core}:".encode())
+        for op in traces[core].ops:
+            if isinstance(op, ComputeOp):
+                h.update(f"c{op.cycles};".encode())
+            elif isinstance(op, MemoryOp):
+                h.update(f"m{op.address},{int(op.is_write)};".encode())
+            else:
+                h.update(f"b{op.barrier_id};".encode())
+    return h.hexdigest()
 
 
 class TestTraceOps:
