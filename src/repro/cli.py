@@ -94,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="for 'run': cProfile the batch in-process (forces --jobs 1, "
-             "disables the run cache) and print the top 25 functions by "
+        help="for 'run': cProfile the batch in-process (forces --jobs 1 "
+             "and --no-cache) and print the top 25 functions by "
              "cumulative time to stderr",
     )
     parser.add_argument(
@@ -164,14 +164,14 @@ def _profiled_sweep(args, networks_default: tuple[str, ...]) -> int:
 
     Profiling across pool workers would attribute everything to
     ``ProcessPoolExecutor`` plumbing, so the batch is forced onto one
-    in-process worker and the cache is bypassed (a cache hit profiles
-    JSON decoding, not the simulator).
+    in-process worker.  :func:`main` gives it a throwaway store, as for
+    ``--no-cache`` (a cache hit profiles JSON decoding, not the
+    simulator).
     """
     import cProfile
     import pstats
 
     os.environ["REPRO_JOBS"] = "1"
-    os.environ["REPRO_CACHE"] = "0"
     profiler = cProfile.Profile()
     profiler.enable()
     try:
@@ -219,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.telemetry:
         # Same export rationale as --sanitize.
         os.environ["REPRO_TELEMETRY"] = "1"
-    if not args.no_cache:
+    if not (args.no_cache or (args.experiment == "run" and args.profile)):
         return _dispatch(args)
     # A throwaway store, so runs shared between drivers still execute
     # once.  Telemetry keeps landing where it would without the flag.

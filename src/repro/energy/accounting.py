@@ -33,13 +33,14 @@ of its own network only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.energy.area import DIE_EDGE_MM
 from repro.network.engine import RECEIVE_NETS_PER_CLUSTER
 from repro.network.registry import get_network
 from repro.sim.config import SystemConfig, make_network
 from repro.sim.results import RunResult
-from repro.tech.caches import CacheModel, directory_cache, l1d_cache, l1i_cache, l2_cache
+from repro.tech.caches import directory_cache, l1d_cache, l1i_cache, l2_cache
 from repro.tech.core import CorePowerModel
 from repro.tech.dsent import HubModel, LinkModel, ReceiveNetModel, RouterModel
 from repro.tech.photonics import OnetGeometry, PhotonicParams
@@ -53,6 +54,9 @@ NETWORK_KEYS = (
 CACHE_KEYS = ("l1i", "l1d", "l2", "directory")
 CORE_KEYS = ("core_dd", "core_ndd")
 ALL_KEYS = NETWORK_KEYS + CACHE_KEYS + CORE_KEYS + ("dram",)
+
+#: Off-chip DRAM energy per memory-controller access (J).
+DRAM_ENERGY_PER_ACCESS_J = 10e-9
 
 
 @dataclass
@@ -120,17 +124,14 @@ class EnergyModel:
         config: SystemConfig,
         photonics: PhotonicParams | None = None,
         core_power: CorePowerModel | None = None,
-        die_edge_mm: float = 20.0,
-        dram_energy_per_access_j: float = 10e-9,
     ) -> None:
         self.config = config
         self.base_photonics = photonics if photonics is not None else PhotonicParams()
         self.base_photonics.validate()
         self.core_power = core_power if core_power is not None else CorePowerModel()
-        self.dram_energy_per_access_j = dram_energy_per_access_j
         topo = config.topology
         self.n_routers = topo.n_cores
-        hop_mm = topo.hop_length_mm(die_edge_mm)
+        hop_mm = DIE_EDGE_MM / topo.width
         self.router = RouterModel(n_ports=5, width_bits=config.flit_bits)
         self.link = LinkModel(width_bits=config.flit_bits, length_mm=hop_mm)
         # bidirectional mesh: 2 links per adjacent pair, both directions
@@ -176,7 +177,6 @@ class EnergyModel:
                 f"{self._network_name!r} energy model"
             )
         runtime = result.runtime_s
-        cycle_s = 1.0 / result.freq_hz
         ns = result.network_stats
         comp: dict[str, float] = {}
 
@@ -230,7 +230,7 @@ class EnergyModel:
 
         # -- off-chip DRAM ------------------------------------------------------
         comp["dram"] = (
-            (result.mem_reads + result.mem_writes) * self.dram_energy_per_access_j
+            (result.mem_reads + result.mem_writes) * DRAM_ENERGY_PER_ACCESS_J
         )
 
         return EnergyBreakdown(

@@ -17,6 +17,10 @@ from repro.tech.caches import directory_cache, l1d_cache, l1i_cache, l2_cache
 from repro.tech.dsent import HubModel, LinkModel, ReceiveNetModel, RouterModel
 from repro.tech.photonics import OnetGeometry, PhotonicParams
 
+#: Die edge of the modelled chip (mm); one mesh hop is
+#: ``DIE_EDGE_MM / mesh width`` long (0.625 mm on the 32x32 chip).
+DIE_EDGE_MM = 20.0
+
 
 @dataclass
 class AreaBreakdown:
@@ -58,11 +62,9 @@ class AreaModel:
         self,
         config: SystemConfig,
         photonics: PhotonicParams | None = None,
-        die_edge_mm: float = 20.0,
     ) -> None:
         self.config = config
         self.photonics = photonics if photonics is not None else PhotonicParams()
-        self.die_edge_mm = die_edge_mm
 
     def breakdown(self) -> AreaBreakdown:
         cfg = self.config
@@ -80,8 +82,7 @@ class AreaModel:
         }
         router = RouterModel(n_ports=5, width_bits=cfg.flit_bits)
         link = LinkModel(
-            width_bits=cfg.flit_bits,
-            length_mm=topo.hop_length_mm(self.die_edge_mm),
+            width_bits=cfg.flit_bits, length_mm=DIE_EDGE_MM / topo.width
         )
         n_links = 4 * topo.width * (topo.width - 1)
         comp["enet"] = n * router.area_mm2() + n_links * link.area_mm2()

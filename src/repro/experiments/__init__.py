@@ -9,7 +9,7 @@ module's ``main()`` prints its figures, and
 * ``REPRO_MESH_WIDTH`` -- mesh edge (32 = the paper's 1024 cores;
   default 16 = 256 cores so the whole suite completes in minutes),
 * ``REPRO_SCALE``      -- trace-length multiplier (default 0.6),
-* ``REPRO_CACHE``      -- set to ``0`` to disable the on-disk run cache.
+* ``REPRO_CACHE_DIR``  -- the on-disk run store (default ``.repro_cache``).
 
 See DESIGN.md section 5 for the experiment index and EXPERIMENTS.md for
 recorded paper-vs-measured numbers.

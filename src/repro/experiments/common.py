@@ -9,8 +9,9 @@ and executed through the process-parallel :class:`Runner`:
         -> Runner (ProcessPoolExecutor fan-out, --jobs N)
         -> ResultStore (schema-versioned JSON, .repro_cache/)
 
-Delete ``.repro_cache/`` or set ``REPRO_CACHE=0`` to force
-re-simulation; set ``REPRO_JOBS`` to bound worker processes.
+Delete ``.repro_cache/``, point ``REPRO_CACHE_DIR`` at an empty
+directory or pass ``--no-cache`` to force re-simulation; set
+``REPRO_JOBS`` to bound worker processes.
 
 Each figure's runs are the specs of one *grid* function, which
 :mod:`repro.experiments.catalog` also hands to ``repro all``.
@@ -28,7 +29,7 @@ import os
 from repro.experiments.report import format_table
 from repro.experiments.runner import Runner, default_jobs, run_specs
 from repro.experiments.runspec import CACHE_SCHEMA_VERSION, LoadPointSpec, RunSpec
-from repro.experiments.store import ResultStore, cache_enabled
+from repro.experiments.store import ResultStore
 from repro.sim.results import RunResult
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "LoadPointSpec",
     "Runner",
     "RunSpec",
-    "cache_enabled",
     "default_jobs",
     "default_mesh_width",
     "default_scale",

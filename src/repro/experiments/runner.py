@@ -32,7 +32,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from repro.experiments.store import ResultStore, cache_enabled
+from repro.experiments.store import ResultStore
 from repro.log import get_logger
 
 _logger = get_logger("runner")
@@ -94,7 +94,6 @@ class Runner:
         the determinism tests compare against.
     store:
         Result store; ``None`` uses the default cache directory.
-        Ignored entirely when ``REPRO_CACHE=0``.
     progress:
         Stream per-run progress lines to stderr.
     """
@@ -137,13 +136,12 @@ class Runner:
                 order.append(h)
 
         results: dict[str, object] = {}
-        use_cache = cache_enabled()
         misses: list[str] = []
         for h in order:
             cached = (
-                self.store.load(unique[h])
-                if use_cache and not bypass_cache_on_load(unique[h])
-                else None
+                None
+                if bypass_cache_on_load(unique[h])
+                else self.store.load(unique[h])
             )
             if cached is not None:
                 results[h] = cached
@@ -202,8 +200,7 @@ class Runner:
     def _complete(self, spec, h, result, elapsed, results, report) -> None:
         results[h] = result
         report.timings[h] = elapsed
-        if cache_enabled():
-            self.store.save(spec, result, elapsed_s=elapsed)
+        self.store.save(spec, result, elapsed_s=elapsed)
 
     def _log(self, message: str, **fields) -> None:
         if self.progress:

@@ -35,11 +35,6 @@ from repro import __version__
 from repro.experiments.runspec import CACHE_SCHEMA_VERSION
 
 
-def cache_enabled() -> bool:
-    """Honour ``REPRO_CACHE=0`` (checked at call time, not import time)."""
-    return os.environ.get("REPRO_CACHE", "1") != "0"
-
-
 def default_store_dir() -> Path:
     """The cache directory, read from the environment at call time."""
     return Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))

@@ -18,7 +18,6 @@ cache hit can hand out the same object without aliasing bugs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 
@@ -233,13 +232,6 @@ class MeshTopology:
         result = tuple(order)
         self._order_cache[src] = result
         return result
-
-    # -- link geometry ------------------------------------------------------
-    def hop_length_mm(self, die_edge_mm: float = 20.0) -> float:
-        """Physical length of one mesh hop for the energy models (mm)."""
-        if die_edge_mm <= 0:
-            raise ValueError(f"die_edge_mm must be positive, got {die_edge_mm}")
-        return die_edge_mm / self.width
 
     # -- checks ---------------------------------------------------------
     def _check_core(self, core: int) -> None:

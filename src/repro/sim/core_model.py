@@ -20,7 +20,7 @@ from __future__ import annotations
 from repro.coherence.l2controller import L2Controller
 from repro.sim.barrier import BarrierManager
 from repro.sim.eventq import EventQueue
-from repro.workloads.trace import BarrierOp, ComputeOp, CoreTrace, MemoryOp
+from repro.workloads.trace import ComputeOp, CoreTrace, MemoryOp
 
 
 class CoreModel:
@@ -110,10 +110,3 @@ class CoreModel:
         """Miss completed: account the stall and continue."""
         self.stalled_cycles += now - self._issue_time
         self._run(now)
-
-    # ------------------------------------------------------------------
-    def ipc(self) -> float:
-        """Retired instructions per cycle over the core's own runtime."""
-        if self.done_at is None or self.done_at == 0:
-            return 0.0
-        return self.instructions / self.done_at

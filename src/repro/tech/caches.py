@@ -21,9 +21,21 @@ typical L2 access rates, burns a comparable dynamic power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.tech.transistor import TransistorModel, TECH_11NM
+# 11 nm HVT SRAM macro constants.
+#: 6T SRAM cell footprint (um^2); ~0.04 um^2 projected at 11 nm.
+BITCELL_AREA_UM2 = 0.04
+#: Multiplier over raw cell area for decoders/sense/IO.
+PERIPHERY_AREA_FACTOR = 2.0
+#: Energy to swing one bitline pair + sense one bit (fJ).
+BITLINE_ENERGY_FJ_PER_BIT = 25.0
+#: Fixed per-access decode + wordline energy (fJ).
+DECODE_ENERGY_FJ = 400.0
+#: Leakage per bitcell, HVT (pW); the periphery adds
+#: ``PERIPHERY_LEAKAGE_FACTOR`` on top.
+CELL_LEAKAGE_PW = 500.0
+PERIPHERY_LEAKAGE_FACTOR = 0.5
 
 
 @dataclass(frozen=True)
@@ -56,11 +68,6 @@ class CacheGeometry:
         return self.capacity_bytes // self.line_bytes
 
     @property
-    def n_sets(self) -> int:
-        """Number of sets (lines / associativity)."""
-        return self.n_lines // self.associativity
-
-    @property
     def total_bits(self) -> int:
         """Data + tag/state bits."""
         return self.n_lines * (self.line_bytes * 8 + self.overhead_bits_per_line)
@@ -68,41 +75,16 @@ class CacheGeometry:
 
 @dataclass(frozen=True)
 class CacheModel:
-    """Energy/area model for one cache (or directory) instance.
-
-    Attributes
-    ----------
-    geometry:
-        The cache organization.
-    tech:
-        Transistor node (for V_DD and leakage currents).
-    bitcell_area_um2:
-        6T SRAM cell footprint; ~0.04 um^2 projected at 11 nm.
-    periphery_area_factor:
-        Multiplier over raw cell area for decoders/sense/IO.
-    bitline_energy_fj_per_bit:
-        Energy to swing one bitline pair + sense one bit.
-    decode_energy_fj:
-        Fixed per-access decode + wordline energy.
-    cell_leakage_pw:
-        Leakage per bitcell (pW), HVT; periphery adds
-        ``periphery_leakage_factor`` on top.
-    """
+    """Energy/area model for one cache (or directory) instance of the
+    given organization."""
 
     geometry: CacheGeometry
-    tech: TransistorModel = TECH_11NM
-    bitcell_area_um2: float = 0.04
-    periphery_area_factor: float = 2.0
-    bitline_energy_fj_per_bit: float = 25.0
-    decode_energy_fj: float = 400.0
-    cell_leakage_pw: float = 500.0
-    periphery_leakage_factor: float = 0.5
 
     # ------------------------------------------------------------------
     def area_mm2(self) -> float:
         """Total macro area (mm^2)."""
-        cells_um2 = self.geometry.total_bits * self.bitcell_area_um2
-        return cells_um2 * self.periphery_area_factor * 1e-6
+        cells_um2 = self.geometry.total_bits * BITCELL_AREA_UM2
+        return cells_um2 * PERIPHERY_AREA_FACTOR * 1e-6
 
     # ------------------------------------------------------------------
     def _access_bits(self, data_bits: int | None) -> int:
@@ -120,39 +102,39 @@ class CacheModel:
         fills and coherence transfers); L1 word accesses may pass 64.
         """
         bits = self._access_bits(data_bits)
-        return (self.decode_energy_fj + bits * self.bitline_energy_fj_per_bit) * 1e-15
+        return (DECODE_ENERGY_FJ + bits * BITLINE_ENERGY_FJ_PER_BIT) * 1e-15
 
     def write_energy_j(self, data_bits: int | None = None) -> float:
         """Dynamic energy for one write access (J); writes swing full rails."""
         bits = self._access_bits(data_bits)
-        return (self.decode_energy_fj + bits * self.bitline_energy_fj_per_bit * 1.2) * 1e-15
+        return (DECODE_ENERGY_FJ + bits * BITLINE_ENERGY_FJ_PER_BIT * 1.2) * 1e-15
 
     def tag_probe_energy_j(self) -> float:
         """Energy for a tag-only probe (e.g. an invalidation lookup) (J)."""
         g = self.geometry
         bits = g.overhead_bits_per_line * g.associativity
-        return (self.decode_energy_fj + bits * self.bitline_energy_fj_per_bit) * 1e-15
+        return (DECODE_ENERGY_FJ + bits * BITLINE_ENERGY_FJ_PER_BIT) * 1e-15
 
     # ------------------------------------------------------------------
     def leakage_power_w(self) -> float:
         """Static leakage of the whole macro (W)."""
-        cells = self.geometry.total_bits * self.cell_leakage_pw * 1e-12
-        return cells * (1.0 + self.periphery_leakage_factor)
+        cells = self.geometry.total_bits * CELL_LEAKAGE_PW * 1e-12
+        return cells * (1.0 + PERIPHERY_LEAKAGE_FACTOR)
 
 
-def l1i_cache(capacity_bytes: int = 32 * 1024) -> CacheModel:
+def l1i_cache() -> CacheModel:
     """Per-core private L1 instruction cache (Table I: 32 KB)."""
-    return CacheModel(CacheGeometry(capacity_bytes, associativity=4))
+    return CacheModel(CacheGeometry(32 * 1024, associativity=4))
 
 
-def l1d_cache(capacity_bytes: int = 32 * 1024) -> CacheModel:
+def l1d_cache() -> CacheModel:
     """Per-core private L1 data cache (Table I: 32 KB)."""
-    return CacheModel(CacheGeometry(capacity_bytes, associativity=4))
+    return CacheModel(CacheGeometry(32 * 1024, associativity=4))
 
 
-def l2_cache(capacity_bytes: int = 256 * 1024) -> CacheModel:
+def l2_cache() -> CacheModel:
     """Per-core private L2 cache (Table I: 256 KB)."""
-    return CacheModel(CacheGeometry(capacity_bytes, associativity=8))
+    return CacheModel(CacheGeometry(256 * 1024, associativity=8))
 
 
 def directory_cache(

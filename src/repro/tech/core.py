@@ -22,6 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Peak power of one in-order single-issue core at 11 nm (W).
+CORE_PEAK_POWER_W = 20e-3
+
 
 @dataclass(frozen=True)
 class CorePowerModel:
@@ -29,18 +32,14 @@ class CorePowerModel:
 
     Attributes
     ----------
-    peak_power_w:
-        Peak core power (20 mW in the paper).
     ndd_fraction:
-        Fraction of peak that is non-data-dependent (0.10 or 0.40).
+        Fraction of the ``CORE_PEAK_POWER_W`` peak that is
+        non-data-dependent (0.10 or 0.40, Figure 17).
     """
 
-    peak_power_w: float = 20e-3
     ndd_fraction: float = 0.10
 
     def __post_init__(self) -> None:
-        if self.peak_power_w <= 0:
-            raise ValueError(f"peak_power_w must be positive, got {self.peak_power_w}")
         if not 0.0 <= self.ndd_fraction <= 1.0:
             raise ValueError(
                 f"ndd_fraction must be in [0,1], got {self.ndd_fraction}"
@@ -49,18 +48,12 @@ class CorePowerModel:
     @property
     def ndd_power_w(self) -> float:
         """Power burned every second of runtime, active or not (W)."""
-        return self.peak_power_w * self.ndd_fraction
+        return CORE_PEAK_POWER_W * self.ndd_fraction
 
     @property
     def peak_dd_power_w(self) -> float:
         """Data-dependent power at IPC = 1 (W)."""
-        return self.peak_power_w * (1.0 - self.ndd_fraction)
-
-    def ndd_energy_j(self, runtime_s: float) -> float:
-        """NDD energy over a run (J)."""
-        if runtime_s < 0:
-            raise ValueError(f"runtime_s must be non-negative, got {runtime_s}")
-        return self.ndd_power_w * runtime_s
+        return CORE_PEAK_POWER_W * (1.0 - self.ndd_fraction)
 
     def dd_energy_j(self, instructions: int, freq_hz: float = 1e9) -> float:
         """DD energy for a run that retired ``instructions`` (J).
@@ -75,9 +68,3 @@ class CorePowerModel:
         if instructions < 0:
             raise ValueError(f"instructions must be non-negative, got {instructions}")
         return self.peak_dd_power_w * instructions / freq_hz
-
-    def total_energy_j(
-        self, runtime_s: float, instructions: int, freq_hz: float = 1e9
-    ) -> float:
-        """NDD + DD energy for one core over one run (J)."""
-        return self.ndd_energy_j(runtime_s) + self.dd_energy_j(instructions, freq_hz)

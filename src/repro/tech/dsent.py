@@ -20,17 +20,27 @@ event counts x DSENT per-event energies + static power x runtime).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.tech.electrical import (
-    DEFAULT_ACTIVITY,
-    RegisterModel,
-    WireModel,
+    PORT_SPAN_UM,
+    REGISTER_AREA_UM2,
+    REGISTER_CLOCK_ENERGY_J,
+    REGISTER_LEAKAGE_W,
+    REGISTER_WRITE_ENERGY_J,
+    WIRE_AREA_PER_BIT_MM_UM2,
+    WIRE_ENERGY_PER_BIT_MM_J,
+    WIRE_LEAKAGE_PER_BIT_MM_W,
     arbiter_energy_j,
     crossbar_energy_per_bit_j,
     demux_energy_per_bit_j,
 )
-from repro.tech.transistor import TransistorModel, TECH_11NM
+
+#: FIFO depth of each hub port (flits).
+HUB_BUFFER_DEPTH_FLITS = 8
+#: Physical length of one hub->core receive-net link (mm); a cluster is
+#: ~2.5 mm across.
+RECEIVE_LINK_LENGTH_MM = 1.25
 
 
 @dataclass(frozen=True)
@@ -47,8 +57,6 @@ class LinkModel:
 
     width_bits: int = 64
     length_mm: float = 0.625
-    tech: TransistorModel = TECH_11NM
-    wire: WireModel = field(default_factory=WireModel)
 
     def __post_init__(self) -> None:
         if self.width_bits <= 0:
@@ -58,20 +66,16 @@ class LinkModel:
 
     def dynamic_energy_j(self) -> float:
         """Energy for one flit to traverse the link (J)."""
-        per_bit = self.wire.energy_per_bit_mm_j() * self.length_mm
+        per_bit = WIRE_ENERGY_PER_BIT_MM_J * self.length_mm
         return per_bit * self.width_bits
 
     def leakage_power_w(self) -> float:
         """Repeater leakage of the whole link (W)."""
-        return (
-            self.wire.leakage_power_per_bit_mm_w()
-            * self.length_mm
-            * self.width_bits
-        )
+        return WIRE_LEAKAGE_PER_BIT_MM_W * self.length_mm * self.width_bits
 
     def area_mm2(self) -> float:
         """Routing area of the link (mm^2)."""
-        um2 = self.wire.area_per_bit_mm_um2() * self.length_mm * self.width_bits
+        um2 = WIRE_AREA_PER_BIT_MM_UM2 * self.length_mm * self.width_bits
         return um2 * 1e-6
 
 
@@ -98,8 +102,6 @@ class RouterModel:
     n_ports: int = 5
     width_bits: int = 64
     buffer_depth_flits: int = 4
-    tech: TransistorModel = TECH_11NM
-    register: RegisterModel = field(default_factory=RegisterModel)
 
     def __post_init__(self) -> None:
         if self.n_ports < 2:
@@ -114,22 +116,22 @@ class RouterModel:
     # -- per-event energies -------------------------------------------
     def buffer_write_energy_j(self) -> float:
         """Energy to write one flit into an input FIFO (J)."""
-        return self.register.write_energy_j() * self.width_bits
+        return REGISTER_WRITE_ENERGY_J * self.width_bits
 
     def buffer_read_energy_j(self) -> float:
         """Energy to read one flit out of an input FIFO (J).
 
         Reads are mux traversals, cheaper than writes by ~2x.
         """
-        return 0.5 * self.register.write_energy_j() * self.width_bits
+        return 0.5 * REGISTER_WRITE_ENERGY_J * self.width_bits
 
     def crossbar_energy_j(self) -> float:
         """Energy for one flit through the switch fabric (J)."""
-        return crossbar_energy_per_bit_j(self.n_ports, tech=self.tech) * self.width_bits
+        return crossbar_energy_per_bit_j(self.n_ports) * self.width_bits
 
     def arbitration_energy_j(self) -> float:
         """Energy for one switch-allocation decision (per packet) (J)."""
-        return arbiter_energy_j(self.n_ports, tech=self.tech)
+        return arbiter_energy_j(self.n_ports)
 
     def flit_energy_j(self) -> float:
         """Total per-flit traversal energy (buffer wr+rd, crossbar) (J)."""
@@ -145,29 +147,25 @@ class RouterModel:
         """Total storage bits in the router."""
         return self.n_ports * self.buffer_depth_flits * self.width_bits
 
-    def clock_power_w(self, freq_hz: float = 1e9, gated_fraction: float = 0.0) -> float:
+    def clock_power_w(self, freq_hz: float = 1e9) -> float:
         """Clock-tree power of the router's sequential state (W).
 
-        ``gated_fraction`` models clock gating: the fraction of cycles
-        on which the clock to idle buffers is suppressed.  The paper
-        treats ungated clocks as a primary NDD consumer, so the default
-        is fully ungated.
+        The clock is ungated: the paper treats ungated clocks as a
+        primary NDD consumer.
         """
-        if not 0.0 <= gated_fraction <= 1.0:
-            raise ValueError(f"gated_fraction must be in [0,1], got {gated_fraction}")
-        per_cycle = self.register.clock_energy_per_cycle_j() * self.n_buffer_bits
-        return per_cycle * freq_hz * (1.0 - gated_fraction)
+        per_cycle = REGISTER_CLOCK_ENERGY_J * self.n_buffer_bits
+        return per_cycle * freq_hz
 
     def leakage_power_w(self) -> float:
         """Static leakage of buffers + crossbar + control (W)."""
-        buffer_leak = self.register.leakage_power_w() * self.n_buffer_bits
+        buffer_leak = REGISTER_LEAKAGE_W * self.n_buffer_bits
         # crossbar + allocator logic: ~40% of buffer transistor count.
         return buffer_leak * 1.4
 
     def area_mm2(self) -> float:
         """Router footprint (mm^2): buffers + crossbar + control."""
-        buffer_um2 = self.register.area_um2() * self.n_buffer_bits
-        xbar_um2 = (self.n_ports * 50.0) ** 2 * 0.02  # sparse matrix xbar
+        buffer_um2 = REGISTER_AREA_UM2 * self.n_buffer_bits
+        xbar_um2 = (self.n_ports * PORT_SPAN_UM) ** 2 * 0.02  # sparse matrix xbar
         return (buffer_um2 * 1.4 + xbar_um2) * 1e-6
 
 
@@ -183,15 +181,12 @@ class HubModel:
     """
 
     width_bits: int = 64
-    buffer_depth_flits: int = 8
-    tech: TransistorModel = TECH_11NM
 
     def _router(self) -> RouterModel:
         return RouterModel(
             n_ports=3,
             width_bits=self.width_bits,
-            buffer_depth_flits=self.buffer_depth_flits,
-            tech=self.tech,
+            buffer_depth_flits=HUB_BUFFER_DEPTH_FLITS,
         )
 
     def flit_energy_j(self) -> float:
@@ -233,10 +228,6 @@ class ReceiveNetModel:
     kind: str = "starnet"  # "starnet" | "bnet"
     width_bits: int = 64
     cluster_size: int = 16
-    #: physical length of one hub->core link (mm); cluster is ~2.5mm across.
-    link_length_mm: float = 1.25
-    tech: TransistorModel = TECH_11NM
-    wire: WireModel = field(default_factory=WireModel)
 
     def __post_init__(self) -> None:
         if self.kind not in ("starnet", "bnet"):
@@ -245,8 +236,8 @@ class ReceiveNetModel:
             raise ValueError(f"cluster_size must be >= 1, got {self.cluster_size}")
 
     def _one_link_energy_j(self) -> float:
-        wire_e = self.wire.energy_per_bit_mm_j() * self.link_length_mm
-        demux_e = demux_energy_per_bit_j(self.cluster_size, tech=self.tech)
+        wire_e = WIRE_ENERGY_PER_BIT_MM_J * RECEIVE_LINK_LENGTH_MM
+        demux_e = demux_energy_per_bit_j(self.cluster_size)
         return (wire_e + demux_e) * self.width_bits
 
     def unicast_energy_j(self) -> float:
@@ -269,9 +260,7 @@ class ReceiveNetModel:
     def leakage_power_w(self) -> float:
         """Repeater leakage of all links/branches (W)."""
         per_link = (
-            self.wire.leakage_power_per_bit_mm_w()
-            * self.link_length_mm
-            * self.width_bits
+            WIRE_LEAKAGE_PER_BIT_MM_W * RECEIVE_LINK_LENGTH_MM * self.width_bits
         )
         n_links = self.cluster_size if self.kind == "starnet" else self.cluster_size // 2
         return per_link * max(1, n_links)
@@ -279,7 +268,7 @@ class ReceiveNetModel:
     def area_mm2(self) -> float:
         """Wiring area (mm^2)."""
         per_link_um2 = (
-            self.wire.area_per_bit_mm_um2() * self.link_length_mm * self.width_bits
+            WIRE_AREA_PER_BIT_MM_UM2 * RECEIVE_LINK_LENGTH_MM * self.width_bits
         )
         n_links = self.cluster_size if self.kind == "starnet" else self.cluster_size // 2
         return per_link_um2 * max(1, n_links) * 1e-6

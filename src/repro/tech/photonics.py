@@ -23,7 +23,6 @@ per ring, the "Ring Heating" wedge of Figure 7.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 
@@ -56,8 +55,6 @@ class PhotonicParams:
     receiver_energy_fj_per_bit: float = 50.0
     #: time for an on-chip Ge laser to power up/down or retarget (s)
     laser_switch_time_ns: float = 1.0
-    #: time for a receive ring to tune in or out electrically (s)
-    ring_tune_time_ns: float = 1.0
 
     def validate(self) -> None:
         """Raise ``ValueError`` on nonsensical parameters."""

@@ -138,6 +138,13 @@ class TestMeshAccounting:
             assert b[k] >= 0.0
 
 
+    def test_hop_length(self):
+        """One mesh hop is the 20 mm die edge over the mesh width."""
+        assert EnergyModel(SystemConfig()).link.length_mm == pytest.approx(0.625)
+        small = SystemConfig(network="emesh-pure").scaled(8)
+        assert EnergyModel(small).link.length_mm == pytest.approx(2.5)
+
+
 class TestCoreEnergyCoupling:
     def test_core_ndd_scales_with_runtime(self, atac_run, mesh_run):
         """Figure 17's mechanism: identical DD energy, NDD follows time."""

@@ -62,11 +62,6 @@ class TestRunApp:
                     protocol=Protocol.DIRKB)
         assert a.protocol == "ackwise" and d.protocol == "dirkb"
 
-    def test_cache_disable_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        run_app("lu_contig", network="atac+", mesh_width=8, scale=0.1)
-        assert not list(tmp_path.glob("run_*.json"))
-
     def test_mesh_width_env_read_at_call_time(self, monkeypatch):
         """Setting REPRO_MESH_WIDTH after import must take effect."""
         monkeypatch.setenv("REPRO_MESH_WIDTH", "8")

@@ -65,7 +65,7 @@ def test_every_experiment_has_a_case():
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_prewarmed_grid_serves_the_figure(name, monkeypatch, tmp_path):
-    for var in ("REPRO_CACHE", "REPRO_SANITIZE", "REPRO_TELEMETRY"):
+    for var in ("REPRO_SANITIZE", "REPRO_TELEMETRY"):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_JOBS", "1")

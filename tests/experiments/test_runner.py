@@ -12,7 +12,7 @@ import repro
 from repro.experiments import runspec as runspec_mod
 from repro.experiments.runner import Runner, default_jobs, run_specs
 from repro.experiments.runspec import CACHE_SCHEMA_VERSION, LoadPointSpec, RunSpec
-from repro.experiments.store import ResultStore, cache_enabled
+from repro.experiments.store import ResultStore
 from repro.network.registry import REGISTRY
 from repro.sim.results import RunResult
 
@@ -189,10 +189,6 @@ class TestStore:
         assert store.load(spec) is None
         assert store.entries() == []
 
-    def test_cache_disabled_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        assert not cache_enabled()
-
 
 class TestRunnerDeterminism:
     def test_parallel_results_identical_to_serial(self, monkeypatch, tmp_path):
@@ -263,13 +259,6 @@ class TestRunnerAccounting:
             assert res.app == spec.app
             # RunResult.network holds the display name (e.g. "ATAC+")
             assert res.network.lower() == spec.network.lower()
-
-    def test_cache_disabled_skips_store(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        runner = Runner(jobs=1, progress=False)
-        runner.run([RunSpec(app="lu_contig", mesh_width=8, scale=0.1)])
-        assert runner.last_report.misses == 1
-        assert ResultStore().entries() == []
 
     def test_jobs_validation(self):
         with pytest.raises(ValueError):

@@ -17,15 +17,25 @@ review the diff like any other code change::
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest \
         tests/integration/test_golden_numbers.py
 
-The runs bypass the on-disk result store (``REPRO_CACHE=0``): a stale
-cache entry would make this test vacuously green exactly when the
-simulator's behaviour changed without a schema bump.  They execute
-inline (``REPRO_JOBS=1``), with no worker pool.
+CI also pins every number ``repro all`` prints at mesh width 8 / scale
+0.1: it diffs that command's stdout against
+``golden/repro_all_w8_scale01.txt``.  Regenerate that file the same
+deliberate way::
+
+    PYTHONPATH=src python -m repro all --mesh-width 8 --scale 0.1 \
+        --no-cache -q > tests/integration/golden/repro_all_w8_scale01.txt
+
+The runs use a fresh, empty result store (``REPRO_CACHE_DIR`` points
+at a temporary directory): a stale cache entry would make this test
+vacuously green exactly when the simulator's behaviour changed without
+a schema bump.  They execute inline (``REPRO_JOBS=1``), with no worker
+pool.
 """
 
 import json
 import math
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -50,7 +60,8 @@ def computed():
     from repro.experiments.fig07_08_09 import run_fig7
     from repro.experiments.fig14_15_16 import run_fig14
 
-    pinned = {"REPRO_CACHE": "0", "REPRO_JOBS": "1"}
+    store = tempfile.TemporaryDirectory(prefix="repro-golden-")
+    pinned = {"REPRO_CACHE_DIR": store.name, "REPRO_JOBS": "1"}
     saved = {name: os.environ.get(name) for name in pinned}
     os.environ.update(pinned)
     try:
@@ -71,6 +82,7 @@ def computed():
                 os.environ.pop(name, None)
             else:
                 os.environ[name] = value
+        store.cleanup()
     # JSON round-trip so computed and golden compare like-for-like
     # (tuples become lists, dict keys become strings)
     doc = json.loads(json.dumps(doc))

@@ -167,8 +167,3 @@ class TestValidation:
             MeshTopology(width=0)
         with pytest.raises(ValueError):
             MeshTopology(width=8, cluster_width=0)
-
-    def test_hop_length(self):
-        assert ATAC_1024.hop_length_mm(20.0) == pytest.approx(0.625)
-        with pytest.raises(ValueError):
-            ATAC_1024.hop_length_mm(0.0)

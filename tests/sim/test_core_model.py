@@ -32,7 +32,7 @@ class TestExecution:
         system.eventq.run()
         assert core.done
         assert core.done_at == 500
-        assert core.ipc() == pytest.approx(1.0)
+        assert core.instructions / core.done_at == pytest.approx(1.0)
 
     def test_l1_hit_costs_one_cycle(self):
         system, core = make_core([MemoryOp(7), MemoryOp(7)])
@@ -93,5 +93,6 @@ class TestExecution:
 
     def test_ipc_zero_before_done(self):
         system, core = make_core([ComputeOp(1)])
-        assert core.ipc() == 0.0
+        assert core.done_at is None
+        assert core.instructions == 0
         assert not core.done

@@ -55,19 +55,6 @@ class TestRouterModel:
         r = RouterModel()
         assert r.clock_power_w() > 0
 
-    def test_clock_gating_reduces_power(self):
-        r = RouterModel()
-        assert r.clock_power_w(gated_fraction=0.9) == pytest.approx(
-            0.1 * r.clock_power_w()
-        )
-
-    def test_full_gating_zeroes_clock(self):
-        assert RouterModel().clock_power_w(gated_fraction=1.0) == 0.0
-
-    def test_invalid_gated_fraction(self):
-        with pytest.raises(ValueError):
-            RouterModel().clock_power_w(gated_fraction=1.5)
-
     def test_wider_router_costs_more(self):
         assert (
             RouterModel(width_bits=128).flit_energy_j()

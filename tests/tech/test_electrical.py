@@ -3,64 +3,59 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.tech import electrical as e
 from repro.tech.electrical import (
-    DEFAULT_ACTIVITY,
-    RegisterModel,
-    WireModel,
     arbiter_energy_j,
     crossbar_energy_per_bit_j,
     demux_energy_per_bit_j,
 )
-from repro.tech.transistor import TECH_11NM
+from repro.tech.transistor import SWITCH_ENERGY_PER_UM_J, VDD_V
 
 
 class TestWireModel:
     def test_energy_per_bit_mm_magnitude(self):
         """Repeated-wire energy at 11nm/0.6V should be tens of fJ/bit/mm."""
-        e = WireModel().energy_per_bit_mm_j()
-        assert 5e-15 < e < 100e-15
+        assert 5e-15 < e.WIRE_ENERGY_PER_BIT_MM_J < 100e-15
 
     def test_energy_scales_with_activity(self):
-        w = WireModel()
-        assert w.energy_per_bit_mm_j(0.5) == pytest.approx(
-            2 * w.energy_per_bit_mm_j(0.25)
-        )
-
-    def test_zero_activity_zero_energy(self):
-        assert WireModel().energy_per_bit_mm_j(0.0) == 0.0
+        """The average energy is the activity factor times a full swing
+        of the wire plus its repeaters."""
+        full_swing = e.WIRE_CAP_PER_MM_F * (1.0 + e.REPEATER_OVERHEAD) * VDD_V**2
+        assert e.WIRE_ENERGY_PER_BIT_MM_J == pytest.approx(e.ACTIVITY * full_swing)
 
     def test_leakage_positive(self):
-        assert WireModel().leakage_power_per_bit_mm_w() > 0
+        assert e.WIRE_LEAKAGE_PER_BIT_MM_W > 0
 
     def test_area_uses_pitch(self):
-        w = WireModel(wire_pitch_um=0.2)
-        assert w.area_per_bit_mm_um2() == pytest.approx(200.0)
+        assert e.WIRE_AREA_PER_BIT_MM_UM2 == pytest.approx(e.WIRE_PITCH_UM * 1000.0)
 
-    @given(length_scale=st.floats(0.1, 10.0))
-    def test_repeater_overhead_increases_energy(self, length_scale):
-        bare = WireModel(repeater_overhead=0.0)
-        repeated = WireModel(repeater_overhead=0.35)
-        assert repeated.energy_per_bit_mm_j() > bare.energy_per_bit_mm_j()
+    def test_repeater_overhead_increases_energy(self):
+        bare = e.ACTIVITY * e.WIRE_CAP_PER_MM_F * VDD_V**2
+        assert e.WIRE_ENERGY_PER_BIT_MM_J > bare
 
 
 class TestRegisterModel:
     def test_clock_energy_burned_every_cycle(self):
         """Clock energy must be nonzero -- it is the NDD archetype."""
-        assert RegisterModel().clock_energy_per_cycle_j() > 0
+        assert e.REGISTER_CLOCK_ENERGY_J > 0
 
     def test_write_energy_positive(self):
-        assert RegisterModel().write_energy_j() > 0
+        assert e.REGISTER_WRITE_ENERGY_J > 0
 
     def test_clock_fraction_partitions_width(self):
-        r = RegisterModel(width_um=1.0, clock_cap_fraction=0.3)
-        # clock part: full-swing on 0.3 um; data part: half-swing avg on 0.7 um
-        assert r.clock_energy_per_cycle_j() == pytest.approx(0.3 * 1.2852e-15)
-        assert r.write_energy_j() == pytest.approx(0.5 * 0.7 * 1.2852e-15)
+        # clock part: full-swing on 0.3 of the width; data part:
+        # half-swing avg on the other 0.7
+        width = e.REGISTER_WIDTH_UM
+        assert e.REGISTER_CLOCK_FRACTION == 0.3
+        assert e.REGISTER_CLOCK_ENERGY_J == pytest.approx(width * 0.3 * 1.2852e-15)
+        assert e.REGISTER_WRITE_ENERGY_J == pytest.approx(
+            0.5 * width * 0.7 * 1.2852e-15
+        )
 
     def test_register_costs_more_than_inverter(self):
         # one full transition of a minimum (0.15 um) inverter
-        inverter_j = 0.15 * TECH_11NM.switch_energy_per_um_j
-        assert RegisterModel().write_energy_j() > inverter_j
+        inverter_j = 0.15 * SWITCH_ENERGY_PER_UM_J
+        assert e.REGISTER_WRITE_ENERGY_J > inverter_j
 
 
 class TestCombinational:

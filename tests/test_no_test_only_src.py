@@ -12,6 +12,13 @@ string (``getattr``, field-name tables).  A package ``__init__``
 re-export (its imports and ``__all__``) is not a use: it only widens
 the public surface, it runs nothing.  Dunder methods are called by the
 language, so they are not checked.
+
+Blind spot: the scan does not resolve types, so a test-only method
+passes whenever another class has a member of the same name that
+``src`` uses (``CoreModel.ipc`` hid behind ``RunResult.ipc``,
+``CacheGeometry.n_sets`` behind ``SetAssocCache.n_sets``).  Such
+helpers are found only by reading; ``tests/tech/test_field_readers.py``
+scopes its ``self.<field>`` reads by class for the same reason.
 """
 
 from __future__ import annotations
