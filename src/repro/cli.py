@@ -94,9 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="for 'run': cProfile the batch in-process (forces --jobs 1 "
-             "and --no-cache) and print the top 25 functions by "
-             "cumulative time to stderr",
+        help="'run' only (any other experiment exits 2): cProfile the "
+             "batch in-process (forces --jobs 1 and --no-cache) and print "
+             "the top 25 functions by cumulative time to stderr",
     )
     parser.add_argument(
         "--sanitize", action="store_true",
@@ -203,6 +203,10 @@ def main(argv: list[str] | None = None) -> int:
     from repro.log import set_verbosity
 
     set_verbosity(verbose=args.verbose, quiet=args.quiet)
+    if args.profile and args.experiment != "run":
+        print(f"--profile profiles 'run' only, not {args.experiment!r}",
+              file=sys.stderr)
+        return 2
     if args.mesh_width is not None:
         os.environ["REPRO_MESH_WIDTH"] = str(args.mesh_width)
     if args.scale is not None:
@@ -219,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.telemetry:
         # Same export rationale as --sanitize.
         os.environ["REPRO_TELEMETRY"] = "1"
-    if not (args.no_cache or (args.experiment == "run" and args.profile)):
+    if not (args.no_cache or args.profile):
         return _dispatch(args)
     # A throwaway store, so runs shared between drivers still execute
     # once.  Telemetry keeps landing where it would without the flag.
@@ -242,7 +246,7 @@ def _dispatch(args) -> int:
             if args.experiment == "run"
             else experiment_axis("sweep")
         )
-        if args.experiment == "run" and args.profile:
+        if args.profile:
             return _profiled_sweep(args, networks_default=defaults)
         return _sweep(args, networks_default=defaults)
 

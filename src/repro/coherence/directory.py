@@ -40,7 +40,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.coherence.messages import CoherenceMsg, MsgType
-from repro.coherence.sequencing import DirectorySequencer
+
+#: Table I directory access latency, in core cycles: a request starts
+#: its transaction this long after it reaches (or leaves the queue of)
+#: its home.
+DIR_LATENCY = 3
 
 
 class Protocol(Enum):
@@ -137,30 +141,16 @@ class DirectoryStats:
 class DirectoryController:
     """The directory slice homed at one core."""
 
-    def __init__(
-        self,
-        core: int,
-        fabric,
-        protocol: Protocol = Protocol.ACKWISE,
-        hardware_sharers: int = 4,
-        sequencer: DirectorySequencer | None = None,
-        slice_id: int = 0,
-        dir_latency: int = 3,
-    ) -> None:
-        if hardware_sharers < 2:
-            raise ValueError(
-                f"hardware_sharers must be >= 2 (read-after-write needs two "
-                f"pointers), got {hardware_sharers}"
-            )
-        if dir_latency < 0:
-            raise ValueError(f"dir_latency must be non-negative, got {dir_latency}")
+    def __init__(self, core: int, fabric) -> None:
+        config = fabric.config
         self.core = core
         self.fabric = fabric
-        self.protocol = protocol
-        self.k = hardware_sharers
-        self.sequencer = sequencer
-        self.slice_id = slice_id
-        self.dir_latency = dir_latency
+        self.protocol = config.protocol
+        self.k = config.hardware_sharers
+        #: the chip's per-slice broadcast counters (Section IV-C1); this
+        #: slice stamps every message it sends with its current value
+        self.sequencer = fabric.sequencer
+        self.slice_id = fabric.slice_of_core[core]
         self.entries: dict[int, DirectoryEntry] = {}
         self.busy: dict[int, _Transaction] = {}
         self.queues: dict[int, deque[CoherenceMsg]] = {}
@@ -170,13 +160,9 @@ class DirectoryController:
 
     # ------------------------------------------------------------------
     def _send(self, mtype: MsgType, address: int, dest: int, now: int) -> None:
-        sequencer = self.sequencer
         self.fabric.send_msg(
-            CoherenceMsg(
-                mtype, address, self.core, dest,
-                None if sequencer is None
-                else sequencer.current_seq(self.slice_id),
-            ),
+            CoherenceMsg(mtype, address, self.core, dest,
+                         self.sequencer.current_seq(self.slice_id)),
             now,
         )
 
@@ -188,7 +174,7 @@ class DirectoryController:
             if msg.address in self.busy:
                 self.queues.setdefault(msg.address, deque()).append(msg)
                 return
-            self._start(msg, now + self.dir_latency)
+            self._start(msg, now + DIR_LATENCY)
         elif mt is _INV_ACK:
             self._ack(msg, now)
         elif mt is _MEM_DATA:
@@ -256,9 +242,7 @@ class DirectoryController:
         overflowed = entry.global_bit
         if overflowed:
             txn.broadcast = True
-            seq = None
-            if self.sequencer is not None:
-                seq = self.sequencer.next_broadcast_seq(self.slice_id)
+            seq = self.sequencer.next_broadcast_seq(self.slice_id)
             self.stats.invalidations_broadcast += 1
             self.fabric.send_msg(
                 CoherenceMsg(_INV_BCAST, address, self.core, -1, seq),
@@ -418,4 +402,4 @@ class DirectoryController:
         nxt = q.popleft()
         if not q:
             del self.queues[address]
-        self._start(nxt, now + self.dir_latency)
+        self._start(nxt, now + DIR_LATENCY)

@@ -4,9 +4,10 @@ The controller owns the core's private hierarchy (Table I: 32 KB L1-I,
 32 KB L1-D, 256 KB L2, all private) and speaks the coherence protocol
 toward home directories:
 
-* an access that hits in L1 completes in 1 cycle; an L1 miss that hits
-  L2 in ``l2_hit_latency``; an L2 miss allocates the (single) MSHR and
-  issues SH_REQ / EX_REQ -- the in-order core blocks until the reply;
+* an access that hits in L1 completes in ``L1_HIT_LATENCY`` cycles; an
+  L1 miss that hits L2 in ``L2_HIT_LATENCY``; an L2 miss allocates the
+  (single) MSHR and issues SH_REQ / EX_REQ -- the in-order core blocks
+  until the reply;
 * incoming invalidations, flushes and writeback requests are served at
   any time (the core being blocked does not stop its cache controller);
 * modified evictions park data in a writeback buffer until the home
@@ -21,12 +22,20 @@ toward home directories:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable
 
 from repro.coherence.cache import CacheState, SetAssocCache
+from repro.coherence.directory import Protocol
 from repro.coherence.messages import CoherenceMsg, MsgType
 from repro.coherence.sequencing import SequenceTracker
+
+#: Table I cache timing, in core cycles: an L1 hit, an L2 hit (also the
+#: tag lookup that detects a miss, and an owner's flush or writeback
+#: reply), and the fill after a reply arrives.
+L1_HIT_LATENCY = 1
+L2_HIT_LATENCY = 8
+FILL_LATENCY = 2
 
 # Enum members bound once as module globals: reading one through its
 # class costs about ten times as much, and every access, reply and
@@ -91,46 +100,26 @@ class _Mshr:
 
     address: int
     is_write: bool
-    issued_at: int
     callback: Callable[[int], None]
-    reply_seq: int | None = None
 
 
 class L2Controller:
     """Cache hierarchy + protocol engine for one core."""
 
-    def __init__(
-        self,
-        core: int,
-        fabric,
-        l1_sets: int = 128,
-        l1_ways: int = 4,
-        l2_sets: int = 512,
-        l2_ways: int = 8,
-        l1_hit_latency: int = 1,
-        l2_hit_latency: int = 8,
-        fill_latency: int = 2,
-        n_slices: int = 64,
-        silent_clean_evictions: bool = False,
-        sequencing: bool = True,
-    ) -> None:
+    def __init__(self, core: int, fabric) -> None:
+        config = fabric.config
         self.core = core
         self.fabric = fabric
-        # Protocol-constant, read on every broadcast delivery: resolved
-        # once instead of through the fabric property per message.
-        self._all_ack: bool = bool(fabric.all_cores_ack_broadcasts)
+        #: Dir_kB: every core acknowledges a broadcast, and clean lines
+        #: are evicted silently; ACKwise: only sharers acknowledge, and
+        #: every eviction is announced.  Read on every broadcast delivery.
+        self._dirkb: bool = config.protocol is Protocol.DIRKB
         #: directory slice of each core, indexed by core id: a broadcast
         #: or directory request is sequenced by its sender's slice
         self._slice_of: tuple[int, ...] = fabric.slice_of_core
-        self.l1d = SetAssocCache(l1_sets, l1_ways)
-        self.l2 = SetAssocCache(l2_sets, l2_ways)
-        self.l1_hit_latency = l1_hit_latency
-        self.l2_hit_latency = l2_hit_latency
-        self.fill_latency = fill_latency
-        #: Dir_kB may evict clean lines silently; ACKwise must announce.
-        self.silent_clean_evictions = silent_clean_evictions
-        self.sequencing = sequencing
-        self.tracker = SequenceTracker(n_slices)
+        self.l1d = SetAssocCache(config.l1_sets, config.l1_ways)
+        self.l2 = SetAssocCache(config.l2_sets, config.l2_ways)
+        self.tracker = SequenceTracker(fabric.topology.n_clusters)
         self.mshr: _Mshr | None = None
         self.wb_buffer: set[int] = set()
         #: address -> buffered INV_BCAST messages racing an SH_REQ
@@ -165,30 +154,30 @@ class L2Controller:
                 c.l2_writes += 1
                 if l1_state is not _INVALID:
                     c.l1_hits += 1
-                    return now + self.l1_hit_latency
+                    return now + L1_HIT_LATENCY
                 c.l2_hits += 1
                 self.l1d.install(address, l2_state)
-                return now + self.l2_hit_latency
+                return now + L2_HIT_LATENCY
         else:
             c.l1d_reads += 1
             if l2_state is not _INVALID:  # SHARED or MODIFIED
                 if l1_state is not _INVALID:
                     c.l1_hits += 1
-                    return now + self.l1_hit_latency
+                    return now + L1_HIT_LATENCY
                 c.l2_reads += 1
                 c.l2_hits += 1
                 self.l1d.install(address, l2_state)
-                return now + self.l2_hit_latency
+                return now + L2_HIT_LATENCY
 
         # L2 miss (or S->M upgrade).
         c.l2_tag_probes += 1
         c.l2_misses += 1
-        self.mshr = _Mshr(address, is_write, now, callback)
+        self.mshr = _Mshr(address, is_write, callback)
         fabric = self.fabric
         fabric.send_msg(
             CoherenceMsg(_EX_REQ if is_write else _SH_REQ, address,
                          self.core, fabric.home_of(address)),
-            now + self.l2_hit_latency,  # miss detected after lookup
+            now + L2_HIT_LATENCY,  # miss detected after lookup
         )
         return None
 
@@ -207,7 +196,7 @@ class L2Controller:
             self._handle_ex_rep(msg, now)
             return
         if mt is _INV_REQ or mt is _FLUSH_REQ or mt is _WB_REQ:
-            if self.sequencing and self.tracker.unicast_is_early(
+            if self.tracker.unicast_is_early(
                 self._slice_of[msg.sender], msg.seq
             ):
                 # The directory sent a broadcast we have not seen yet:
@@ -235,13 +224,12 @@ class L2Controller:
             mshr is not None
             and mshr.address == msg.address
             and not mshr.is_write
-            and self.sequencing
         ):
             # Potentially overtook the SH_REP we are waiting for
             # (paper's exact buffered case).  Reconciled on reply.
             self.counters.bcast_invs_buffered += 1
             self._pending_bcasts.setdefault(msg.address, []).append(msg)
-            if self._all_ack:
+            if self._dirkb:
                 # Dir_kB counts an ack from every core; ours cannot wait
                 # for the reply (the directory's broadcast transaction
                 # may be what our queued SH_REQ is blocked behind).  We
@@ -251,10 +239,10 @@ class L2Controller:
                     now + 1,
                 )
             return
-        self._process_bcast(msg, now, note=True)
+        self._process_bcast(msg, now)
 
     def _process_bcast(
-        self, msg: CoherenceMsg, now: int, note: bool, may_ack: bool = True
+        self, msg: CoherenceMsg, now: int, may_ack: bool = True
     ) -> None:
         c = self.counters
         c.invalidations_received += 1
@@ -266,18 +254,16 @@ class L2Controller:
             l2.set_state(address, _INVALID)
             self.l1d.invalidate(address)
         # ACKwise: only true sharers respond.  Dir_kB: everyone does.
-        if may_ack and (had_line or self._all_ack):
+        if may_ack and (had_line or self._dirkb):
             self.fabric.send_msg(
                 CoherenceMsg(_INV_ACK, address, self.core, msg.sender),
                 now + 1,
             )
-        seq = msg.seq
-        if note and seq is not None and self.sequencing:
-            if self._early_unicasts:
-                self._note_broadcast(self._slice_of[msg.sender], seq, now)
-            else:
-                # Common case: no unicast is waiting on this broadcast.
-                self.tracker.note_broadcast(self._slice_of[msg.sender], seq)
+        if self._early_unicasts:
+            self._note_broadcast(self._slice_of[msg.sender], msg.seq, now)
+        else:
+            # Common case: no unicast is waiting on this broadcast.
+            self.tracker.note_broadcast(self._slice_of[msg.sender], msg.seq)
 
     def _note_broadcast(self, slice_id: int, seq: int, now: int) -> None:
         """Advance the slice tracker and release unblocked early unicasts."""
@@ -328,7 +314,7 @@ class L2Controller:
                 )
             self.fabric.send_msg(
                 CoherenceMsg(_FLUSH_REP, address, self.core, msg.sender),
-                now + self.l2_hit_latency,
+                now + L2_HIT_LATENCY,
             )
             return
         if mt is _WB_REQ:
@@ -350,7 +336,7 @@ class L2Controller:
             self.fabric.send_msg(
                 CoherenceMsg(_WB_REP, address, self.core, msg.sender, None,
                              retained),
-                now + self.l2_hit_latency,
+                now + L2_HIT_LATENCY,
             )
             return
         raise ValueError(f"not a directory request: {mt}")
@@ -359,7 +345,7 @@ class L2Controller:
     def _complete_mshr(self, now: int) -> None:
         mshr = self.mshr
         self.mshr = None
-        done = now + self.fill_latency
+        done = now + FILL_LATENCY
         mshr.callback(done)
 
     def _handle_sh_rep(self, msg: CoherenceMsg, now: int) -> None:
@@ -375,18 +361,13 @@ class L2Controller:
         # are processed one cycle after the reply.
         for b in self._pending_bcasts.pop(msg.address, ()):
             slice_id = self._slice_of[b.sender]
-            if msg.seq is not None and b.seq is not None and (
-                self.tracker.broadcast_is_stale(slice_id, b.seq, msg.seq)
-            ):
+            if self.tracker.broadcast_is_stale(slice_id, b.seq, msg.seq):
                 self.counters.bcast_invs_stale_dropped += 1
                 self._note_broadcast(slice_id, b.seq, now)
             else:
                 # Dir_kB already acknowledged at buffer time; ACKwise
                 # acks now (this core was a counted sharer).
-                self._process_bcast(
-                    b, now + 1, note=True,
-                    may_ack=not self._all_ack,
-                )
+                self._process_bcast(b, now + 1, may_ack=not self._dirkb)
         self._complete_mshr(now)
 
     def _handle_ex_rep(self, msg: CoherenceMsg, now: int) -> None:
@@ -421,7 +402,7 @@ class L2Controller:
             )
         else:
             self.counters.evictions_clean += 1
-            if not self.silent_clean_evictions:
+            if not self._dirkb:
                 fabric.send_msg(
                     CoherenceMsg(_EVICT_NOTIFY, v_line, self.core,
                                  fabric.home_of(v_line)),

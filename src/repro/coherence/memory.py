@@ -11,9 +11,6 @@ architecture" -- we model it as latency + bandwidth only.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from repro.coherence.messages import CoherenceMsg, MsgType
 from repro.network.engine import PortResource
 
@@ -25,33 +22,22 @@ _MEM_DATA = MsgType.MEM_DATA
 _MEM_WRITE_ACK = MsgType.MEM_WRITE_ACK
 
 
-@dataclass(frozen=True)
-class MemoryTiming:
-    """DRAM access parameters (Table I)."""
-
-    latency_cycles: int = 100          # 100 ns at 1 GHz
-    bytes_per_cycle: float = 5.0       # 5 GB/s at 1 GHz
-    line_bytes: int = 64
-
-    @property
-    def serialization_cycles(self) -> int:
-        return max(1, math.ceil(self.line_bytes / self.bytes_per_cycle))
+#: Table I DRAM access latency: 100 ns at 1 GHz.
+MEM_LATENCY = 100
+#: Cycles one 64 B line occupies a controller's channel at 5 GB/s
+#: (5 bytes per cycle at 1 GHz): ceil(64 / 5).
+LINE_SERIALIZATION_CYCLES = 13
 
 
 class MemoryController:
     """One cluster's memory controller."""
 
-    __slots__ = ("core", "timing", "_channel", "_cycles", "_latency",
-                 "reads", "writes", "fabric")
+    __slots__ = ("core", "_channel", "reads", "writes", "fabric")
 
-    def __init__(self, core: int, fabric, timing: MemoryTiming | None = None) -> None:
+    def __init__(self, core: int, fabric) -> None:
         self.core = core
         self.fabric = fabric
-        self.timing = timing = timing if timing is not None else MemoryTiming()
         self._channel = PortResource()
-        # Resolved once: ``timing`` is frozen, and each request reads both.
-        self._cycles = timing.serialization_cycles
-        self._latency = timing.latency_cycles
         self.reads = 0
         self.writes = 0
 
@@ -66,8 +52,8 @@ class MemoryController:
             reply_type = _MEM_WRITE_ACK
         else:
             raise ValueError(f"memory controller got {msg.mtype}")
-        cycles = self._cycles
-        done = self._channel.reserve(now, cycles) + cycles + self._latency
+        done = (self._channel.reserve(now, LINE_SERIALIZATION_CYCLES)
+                + LINE_SERIALIZATION_CYCLES + MEM_LATENCY)
         self.fabric.send_msg(
             CoherenceMsg(reply_type, msg.address, self.core, msg.sender), done
         )

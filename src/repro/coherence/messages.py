@@ -83,7 +83,7 @@ class CoherenceMsg:
     seq:
         Directory-slice sequence number (Section IV-C1); carried by
         broadcasts and by directory->core unicasts so receivers can
-        detect reordering.  ``None`` when sequencing is disabled.
+        detect reordering.  ``None`` on messages no directory stamps.
     """
 
     mtype: MsgType

@@ -6,9 +6,9 @@ These go beyond the paper's figures:
   performance-optimal policy is adaptive but picks a fixed rthres "for
   simplicity reasons"; this quantifies the gap on the Figure 3 traffic.
 * **Sequence-number activity** -- how often the Section IV-C1 reorder
-  machinery actually fires under distance routing.  Only the
-  sequencing-on side runs: ``sequencing`` is a config field, not a
-  spec field, so a spec cannot turn it off.
+  machinery actually fires under distance routing.  Sequencing is
+  always on (the paper's design), so there is no unsequenced side to
+  compare against.
 * **Analytic vs simulated latency** -- the accuracy envelope of the
   closed-form model across loads (it is exact at zero load and
   diverges as queueing builds).
@@ -100,8 +100,8 @@ def run_sequencing_cost(
     mesh_width: int | None = None,
     scale: float | None = None,
 ) -> list[dict]:
-    """Runtime and reorder-event counts with sequencing on (the only
-    setting a spec can run)."""
+    """Runtime and reorder-event counts per app (sequencing is always
+    on)."""
     specs = sequencing_cost_grid(apps, mesh_width, scale)
     rows = []
     for app, on in zip(apps, run_specs(specs)):

@@ -245,19 +245,18 @@ class Sanitizer(Probe):
         system = self.system
         home = msg.sender
         directory = system.directories[home]
-        if system.config.sequencing:
-            sl = system.slice_of_home(home)
-            want = (self._bcast_sent.get(sl, 0) + 1) % SEQ_MOD
-            stamped = system.sequencer.current_seq(sl)
-            if msg.seq != want or msg.seq != stamped:
-                self.violation(
-                    "seq-continuity",
-                    f"slice {sl} broadcast carries seq {msg.seq}; expected "
-                    f"{want} (sequencer says {stamped})",
-                    details={"slice": sl, "seq": msg.seq, "expected": want,
-                             "address": msg.address},
-                )
-            self._bcast_sent[sl] = msg.seq
+        sl = system.slice_of_home(home)
+        want = (self._bcast_sent.get(sl, 0) + 1) % SEQ_MOD
+        stamped = system.sequencer.current_seq(sl)
+        if msg.seq != want or msg.seq != stamped:
+            self.violation(
+                "seq-continuity",
+                f"slice {sl} broadcast carries seq {msg.seq}; expected "
+                f"{want} (sequencer says {stamped})",
+                details={"slice": sl, "seq": msg.seq, "expected": want,
+                         "address": msg.address},
+            )
+        self._bcast_sent[sl] = msg.seq
         if directory.protocol is Protocol.ACKWISE:
             entry = directory.entries.get(msg.address)
             expected = entry.count if entry is not None else 0
@@ -509,8 +508,7 @@ class Sanitizer(Probe):
                     f"{len(directory.queues)} queued line(s)",
                     details={"core": core},
                 )
-        if system.config.sequencing:
-            self._check_trackers()
+        self._check_trackers()
         stats = system.network.stats.as_dict()
         for key, counted in self._shadow.items():
             if stats[key] != counted:

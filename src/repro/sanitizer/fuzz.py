@@ -469,8 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--seed-from-run-id", action="store_true",
-        help="derive the base seed from GITHUB_RUN_ID (CI: a different "
-             "seed window every night, reproducible from the run id)",
+        help="derive the base seed from GITHUB_RUN_ID, so each CI run "
+             "fuzzes its own seed window and any failure is reproducible "
+             "from the run id",
     )
     parser.add_argument(
         "--inject", choices=FAULTS, default=None, metavar="FAULT",

@@ -24,8 +24,16 @@ __all__ = ["SystemConfig", "make_network"]
 class SystemConfig:
     """Everything needed to instantiate a :class:`ManycoreSystem`.
 
-    Defaults are the paper's Table I at full 1024-core scale; tests use
+    Only what a figure, test or fuzz case varies is a field; defaults
+    are the paper's Table I at full 1024-core scale, and tests use
     ``scaled()`` to shrink the chip and the caches proportionally.
+    Table I's fixed timing is module constants next to its one user:
+    the network's in :mod:`repro.network.engine`, the caches' in
+    :mod:`repro.coherence.l2controller`, the directory's in
+    :mod:`repro.coherence.directory`, DRAM's in
+    :mod:`repro.coherence.memory` and the clock in
+    :mod:`repro.sim.results`.  Broadcasts are always sequenced
+    (Section IV-C1).
     """
 
     # -- chip geometry ---------------------------------------------------
@@ -43,19 +51,10 @@ class SystemConfig:
     l1_ways: int = 4
     l2_sets: int = 512                # 256 KB, 8-way
     l2_ways: int = 8
-    l1_hit_latency: int = 1
-    l2_hit_latency: int = 8
-    fill_latency: int = 2
-    dir_latency: int = 3
-    mem_latency: int = 100            # 100 ns at 1 GHz
-    mem_bytes_per_cycle: float = 5.0  # 5 GB/s per controller
 
     # -- coherence ----------------------------------------------------------
     protocol: Protocol = Protocol.ACKWISE
     hardware_sharers: int = 4         # ACKwise_4 unless stated otherwise
-    sequencing: bool = True
-
-    freq_hz: float = 1e9
 
     def __post_init__(self) -> None:
         get_network(self.network)  # raises UnknownNetworkError
@@ -63,6 +62,11 @@ class SystemConfig:
             raise ValueError(f"bad receive_net {self.receive_net!r}")
         if self.flit_bits <= 0:
             raise ValueError("flit_bits must be positive")
+        if self.hardware_sharers < 2:
+            raise ValueError(
+                f"hardware_sharers must be >= 2 (read-after-write needs two "
+                f"pointers), got {self.hardware_sharers}"
+            )
 
     @property
     def topology(self) -> MeshTopology:

@@ -7,6 +7,9 @@ from dataclasses import dataclass, field, fields
 from repro.coherence.l2controller import CacheCounters
 from repro.network.stats import NetworkStats
 
+#: Table I core clock: 1 GHz.
+FREQ_HZ = 1e9
+
 
 @dataclass
 class RunResult:
@@ -35,7 +38,7 @@ class RunResult:
     mem_reads: int
     mem_writes: int
     barriers_completed: int
-    freq_hz: float = 1e9
+    freq_hz: float = FREQ_HZ
     #: mean adaptive-SWMR link utilization (hybrid networks only)
     onet_utilization: float = 0.0
     flit_bits: int = 64

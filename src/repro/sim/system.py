@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import fields
 from typing import TYPE_CHECKING
 
-from repro.coherence.directory import DirectoryController, Protocol
+from repro.coherence.directory import DirectoryController
 from repro.coherence.l2controller import CacheCounters, L2Controller
-from repro.coherence.memory import MemoryController, MemoryTiming
+from repro.coherence.memory import MemoryController
 from repro.coherence.messages import MSG_BITS, CoherenceMsg, MsgType
 from repro.coherence.sequencing import DirectorySequencer
 from repro.network.atac import AtacNetwork
@@ -25,7 +25,7 @@ from repro.sim.config import SystemConfig, make_network
 from repro.sim.core_model import CoreModel
 from repro.sim.eventq import EventQueue
 from repro.sim.probes import end_run, install, start_run
-from repro.sim.results import RunResult
+from repro.sim.results import FREQ_HZ, RunResult
 from repro.workloads.trace import CoreTrace
 
 if TYPE_CHECKING:
@@ -101,7 +101,7 @@ class ManycoreSystem:
         # once per coherence message, so they must be plain indexed
         # lookups rather than repeated topology arithmetic.
         #: directory slice (= cluster) of each core, indexed by core id;
-        #: the L2 controllers index it directly
+        #: the coherence controllers index it directly
         self.slice_of_core = tuple(
             topo.cluster_of(c) for c in range(topo.n_cores)
         )
@@ -109,43 +109,19 @@ class ManycoreSystem:
             self._cluster_memctrl[s] for s in self.slice_of_core
         )
 
-        mem_timing = MemoryTiming(
-            latency_cycles=config.mem_latency,
-            bytes_per_cycle=config.mem_bytes_per_cycle,
-        )
         self.memctrls = {
-            pos: MemoryController(pos, self, mem_timing)
-            for pos in self.memctrl_positions
+            pos: MemoryController(pos, self) for pos in self.memctrl_positions
         }
 
+        # Built after the tables above and the sequencer: the coherence
+        # controllers read them, with the config and topology, at
+        # construction.
         self.sequencer = DirectorySequencer(topo.n_clusters)
-        silent = config.protocol is Protocol.DIRKB
         self.caches: dict[int, L2Controller] = {}
         self.directories: dict[int, DirectoryController] = {}
         for core in self.compute_cores:
-            self.caches[core] = L2Controller(
-                core,
-                self,
-                l1_sets=config.l1_sets,
-                l1_ways=config.l1_ways,
-                l2_sets=config.l2_sets,
-                l2_ways=config.l2_ways,
-                l1_hit_latency=config.l1_hit_latency,
-                l2_hit_latency=config.l2_hit_latency,
-                fill_latency=config.fill_latency,
-                n_slices=topo.n_clusters,
-                silent_clean_evictions=silent,
-                sequencing=config.sequencing,
-            )
-            self.directories[core] = DirectoryController(
-                core,
-                self,
-                protocol=config.protocol,
-                hardware_sharers=config.hardware_sharers,
-                sequencer=self.sequencer if config.sequencing else None,
-                slice_id=topo.cluster_of(core),
-                dir_latency=config.dir_latency,
-            )
+            self.caches[core] = L2Controller(core, self)
+            self.directories[core] = DirectoryController(core, self)
         self.cores: dict[int, CoreModel] = {}
         self.barriers: BarrierManager | None = None
         # Per message type: the controllers (by core) that handle it on
@@ -194,11 +170,6 @@ class ManycoreSystem:
     def slice_of_home(self, core: int) -> int:
         """Directory slice (= cluster) of a home core, for seq numbers."""
         return self.slice_of_core[core]
-
-    @property
-    def all_cores_ack_broadcasts(self) -> bool:
-        """Dir_kB collects acknowledgements from every core."""
-        return self.config.protocol is Protocol.DIRKB
 
     def n_broadcast_ackers(self, home: int) -> int:
         """Cores that will acknowledge a Dir_kB broadcast from ``home``:
@@ -356,7 +327,7 @@ class ManycoreSystem:
             mem_reads=mem_reads,
             mem_writes=mem_writes,
             barriers_completed=self.barriers.barriers_completed,
-            freq_hz=self.config.freq_hz,
+            freq_hz=FREQ_HZ,
             onet_utilization=onet_util,
             flit_bits=self.config.flit_bits,
             hardware_sharers=self.config.hardware_sharers,

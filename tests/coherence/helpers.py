@@ -13,7 +13,6 @@ def tiny_system(
     network: str = "emesh-bcast",
     protocol: Protocol = Protocol.ACKWISE,
     k: int = 2,
-    sequencing: bool = True,
     width: int = 4,
     cluster_width: int = 2,
     rthres: int = 15,
@@ -26,7 +25,6 @@ def tiny_system(
         network=network,
         protocol=protocol,
         hardware_sharers=k,
-        sequencing=sequencing,
         rthres=rthres,
         l1_sets=4,
         l1_ways=2,

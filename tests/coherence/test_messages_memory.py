@@ -1,8 +1,14 @@
 """Unit tests for coherence messages and the memory controller."""
 
+import math
+
 import pytest
 
-from repro.coherence.memory import MemoryController, MemoryTiming
+from repro.coherence.memory import (
+    LINE_SERIALIZATION_CYCLES,
+    MEM_LATENCY,
+    MemoryController,
+)
 from repro.coherence.messages import (
     CONTROL_MSG_BITS,
     DATA_BEARING,
@@ -68,10 +74,9 @@ class _FakeFabric:
 
 class TestMemoryTiming:
     def test_table_i_values(self):
-        t = MemoryTiming()
-        assert t.latency_cycles == 100
-        assert t.bytes_per_cycle == 5.0  # 5 GB/s at 1 GHz
-        assert t.serialization_cycles == 13  # ceil(64/5)
+        assert MEM_LATENCY == 100  # 100 ns at 1 GHz
+        # a 64 B line at 5 GB/s (5 bytes per cycle at 1 GHz)
+        assert LINE_SERIALIZATION_CYCLES == math.ceil(64 / 5) == 13
 
 
 class TestMemoryController:

@@ -7,8 +7,9 @@ results -- these tests break things on purpose.
 
 import pytest
 
-from repro.coherence.directory import DirectoryController, Protocol
+from repro.coherence.directory import Protocol
 from repro.coherence.messages import CoherenceMsg, MsgType
+from repro.sim.config import SystemConfig
 from tests.coherence.helpers import read, tiny_system, write
 
 
@@ -137,12 +138,8 @@ class TestLateAcksAreSafe:
 
 class TestDirectoryValidation:
     def test_k_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            DirectoryController(0, fabric=None, hardware_sharers=1)
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            DirectoryController(0, fabric=None, dir_latency=-1)
+        with pytest.raises(ValueError, match="hardware_sharers must be >= 2"):
+            SystemConfig(hardware_sharers=1)
 
 
 class TestRecoveryPaths:

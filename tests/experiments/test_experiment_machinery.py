@@ -208,6 +208,22 @@ class TestCli:
             "mesh width 6 not a multiple of cluster width 4\n"
         )
 
+    @pytest.mark.parametrize("experiment", ["fig10", "sweep", "all"])
+    def test_profile_outside_run_exits_2(self, capsys, monkeypatch,
+                                         experiment):
+        """--profile profiles 'run' only; elsewhere it would be silently
+        ignored, so it is one line and exit 2 before anything runs."""
+        from repro.experiments import runner
+
+        monkeypatch.setattr(runner, "_timed_execute", None)  # never called
+        argv = [experiment, "--mesh-width", "8", "--profile", "--no-cache"]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"--profile profiles 'run' only, not {experiment!r}\n"
+        )
+
     def test_fig10_runs_quickly(self, capsys):
         # fig10 is pure area modeling: safe to run through the CLI
         assert cli_main(["fig10", "--mesh-width", "8", "--scale", "0.1"]) == 0

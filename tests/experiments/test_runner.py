@@ -143,6 +143,13 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="not a multiple of cluster width"):
             RunSpec(app="radix", network=network, mesh_width=6)
 
+    def test_bad_sharer_count_rejected_at_construction(self):
+        # Rejected before the spec can be hashed or shipped to a pool
+        # worker, where it would fail only inside execute().
+        with pytest.raises(ValueError, match="hardware_sharers must be >= 2"):
+            RunSpec(app="barnes", mesh_width=8, hardware_sharers=1)
+        RunSpec(app="barnes", mesh_width=8, hardware_sharers=2)
+
     def test_load_point_rejected_on_one_cluster(self):
         with pytest.raises(ValueError, match="two clusters"):
             LoadPointSpec(routing="cluster", load=0.02, mesh_width=4)

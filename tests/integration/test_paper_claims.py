@@ -11,10 +11,7 @@ from repro.energy.accounting import EnergyModel
 from repro.experiments.runner import Runner
 from repro.experiments.runspec import RunSpec
 from repro.experiments.store import ResultStore
-from repro.sim.config import SystemConfig
-from repro.sim.system import ManycoreSystem
 from repro.tech.scenarios import SCENARIO_ATACP
-from repro.workloads.splash import APP_PROFILES, generate_traces
 
 
 @pytest.fixture(scope="module")
@@ -96,19 +93,6 @@ class TestSequenceNumbersInAction:
             totals["buffered"] += res.cache_counters.bcast_invs_buffered
             totals["early"] += res.cache_counters.unicasts_buffered_early
         assert totals["buffered"] + totals["early"] > 0
-
-    def test_disabling_sequencing_still_runs_on_mesh(self):
-        """Meshes deliver in FIFO order per pair, so sequencing off is
-        safe there (the mechanism exists for the hybrid network)."""
-        # sequencing is a config field, not a spec field: a direct run
-        cfg = SystemConfig(network="emesh-bcast", sequencing=False).scaled(16)
-        system = ManycoreSystem(cfg)
-        traces = generate_traces(
-            APP_PROFILES["barnes"], system.topology,
-            l2_lines=cfg.l2_sets * cfg.l2_ways, scale=0.35,
-        )
-        res = system.run(traces, app="barnes")
-        assert res.completion_cycles > 0
 
 
 class TestProtocolComparisonShape:

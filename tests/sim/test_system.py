@@ -29,7 +29,6 @@ class TestConfig:
         assert cfg.flit_bits == 64
         assert cfg.l2_sets * cfg.l2_ways * 64 == 256 * 1024  # 256 KB L2
         assert cfg.l1_sets * cfg.l1_ways * 64 == 32 * 1024   # 32 KB L1
-        assert cfg.mem_latency == 100
         assert cfg.hardware_sharers == 4
 
     def test_network_choices(self):

@@ -1,9 +1,11 @@
-"""Lint: every ``repro.tech`` dataclass field is read by ``src`` code.
+"""Lint: every dataclass field of ``repro.tech``, ``repro.sim.config``
+and ``repro.coherence`` is read by ``src`` code.
 
-A technology-model field that nothing reads is write-only
-configuration: it can be set, it is documented, and it changes no
-number.  The same lint guards the network registry's descriptor
-(``tests/network/test_registry.py``).
+A technology-model or chip-config field that nothing reads is
+write-only configuration: it can be set, it is documented, and it
+changes no number.  A protocol-state field that nothing reads is work
+done on every message for nothing.  The same lint guards the network
+registry's descriptor (``tests/network/test_registry.py``).
 
 A field counts as read when ``src`` code, outside a ``validate``
 method, reads it
@@ -37,9 +39,9 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def _tech_fields():
-    """``(class, field)`` for every dataclass field in ``repro.tech``."""
-    for path in sorted((SRC / "tech").glob("*.py")):
+def _dataclass_fields(paths):
+    """``(class, field)`` for every dataclass field in ``paths``."""
+    for path in paths:
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.ClassDef) and _is_dataclass(node):
                 for item in node.body:
@@ -72,19 +74,30 @@ class _Reads(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _unread() -> list[str]:
+def _unread(paths) -> list[str]:
     reads = _Reads()
     for path in sorted(SRC.rglob("*.py")):
         reads.visit(ast.parse(path.read_text()))
     return [
-        f"{cls}.{name}" for cls, name in _tech_fields()
+        f"{cls}.{name}" for cls, name in _dataclass_fields(paths)
         if name not in reads.own[cls] and name not in reads.other
     ]
 
 
 def test_every_tech_field_has_a_reader():
-    unread = _unread()
+    unread = _unread(sorted((SRC / "tech").glob("*.py")))
     assert not unread, (
         "repro.tech dataclass fields no src code reads (delete them, or "
         "make them module constants): " + ", ".join(unread)
+    )
+
+
+def test_every_config_and_coherence_field_has_a_reader():
+    paths = [SRC / "sim" / "config.py",
+             *sorted((SRC / "coherence").glob("*.py"))]
+    unread = _unread(paths)
+    assert not unread, (
+        "repro.sim.config / repro.coherence dataclass fields no src code "
+        "reads (delete them, or make them module constants): "
+        + ", ".join(unread)
     )
