@@ -19,6 +19,7 @@ from __future__ import annotations
 from repro.experiments.common import LoadPointSpec, RunSpec, grid, run_specs
 from repro.network.analytic import AnalyticModel
 from repro.network.atac import AtacNetwork
+from repro.network.engine import Network
 from repro.network.routing import AdaptiveDistanceRouting, DistanceRouting
 from repro.network.topology import MeshTopology
 from repro.workloads.synthetic import SyntheticTraffic, run_load_point
@@ -28,10 +29,15 @@ class _BacklogFeedback(AtacNetwork):
     """ATAC+ that feeds its adaptive policy the sender hub's ONet
     backlog after every unicast and broadcast it routes.
 
-    The observation sits in the two routing methods, not in ``send``,
-    so ``send`` and ``send_stream`` both reach it.  A self-send uses no
-    network and is not observed; synthetic traffic has none.
+    The observation sits in the two routing methods, not in ``send``.
+    ``send`` reaches both; ``send_stream`` keeps ``Network``'s
+    per-packet ``_send_window``, not ``AtacNetwork``'s inline kernel, so
+    it reaches ``_send_unicast`` too and the threshold moves between
+    any two sends.  A self-send uses no network and is not observed;
+    synthetic traffic has none.
     """
+
+    _send_window = Network._send_window
 
     def _observe(self, src: int, t: int) -> None:
         link = self.onet_links[self._cluster_of_core[src]]

@@ -28,15 +28,22 @@ and a broadcast::
 from __future__ import annotations
 
 from repro.network.cluster_nets import ReceiveNetwork
-from repro.network.engine import HUB_DELAY
+from repro.network.engine import HOP_LATENCY, HUB_DELAY
 from repro.network.mesh import _MeshBase
 from repro.network.onet import AdaptiveSWMRLink
 from repro.network.routing import ClusterRouting, DistanceRouting, RoutingPolicy
 from repro.network.topology import MeshTopology
+from repro.network.types import BROADCAST
 
 
 class AtacNetwork(_MeshBase):
     """ATAC (BNet + cluster routing) or ATAC+ (StarNet + distance routing)."""
+
+    #: Whether an optical unicast takes the receiver's channel (MWSR)
+    #: instead of the sender's (SWMR), and how many cycles after reaching
+    #: the source hub it may take it.  Both unicast paths read these.
+    _receiver_owned = False
+    _ready_offset = 0
 
     def __init__(
         self,
@@ -113,30 +120,113 @@ class AtacNetwork(_MeshBase):
         hops = (dx if dx >= 0 else -dx) + (dy if dy >= 0 else -dy)
         if hops < self.routing.rthres:
             return self._traverse(src, dst, t, n_flits)
-        return self._optical_unicast(
-            src, dst, t, n_flits, self.onet_links[src_cluster], 0
-        )
+        return self._optical_unicast(src, dst, t, n_flits)
 
-    def _optical_unicast(
-        self,
-        src: int,
-        dst: int,
-        t: int,
-        n_flits: int,
-        link: AdaptiveSWMRLink,
-        ready_offset: int,
-    ) -> int:
+    def _optical_unicast(self, src: int, dst: int, t: int, n_flits: int) -> int:
         """The optical unicast path of the whole ATAC family: ENet to the
-        source hub, ``link`` (taken ``ready_offset`` cycles after the
-        hub is reached), the destination hub, and its receive network.
+        source hub, the channel (the sender's, or the receiver's if
+        ``_receiver_owned``, taken ``_ready_offset`` cycles after the hub
+        is reached), the destination hub, and its receive network.
         Returns the arrival time at ``dst``."""
+        cluster = self._cluster_of_core
+        dst_cluster = cluster[dst]
         at_hub = self._to_hub(src, t, n_flits)
-        hub_arrival = link.transmit(at_hub + ready_offset, n_flits, False)
+        link = self.onet_links[
+            dst_cluster if self._receiver_owned else cluster[src]
+        ]
+        hub_arrival = link.transmit(at_hub + self._ready_offset, n_flits, False)
         # receive-side hub crossing, then the cluster receive network
         self.stats.hub_flit_traversals += n_flits
-        return self.receive_nets[self._cluster_of_core[dst]].deliver_unicast(
+        return self.receive_nets[dst_cluster].deliver_unicast(
             hub_arrival + HUB_DELAY, n_flits, self._local_index[dst]
         )
+
+    def _send_window(self, times: list[int], srcs: list[int],
+                     dsts: list[int], size_bits: int,
+                     n_flits: int) -> tuple[int, int, int]:
+        """``_send_unicast`` per unicast, as one loop: the routing rule
+        and the ENet legs -- to ``dst``, or to the source hub for an
+        optical unicast -- are walked inline, as ``_traverse`` and
+        ``_to_hub`` walk them, and the router, link, arbitration and hub
+        counters are summed in locals and written once per window.  The
+        optical stage goes through ``AdaptiveSWMRLink.transmit``
+        and ``ReceiveNetwork.deliver_unicast``.  ``rthres`` is read once
+        per window, so a subclass whose policy moves between sends
+        (``_BacklogFeedback``) keeps ``Network._send_window``.
+        """
+        send = self.send
+        broadcast = BROADCAST
+        rthres = self.routing.rthres
+        cluster, hub_of = self._cluster_of_core, self._hub_of_core
+        col, row, local = self._col_of_core, self._row_of_core, self._local_index
+        links, rnets = self.onet_links, self.receive_nets
+        receiver_owned, ready_offset = self._receiver_owned, self._ready_offset
+        w = self._width
+        xlegs, ylegs = self._xlegs, self._ylegs
+        xleg_flits, yleg_flits = self._xleg_flits, self._yleg_flits
+        free_at = self._free_at
+        hop = HOP_LATENCY
+        hub_delay = HUB_DELAY
+        n_sent = lat_sum = lat_max = hops = walks = n_optical = 0
+        for t, src, dst in zip(times, srcs, dsts):
+            if dst == broadcast or dst == src:
+                send(src, dst, size_bits, t)
+                n_sent += 1
+                continue
+            src_cluster = cluster[src]
+            dst_cluster = cluster[dst]
+            target = dst
+            if src_cluster != dst_cluster:
+                dx = col[src] - col[dst]
+                dy = row[src] - row[dst]
+                if (dx if dx >= 0 else -dx) + (dy if dy >= 0 else -dy) >= rthres:
+                    target = hub_of[src]
+            head = t
+            if src != target:
+                # _traverse(src, target): the X leg, then the Y leg.
+                c = col[target]
+                xi = src * w + c
+                yi = (row[src] * w + c) * w + row[target]
+                xleg_flits[xi] += n_flits
+                yleg_flits[yi] += n_flits
+                xleg = xlegs[xi]
+                yleg = ylegs[yi]
+                hops += len(xleg) + len(yleg)
+                walks += 1
+                for i in xleg:
+                    free = free_at[i]
+                    if free > head:
+                        head = free
+                    free_at[i] = head + n_flits
+                    head += hop
+                for i in yleg:
+                    free = free_at[i]
+                    if free > head:
+                        head = free
+                    free_at[i] = head + n_flits
+                    head += hop
+                head += n_flits
+            if target != dst:
+                n_optical += 1
+                link = links[dst_cluster if receiver_owned else src_cluster]
+                head = rnets[dst_cluster].deliver_unicast(
+                    link.transmit(head + hub_delay + ready_offset, n_flits,
+                                  False) + hub_delay,
+                    n_flits, local[dst],
+                )
+            # Every stage only adds delay, so ``lat`` is never negative.
+            lat = head - t
+            if lat > lat_max:
+                lat_max = lat
+            lat_sum += lat
+        s = self.stats
+        # each walk also crosses its ejection router
+        s.router_flit_traversals += n_flits * (hops + walks)
+        s.link_flit_traversals += n_flits * hops
+        s.router_arbitrations += hops + walks
+        # two hub crossings per optical unicast, one at each end
+        s.hub_flit_traversals += 2 * n_flits * n_optical
+        return len(times) - n_sent, lat_sum, lat_max
 
     # ------------------------------------------------------------------
     def _deliver_clusters(

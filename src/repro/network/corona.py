@@ -40,6 +40,14 @@ TOKEN_DELAY = 2
 class CoronaNetwork(AtacNetwork):
     """All-optical MWSR crossbar with token-slot channel arbitration."""
 
+    # MWSR: an inter-cluster unicast reserves the *destination's*
+    # channel; the token round precedes the reservation, and queueing
+    # behind other writers is the channel's own serialization.
+    # ClusterRouting sends every inter-cluster unicast optically, so
+    # AtacNetwork's unicast paths need nothing else.
+    _receiver_owned = True
+    _ready_offset = TOKEN_DELAY
+
     def __init__(
         self,
         topology: MeshTopology,
@@ -67,18 +75,6 @@ class CoronaNetwork(AtacNetwork):
     @property
     def name(self) -> str:
         return "Corona"
-
-    # ------------------------------------------------------------------
-    def _send_unicast(self, src: int, dst: int, t: int, n_flits: int) -> int:
-        dst_cluster = self._cluster_of_core[dst]
-        if self._cluster_of_core[src] == dst_cluster:
-            return self._traverse(src, dst, t, n_flits)
-        # MWSR: reserve the *destination's* channel; the token round
-        # precedes the reservation, queueing behind other writers is
-        # the channel's own serialization.
-        return self._optical_unicast(
-            src, dst, t, n_flits, self.onet_links[dst_cluster], TOKEN_DELAY
-        )
 
     # ------------------------------------------------------------------
     def _send_broadcast(self, src: int, t: int,

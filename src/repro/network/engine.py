@@ -29,13 +29,17 @@ points, for callers of two shapes:
 * ``Network.send_stream(times, srcs, dsts, size_bits)`` sends a whole
   time-ordered window of same-size packets and returns nothing.  Open-
   loop traffic (Figure 3) sends this way: the window is validated in
-  C-level passes before anything changes, then each unicast costs one
-  ``_send_unicast`` call and the unicast counters are written once per
-  window.  Broadcasts and self-sends in a window go through ``send``.
+  C-level passes before anything changes, then ``_send_window`` sends
+  it and the unicast counters are written once per window.  Broadcasts
+  and self-sends in a window go through ``send``.
 
 Both hand ``_send_unicast(src, dst, t, n_flits)`` (which returns the
 arrival cycle) or ``_send_broadcast(src, t, n_flits)`` (which returns
-the deliveries) the size in flits.
+the deliveries) the size in flits; ``Network._send_window`` calls
+``_send_unicast`` once per unicast.  The ATAC family overrides
+``_send_window`` with one loop that walks each unicast's route legs
+inline and sums its per-hop counters per window
+(:class:`repro.network.atac.AtacNetwork`).
 """
 
 from __future__ import annotations
@@ -210,13 +214,12 @@ class Network(ABC):
         non-decreasing and start no earlier than the last send, every
         id must be in range and ``size_bits`` positive.  A rejected
         window raises ``ValueError`` (with ``send``'s message) and
-        changes nothing.  Each unicast is then one ``_send_unicast``
-        call, and the unicast counters are summed in locals and written
-        once, at the end; broadcasts and self-sends (rare) go through
-        ``send``, so their bookkeeping exists in one place.  A network
-        that reports an arrival before its send raises ``ValueError``
-        mid-window, as ``send`` does, and the window's unicasts are
-        then left uncounted.
+        changes nothing.  ``_send_window`` then sends the packets and
+        returns the window's unicast count and latency sum and maximum,
+        and the unicast counters are written once, at the end.  A
+        network that reports an arrival before its send raises
+        ``ValueError`` mid-window, as ``send`` does, and the window's
+        unicasts are then left uncounted.
         """
         n = len(times)
         if len(srcs) != n or len(dsts) != n:
@@ -244,6 +247,33 @@ class Network(ABC):
             for src, dst in zip(srcs, dsts):
                 if not (0 <= src < n_cores and BROADCAST <= dst < n_cores):
                     raise _id_error(src, dst, n_cores)
+        n_uni, lat_sum, lat_max = self._send_window(
+            times, srcs, dsts, size_bits, n_flits
+        )
+        s = self.stats
+        s.packets_sent += n_uni
+        s.unicasts_sent += n_uni
+        s.injected_flits += n_uni * n_flits
+        s.received_unicast_flits += n_uni * n_flits
+        s.latency_sum += lat_sum
+        s.latency_count += n_uni
+        if lat_max > s.latency_max:
+            s.latency_max = lat_max
+        self._last_send_time = times[-1]
+
+    def _send_window(self, times: list[int], srcs: list[int],
+                     dsts: list[int], size_bits: int,
+                     n_flits: int) -> tuple[int, int, int]:
+        """Send a validated, non-empty window of ``n_flits``-flit packets;
+        returns its unicast count, latency sum and latency maximum, which
+        ``send_stream`` adds to the unicast counters.
+
+        Each unicast is one ``_send_unicast`` call; broadcasts and
+        self-sends (rare) go through ``send``, so their bookkeeping
+        exists in one place.  A network may override this with a kernel
+        that walks its unicasts inline; a subclass that overrides
+        ``_send_unicast`` below such a kernel restores this loop.
+        """
         send = self.send
         unicast = self._send_unicast
         broadcast = BROADCAST
@@ -259,17 +289,7 @@ class Network(ABC):
             elif lat < 0:
                 raise ValueError(f"latency must be non-negative, got {lat}")
             lat_sum += lat
-        n_uni = n - n_sent
-        s = self.stats
-        s.packets_sent += n_uni
-        s.unicasts_sent += n_uni
-        s.injected_flits += n_uni * n_flits
-        s.received_unicast_flits += n_uni * n_flits
-        s.latency_sum += lat_sum
-        s.latency_count += n_uni
-        if lat_max > s.latency_max:
-            s.latency_max = lat_max
-        self._last_send_time = times[-1]
+        return len(times) - n_sent, lat_sum, lat_max
 
     def reset_stats(self) -> NetworkStats:
         """Zero the counter bundle; returns a copy of the old counts.

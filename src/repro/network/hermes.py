@@ -96,9 +96,11 @@ class HermesNetwork(AtacNetwork):
         return "HERMES"
 
     # ------------------------------------------------------------------
-    # Unicasts are inherited unchanged: Distance-All routing sets rthres
-    # above any Manhattan distance, so AtacNetwork's inlined routing
-    # rule never picks the ONet and a unicast is a plain ENet traversal.
+    # Unicasts are inherited unchanged, closed-loop and windowed alike:
+    # Distance-All routing sets rthres above any Manhattan distance, so
+    # AtacNetwork's inlined routing rule never picks the ONet and a
+    # unicast is a plain ENet traversal (``_traverse``, or the same leg
+    # walk inside ``_send_window``).
     # ------------------------------------------------------------------
 
     def _send_broadcast(self, src: int, t: int,

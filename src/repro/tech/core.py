@@ -55,7 +55,7 @@ class CorePowerModel:
         """Data-dependent power at IPC = 1 (W)."""
         return CORE_PEAK_POWER_W * (1.0 - self.ndd_fraction)
 
-    def dd_energy_j(self, instructions: int, freq_hz: float = 1e9) -> float:
+    def dd_energy_j(self, instructions: int, freq_hz: float) -> float:
         """DD energy for a run that retired ``instructions`` (J).
 
         DD energy is activity-proportional, so it depends only on the

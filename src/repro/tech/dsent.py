@@ -147,7 +147,7 @@ class RouterModel:
         """Total storage bits in the router."""
         return self.n_ports * self.buffer_depth_flits * self.width_bits
 
-    def clock_power_w(self, freq_hz: float = 1e9) -> float:
+    def clock_power_w(self, freq_hz: float) -> float:
         """Clock-tree power of the router's sequential state (W).
 
         The clock is ungated: the paper treats ungated clocks as a
@@ -193,7 +193,7 @@ class HubModel:
         """Energy per flit crossing the hub in either direction (J)."""
         return self._router().flit_energy_j()
 
-    def clock_power_w(self, freq_hz: float = 1e9) -> float:
+    def clock_power_w(self, freq_hz: float) -> float:
         """Hub sequential clock power (W)."""
         return self._router().clock_power_w(freq_hz)
 

@@ -25,6 +25,13 @@ deliberate way::
     PYTHONPATH=src python -m repro all --mesh-width 8 --scale 0.1 \
         --no-cache -q > tests/integration/golden/repro_all_w8_scale01.txt
 
+It diffs ``repro fig3 --mesh-width 16`` against ``golden/fig3_w16.txt``
+as well: at w16 every Distance scheme but Distance-All sends unicasts
+over the ONet.  Regenerate it with::
+
+    PYTHONPATH=src python -m repro fig3 --mesh-width 16 --no-cache -q \
+        > tests/integration/golden/fig3_w16.txt
+
 The runs use a fresh, empty result store (``REPRO_CACHE_DIR`` points
 at a temporary directory): a stale cache entry would make this test
 vacuously green exactly when the simulator's behaviour changed without

@@ -1,13 +1,18 @@
-"""The optical unicast path against its stage methods.
+"""The ATAC family's unicast paths against their stage methods.
 
-``AtacNetwork._send_unicast`` inlines the routing rule over per-core
-tables and sends hybrid unicasts through ``_optical_unicast``, which
-Corona shares.  The references here compose the stage methods one by
-one -- ``_to_hub`` -> ``AdaptiveSWMRLink.transmit`` ->
-``ReceiveNetwork.deliver_unicast`` -- from topology calls, behind the
-policy's own ``use_onet`` verdict (ATAC) or the cluster test (Corona).
-Both must deliver the same packets at the same cycles and leave
-identical counters and port state.
+``AtacNetwork`` sends a unicast two ways: ``_send_unicast`` (per
+``send``) inlines the routing rule over per-core tables, and
+``_send_window`` (per ``send_stream`` window) also walks the ENet legs
+inline and counts per window.  Corona shares both, reading two class
+constants (the receiver's channel, after ``TOKEN_DELAY``); HERMES
+inherits them and never routes a unicast optically.  The references
+here compose the stage methods one by one -- ``_to_hub`` ->
+``AdaptiveSWMRLink.transmit`` -> ``ReceiveNetwork.deliver_unicast`` --
+from topology calls, behind the policy's own ``use_onet`` verdict
+(ATAC, HERMES) or the cluster test (Corona), and are driven through
+``send``.  Either fast path must leave identical counters, link state,
+receive ports and mesh port state; ``send`` must also deliver the same
+packets at the same cycles.
 """
 
 import random
@@ -18,6 +23,7 @@ import pytest
 from repro.network.atac import AtacNetwork
 from repro.network.corona import TOKEN_DELAY, CoronaNetwork
 from repro.network.engine import HUB_DELAY
+from repro.network.hermes import HermesNetwork
 from repro.network.routing import ClusterRouting, DistanceRouting, distance_all
 from repro.network.topology import MeshTopology
 from repro.network.types import BROADCAST, CONTROL_MSG_BITS, DATA_MSG_BITS
@@ -62,6 +68,12 @@ class StagedCorona(CoronaNetwork):
         )
 
 
+class StagedHermes(HermesNetwork):
+    """HERMES whose unicasts compose the stage methods one by one."""
+
+    _send_unicast = StagedAtac._send_unicast
+
+
 def _traffic(n_cores, count, seed):
     """Time-ordered unicasts of both sizes, dense enough to queue at the
     links and receive ports, with a few broadcasts mixed in."""
@@ -102,16 +114,45 @@ POLICIES = {
 }
 
 
-def _assert_same(fast, staged, traffic):
+def _windows(traffic):
+    """The traffic as ``send_stream`` windows: one per run of
+    same-size packets, as (times, srcs, dsts, size_bits)."""
+    out = []
     for src, dst, bits, t in traffic:
-        got = fast.send(src, dst, bits, t)
-        want = staged.send(src, dst, bits, t)
-        assert got == want, (src, dst, t)
+        if not out or out[-1][3] != bits:
+            out.append(([], [], [], bits))
+        times, srcs, dsts, _ = out[-1]
+        times.append(t)
+        srcs.append(src)
+        dsts.append(dst)
+    return out
+
+
+def _assert_same_state(fast, staged):
     assert asdict(fast.stats) == asdict(staged.stats)
     assert _link_state(fast) == _link_state(staged)
     assert _receive_state(fast) == _receive_state(staged)
     assert fast._free_at == staged._free_at
     assert fast.port_busy() == staged.port_busy()
+
+
+def _assert_same(fast, staged, traffic):
+    for src, dst, bits, t in traffic:
+        got = fast.send(src, dst, bits, t)
+        want = staged.send(src, dst, bits, t)
+        assert got == want, (src, dst, t)
+    _assert_same_state(fast, staged)
+
+
+def _assert_same_windowed(fast, staged, traffic):
+    windows = _windows(traffic)
+    assert len(windows) > 1
+    for window in windows:
+        fast.send_stream(*window)
+    for src, dst, bits, t in traffic:
+        staged.send(src, dst, bits, t)
+    _assert_same_state(fast, staged)
+    assert fast._last_send_time == staged._last_send_time
 
 
 @pytest.mark.parametrize("width", [8, 16])
@@ -133,3 +174,33 @@ def test_corona_unicast_path_equals_stage_composition(width):
     staged = StagedCorona(topo)
     _assert_same(fast, staged, _traffic(topo.n_cores, 4000, seed=width))
     assert fast.stats.onet_unicasts > 0
+
+
+@pytest.mark.parametrize("width", [8, 16])
+@pytest.mark.parametrize("policy", list(POLICIES))
+def test_window_kernel_equals_stage_composition(policy, width):
+    topo = MeshTopology(width=width, cluster_width=4)
+    fast = AtacNetwork(topo, routing=POLICIES[policy](topo))
+    staged = StagedAtac(topo, routing=POLICIES[policy](topo))
+    _assert_same_windowed(fast, staged, _traffic(topo.n_cores, 4000, seed=width))
+    if policy == "cluster" or (policy == "distance-15" and width == 16):
+        assert fast.stats.onet_unicasts > 0
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_corona_window_kernel_equals_stage_composition(width):
+    topo = MeshTopology(width=width, cluster_width=4)
+    fast = CoronaNetwork(topo)
+    staged = StagedCorona(topo)
+    _assert_same_windowed(fast, staged, _traffic(topo.n_cores, 4000, seed=width))
+    assert fast.stats.onet_unicasts > 0
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_hermes_window_kernel_equals_stage_composition(width):
+    topo = MeshTopology(width=width, cluster_width=4)
+    fast = HermesNetwork(topo)
+    staged = StagedHermes(topo)
+    _assert_same_windowed(fast, staged, _traffic(topo.n_cores, 4000, seed=width))
+    assert fast.stats.onet_unicasts == 0
+    assert fast.stats.onet_broadcasts > 0

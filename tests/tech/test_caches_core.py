@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.sim.results import FREQ_HZ
 from repro.tech.caches import (
     CacheGeometry,
     CacheModel,
@@ -160,9 +161,9 @@ class TestCorePowerModel:
     def test_dd_energy_independent_of_runtime(self):
         """Same instruction count => same DD energy on any architecture."""
         m = CorePowerModel()
-        assert m.dd_energy_j(10_000) == m.dd_energy_j(10_000)
+        assert m.dd_energy_j(10_000, FREQ_HZ) == m.dd_energy_j(10_000, FREQ_HZ)
         # equivalent formulations: P_dd(ipc) * T == E_dd(instructions)
-        instructions, freq = 1_000_000, 1e9
+        instructions, freq = 1_000_000, FREQ_HZ
         runtime = 4 * instructions / freq  # IPC = 0.25
         via_power = dd_power_w(m, 0.25) * runtime
         assert m.dd_energy_j(instructions, freq) == pytest.approx(via_power)
@@ -173,7 +174,7 @@ class TestCorePowerModel:
         with pytest.raises(ValueError):
             dd_power_w(CorePowerModel(), -0.1)
         with pytest.raises(ValueError):
-            CorePowerModel().dd_energy_j(-5)
+            CorePowerModel().dd_energy_j(-5, FREQ_HZ)
 
     @given(
         runtime_a=st.floats(1e-4, 1e-2),
@@ -190,6 +191,6 @@ class TestCorePowerModel:
         instructions = 1_000_000
 
         def total_energy_j(runtime_s):
-            return m.ndd_power_w * runtime_s + m.dd_energy_j(instructions)
+            return m.ndd_power_w * runtime_s + m.dd_energy_j(instructions, FREQ_HZ)
 
         assert total_energy_j(runtime_a * slowdown) > total_energy_j(runtime_a)

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.sim.results import FREQ_HZ
 from repro.tech.dsent import HubModel, LinkModel, ReceiveNetModel, RouterModel
 
 
@@ -53,7 +54,7 @@ class TestRouterModel:
 
     def test_clock_power_ungated_by_default(self):
         r = RouterModel()
-        assert r.clock_power_w() > 0
+        assert r.clock_power_w(FREQ_HZ) > 0
 
     def test_wider_router_costs_more(self):
         assert (
@@ -83,7 +84,7 @@ class TestRouterModel:
     def test_ndd_costs_scale_with_buffering(self, depth):
         shallow = RouterModel(buffer_depth_flits=1)
         r = RouterModel(buffer_depth_flits=depth)
-        assert r.clock_power_w() >= shallow.clock_power_w()
+        assert r.clock_power_w(FREQ_HZ) >= shallow.clock_power_w(FREQ_HZ)
         assert r.leakage_power_w() >= shallow.leakage_power_w()
 
 
@@ -94,7 +95,7 @@ class TestHubModel:
 
     def test_hub_ndd_positive(self):
         h = HubModel()
-        assert h.clock_power_w() > 0
+        assert h.clock_power_w(FREQ_HZ) > 0
         assert h.leakage_power_w() > 0
         assert h.area_mm2() > 0
 

@@ -313,11 +313,12 @@ def _replay_packets(network, traffic, cycles, warmup_cycles):
     )
 
 
-def _fig3_networks():
-    """Every network class ``run_load_point`` can drive, by name: the
-    six Fig 3 schemes on ATAC+, the other registered networks, and the
-    adaptive ablation's feedback network."""
-    topo = MeshTopology(width=8, cluster_width=4)
+def _fig3_networks(width):
+    """Every network class ``run_load_point`` can drive at mesh width
+    ``width``, by name: the six Fig 3 schemes on ATAC+, the other
+    registered networks, and the adaptive ablation's feedback network.
+    The names do not depend on the width."""
+    topo = MeshTopology(width=width, cluster_width=4)
     nets = {
         policy.name: partial(AtacNetwork, topo, routing=policy)
         for policy in routing_schemes(topo)
@@ -329,29 +330,35 @@ def _fig3_networks():
     return nets
 
 
-FIG3_NETWORKS = _fig3_networks()
+FIG3_NETWORKS = {width: _fig3_networks(width) for width in (8, 16)}
+
+#: (mesh width, offered load, cycles, warm-up cycles) of each replay:
+#: w8 at a load that queues, and w16 at 0.14, past Cluster's and
+#: Distance-5's saturation (Fig 3 reads about 1000 cycles there).
+REPLAY_INPUTS = ((8, 0.12, 700, 200), (16, 0.14, 300, 100))
 
 
 class TestRunLoadPoint:
-    @pytest.mark.parametrize("name", list(FIG3_NETWORKS))
+    @pytest.mark.parametrize("name", list(FIG3_NETWORKS[8]))
     def test_columns_match_a_packet_by_packet_replay(self, name):
         """Streaming the columns sends exactly what replaying one
         ``Packet`` per generated packet through ``send`` sends: the same
         point, counters, port occupancy, ONet link state and routing
-        state (w8, one seed each, a load high enough to queue and
-        broadcasts included)."""
-        seed = list(FIG3_NETWORKS).index(name) + 1
-        runs = []
-        for drive in (run_load_point, _replay_packets):
-            net = FIG3_NETWORKS[name]()
-            traffic = SyntheticTraffic(64, load=0.12, broadcast_fraction=0.01,
-                                       seed=seed)
-            point = drive(net, traffic, 700, 200)
-            runs.append((point, network_state(net), net.routing
-                         if hasattr(net, "routing") else None))
-        assert runs[0] == runs[1]
-        assert runs[0][0].packets > 1000
-        assert runs[0][1][0]["broadcasts_sent"] > 0
+        state (one seed each, broadcasts included, at each of
+        ``REPLAY_INPUTS``)."""
+        seed = list(FIG3_NETWORKS[8]).index(name) + 1
+        for width, load, cycles, warmup in REPLAY_INPUTS:
+            runs = []
+            for drive in (run_load_point, _replay_packets):
+                net = FIG3_NETWORKS[width][name]()
+                traffic = SyntheticTraffic(width * width, load=load,
+                                           broadcast_fraction=0.01, seed=seed)
+                point = drive(net, traffic, cycles, warmup)
+                runs.append((point, network_state(net), net.routing
+                             if hasattr(net, "routing") else None))
+            assert runs[0] == runs[1], width
+            assert runs[0][0].packets > 1000
+            assert runs[0][1][0]["broadcasts_sent"] > 0
 
     def test_low_load_near_zero_load_latency(self):
         topo = MeshTopology(width=8, cluster_width=4)
