@@ -28,9 +28,11 @@ and a broadcast::
 from __future__ import annotations
 
 from repro.network.cluster_nets import ReceiveNetwork
-from repro.network.engine import HOP_LATENCY, HUB_DELAY
+from repro.network.engine import (
+    HOP_LATENCY, HUB_DELAY, ONET_LINK_DELAY, RECEIVE_NET_DELAY, SELECT_DATA_LAG,
+)
 from repro.network.mesh import _MeshBase
-from repro.network.onet import AdaptiveSWMRLink
+from repro.network.onet import _IDLE, _UNICAST, AdaptiveSWMRLink
 from repro.network.routing import ClusterRouting, DistanceRouting, RoutingPolicy
 from repro.network.topology import MeshTopology
 from repro.network.types import BROADCAST
@@ -144,30 +146,51 @@ class AtacNetwork(_MeshBase):
     def _send_window(self, times: list[int], srcs: list[int],
                      dsts: list[int], size_bits: int,
                      n_flits: int) -> tuple[int, int, int]:
-        """``_send_unicast`` per unicast, as one loop: the routing rule
-        and the ENet legs -- to ``dst``, or to the source hub for an
-        optical unicast -- are walked inline, as ``_traverse`` and
-        ``_to_hub`` walk them, and the router, link, arbitration and hub
-        counters are summed in locals and written once per window.  The
-        optical stage goes through ``AdaptiveSWMRLink.transmit``
-        and ``ReceiveNetwork.deliver_unicast``.  ``rthres`` is read once
-        per window, so a subclass whose policy moves between sends
-        (``_BacklogFeedback``) keeps ``Network._send_window``.
+        """``_send_unicast`` per unicast, as one loop: the routing rule,
+        the ENet legs -- to ``dst``, or to the source hub for an optical
+        unicast -- and the optical stage are all inline.  The legs are
+        walked as ``_traverse`` and ``_to_hub`` walk them; the channel
+        (the sender's, or the receiver's if ``_receiver_owned``) takes
+        the unicast branch of ``AdaptiveSWMRLink.transmit`` on the link
+        object, and the destination's receive port is reserved as
+        ``ReceiveNetwork.deliver_unicast`` reserves it, through a
+        per-core port table built from each ``_port_of_local`` at the
+        start of the window.  The router, link, arbitration, hub, ONet
+        and receive-net counters are summed in locals and written once
+        per window.  ``rthres`` is read once per window, so a subclass
+        whose policy moves between sends (``_BacklogFeedback``) keeps
+        ``Network._send_window``.
         """
         send = self.send
         broadcast = BROADCAST
         rthres = self.routing.rthres
         cluster, hub_of = self._cluster_of_core, self._hub_of_core
-        col, row, local = self._col_of_core, self._row_of_core, self._local_index
+        col, row = self._col_of_core, self._row_of_core
         links, rnets = self.onet_links, self.receive_nets
-        receiver_owned, ready_offset = self._receiver_owned, self._ready_offset
+        receiver_owned = self._receiver_owned
+        # The port each core's unicasts are delivered through, read now
+        # so that a port ``replace_port`` swapped in is the one reserved.
+        port_of = [rnets[c]._port_of_local[i]
+                   for c, i in zip(cluster, self._local_index)]
         w = self._width
         xlegs, ylegs = self._xlegs, self._ylegs
         xleg_flits, yleg_flits = self._xleg_flits, self._yleg_flits
         free_at = self._free_at
         hop = HOP_LATENCY
-        hub_delay = HUB_DELAY
-        n_sent = lat_sum = lat_max = hops = walks = n_optical = 0
+        # Source hub to the channel's first data cycle: the hub crossing,
+        # the MWSR token round (if any), then the select link's lead.
+        to_data = HUB_DELAY + self._ready_offset + SELECT_DATA_LAG
+        # First data cycle to the destination hub's egress: the link
+        # delay, serialization, then the receive-side hub crossing.
+        to_rx = ONET_LINK_DELAY + n_flits + HUB_DELAY
+        rx_tail = RECEIVE_NET_DELAY + n_flits
+        idle, unicast = _IDLE, _UNICAST
+        n_sent = lat_sum = lat_max = hops = walks = 0
+        n_optical = transitions = 0
+        # No range check below: ``send_stream`` has validated the window,
+        # so every time is at or after the last send (itself >= 0), and
+        # ``n_flits`` >= 1 -- the arguments ``transmit`` and
+        # ``PortResource.reserve`` would reject cannot occur.
         for t, src, dst in zip(times, srcs, dsts):
             if dst == broadcast or dst == src:
                 send(src, dst, size_bits, t)
@@ -208,12 +231,36 @@ class AtacNetwork(_MeshBase):
                 head += n_flits
             if target != dst:
                 n_optical += 1
+                # transmit(at_hub + ready offset, n_flits, broadcast=False)
                 link = links[dst_cluster if receiver_owned else src_cluster]
-                head = rnets[dst_cluster].deliver_unicast(
-                    link.transmit(head + hub_delay + ready_offset, n_flits,
-                                  False) + hub_delay,
-                    n_flits, local[dst],
-                )
+                start = head + to_data
+                free = link.free_at
+                mode = link.last_mode
+                if start > free:
+                    # An idle gap: down to IDLE (unless already there)
+                    # and back up.
+                    n = 1 if mode is idle else 2
+                    link.mode_transitions += n
+                    transitions += n
+                    link.last_mode = unicast
+                else:
+                    # Back to back: a re-bias only on a mode change.
+                    start = free
+                    if mode is not unicast:
+                        link.mode_transitions += 1
+                        transitions += 1
+                        link.last_mode = unicast
+                link.free_at = start + n_flits
+                link.unicast_cycles += n_flits
+                # deliver_unicast: reserve dst's receive port.
+                port = port_of[dst]
+                head = start + to_rx
+                free = port.free_at
+                if free > head:
+                    head = free
+                port.free_at = head + n_flits
+                port.busy_cycles += n_flits
+                head += rx_tail
             # Every stage only adds delay, so ``lat`` is never negative.
             lat = head - t
             if lat > lat_max:
@@ -226,6 +273,15 @@ class AtacNetwork(_MeshBase):
         s.router_arbitrations += hops + walks
         # two hub crossings per optical unicast, one at each end
         s.hub_flit_traversals += 2 * n_flits * n_optical
+        # transmit's and deliver_unicast's unicast counters
+        optical_flits = n_flits * n_optical
+        s.onet_unicasts += n_optical
+        s.onet_select_notifications += n_optical
+        s.onet_mode_transitions += transitions
+        s.onet_unicast_flits += optical_flits
+        s.onet_unicast_cycles += optical_flits
+        s.onet_receiver_flits += optical_flits
+        s.receive_net_unicast_flits += optical_flits
         return len(times) - n_sent, lat_sum, lat_max
 
     # ------------------------------------------------------------------

@@ -37,9 +37,10 @@ Both hand ``_send_unicast(src, dst, t, n_flits)`` (which returns the
 arrival cycle) or ``_send_broadcast(src, t, n_flits)`` (which returns
 the deliveries) the size in flits; ``Network._send_window`` calls
 ``_send_unicast`` once per unicast.  The ATAC family overrides
-``_send_window`` with one loop that walks each unicast's route legs
-inline and sums its per-hop counters per window
-(:class:`repro.network.atac.AtacNetwork`).
+``_send_window`` with one loop that walks each unicast's route legs,
+optical channel and receive port inline and sums its counters per
+window (:class:`repro.network.atac.AtacNetwork`); there the window's
+validation stands in for ``PortResource.reserve``'s.
 """
 
 from __future__ import annotations

@@ -14,7 +14,9 @@ handling:
 
 Hot-path note: ``_traverse`` is called once per mesh packet; on the
 meshes it *is* ``_send_unicast``, and ``AtacNetwork._send_window``
-repeats its walk inline for each unicast of a Fig 3 window.  Port state
+repeats its walk inline for each unicast of a Fig 3 window (together
+with the optical channel and receive port, so a windowed unicast makes
+no call at all).  Port state
 lives in a flat integer array indexed by ``core * 4 + direction``:
 ``_free_at`` holds each output port's next free cycle, and a route leg
 is a tuple of such indices, so the per-hop reservation is pure list

@@ -51,6 +51,20 @@ from repro.telemetry.windows import (
     windows_header,
 )
 
+#: Simulated cycles with no snapshot counter moving after which a run
+#: is declared stalled (``_heartbeat`` raises).  A live run always has
+#: a message in flight or a core retiring ops, so its counters move at
+#: least once per round trip.  The longest zero-load round trip is on
+#: the paper's 1024-core chip: a miss whose home directory and memory
+#: controller sit across the chip, whose line EMesh-Pure must invalidate
+#: with 1023 serialized two-flit unicasts -- under 3,000 cycles in all.
+#: Healthy runs (every app on six networks at w8/0.2, four apps on six
+#: networks at w16/0.6, barnes on three networks at w32/0.02) never
+#: held every counter still for more than 112 cycles.
+#: Given in cycles, not windows, so ``window_cycles=1`` stays bounded
+#: too: a stalled run stops within 20,000 windows (about 60 MB).
+STALL_CYCLES = 20_000
+
 #: Transaction-opening and -closing message types (begin on the request
 #: leaving the L2, end on the data reply leaving the home directory).
 _TXN_OPEN = (MsgType.SH_REQ, MsgType.EX_REQ)
@@ -91,6 +105,8 @@ class TelemetryCollector(Probe):
         #: closed window records, oldest first.
         self.windows: list[dict] = []
         self._prev_snapshot = None
+        #: the last heartbeat cycle at which some counter had moved
+        self._moved_at = 0
         #: (requester core, address) -> open transaction id
         self._open_txns: dict[tuple[int, int], int] = {}
         self._next_txn = 1
@@ -178,6 +194,7 @@ class TelemetryCollector(Probe):
     def run_start(self) -> None:
         eventq = self.system.eventq
         self._prev_snapshot = take_snapshot(self.system, eventq.now)
+        self._moved_at = eventq.now
         eventq.schedule(eventq.now + self.window_cycles, self._heartbeat)
 
     def _heartbeat(self, now: int) -> None:
@@ -186,14 +203,27 @@ class TelemetryCollector(Probe):
         An empty queue while this event runs means no event can ever
         fire again (events beget events), so not rescheduling is exactly
         the end-of-run condition -- heartbeats never keep a finished or
-        deadlocked simulation artificially alive.
+        deadlocked simulation artificially alive.  A queue that never
+        empties while no counter moves (events that do no work, or a
+        ``len()`` that miscounts) raises ``RuntimeError`` once the stall
+        reaches ``STALL_CYCLES``.
         """
         system = self.system
         cur = take_snapshot(system, now)
-        self.windows.append(
-            window_between(self._prev_snapshot, cur, len(system.eventq))
-        )
+        prev = self._prev_snapshot
+        self.windows.append(window_between(prev, cur, len(system.eventq)))
         self._prev_snapshot = cur
+        if (cur.net != prev.net or cur.caches != prev.caches
+                or cur.directory != prev.directory or cur.memory != prev.memory
+                or cur.cores != prev.cores or cur.onet_busy != prev.onet_busy):
+            self._moved_at = now
+        elif now - self._moved_at >= STALL_CYCLES:
+            raise RuntimeError(
+                f"telemetry: no counter has moved since cycle "
+                f"{self._moved_at} ({now - self._moved_at} cycles) while "
+                f"the event queue reports {len(system.eventq)} pending; "
+                f"the run is stalled"
+            )
         if len(system.eventq) > 0:
             system.eventq.schedule(now + self.window_cycles, self._heartbeat)
 

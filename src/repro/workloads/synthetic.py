@@ -12,9 +12,9 @@ broadcasts.  Traffic is pre-generated with NumPy as time, source and
 destination columns and streamed into the network in time order (the
 engine requires ordered sends): one ``Network.send_stream`` call for
 the warm-up window and one for the measured window.  On the ATAC
-family each window runs as one loop that walks every unicast's route
-inline (``AtacNetwork._send_window``); it sends exactly what ``send``
-per packet would.
+family each window runs as one loop that walks every unicast's route,
+optical channel and receive port inline (``AtacNetwork._send_window``,
+one frame per window); it sends exactly what ``send`` per packet would.
 
 Fig 3 traffic is the only user of NumPy in the package, so NumPy is
 imported inside :meth:`SyntheticTraffic.generate`, not at module level:

@@ -32,6 +32,16 @@ over the ONet.  Regenerate it with::
     PYTHONPATH=src python -m repro fig3 --mesh-width 16 --no-cache -q \
         > tests/integration/golden/fig3_w16.txt
 
+Corona and HERMES appear in no driver's output, so
+``golden/loadpoints_w16.json`` pins them at the network level: for each,
+``run_load_point`` at w16 and loads 0.02, 0.10 and 0.20 (Figure 3's
+seed, cycles and warm-up), with the ``LoadSweepPoint``, the final
+``NetworkStats``, every ONet link's state and every receive port's
+state.  It is about 1 s, and regenerates with the same variable::
+
+    REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest \
+        tests/integration/test_golden_numbers.py -k load_points
+
 The runs use a fresh, empty result store (``REPRO_CACHE_DIR`` points
 at a temporary directory): a stale cache entry would make this test
 vacuously green exactly when the simulator's behaviour changed without
@@ -48,6 +58,7 @@ from pathlib import Path
 import pytest
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "w8_scale03.json"
+LOAD_POINTS_PATH = Path(__file__).parent / "golden" / "loadpoints_w16.json"
 
 MESH_WIDTH = 8
 SCALE = 0.3
@@ -156,3 +167,69 @@ def test_golden_file_inventory(golden):
     assert sorted(golden) == ["fig04_runtime", "fig07_energy", "fig14_edp"]
     assert [row["app"] for row in golden["fig04_runtime"]] == list(FIG4_APPS)
     assert [row["app"] for row in golden["fig14_edp"]] == list(FIG14_APPS)
+
+
+#: Offered loads of the Corona/HERMES pin: below, near and past the
+#: knee of Corona's receiver-owned channels at w16.
+PIN_LOADS = (0.02, 0.10, 0.20)
+
+
+def _load_point_rows(network_cls):
+    from dataclasses import asdict
+
+    from repro.network.topology import MeshTopology
+    from repro.workloads.synthetic import SyntheticTraffic, run_load_point
+
+    topo = MeshTopology(width=16, cluster_width=4)
+    rows = []
+    for load in PIN_LOADS:
+        net = network_cls(topo)
+        point = run_load_point(net, SyntheticTraffic(topo.n_cores, load, seed=7),
+                               cycles=1500, warmup_cycles=400)
+        rows.append({
+            "load": load,
+            "point": asdict(point),
+            "stats": asdict(net.stats),
+            "links": [
+                {"free_at": l.free_at, "last_mode": l.last_mode.value,
+                 "unicast_cycles": l.unicast_cycles,
+                 "broadcast_cycles": l.broadcast_cycles,
+                 "mode_transitions": l.mode_transitions}
+                for l in net.onet_links
+            ],
+            "receive_ports": [
+                [[p.free_at, p.busy_cycles] for p in rnet._ports]
+                for rnet in net.receive_nets
+            ],
+        })
+    return rows
+
+
+@pytest.fixture(scope="module")
+def load_points():
+    from repro.network.corona import CoronaNetwork
+    from repro.network.hermes import HermesNetwork
+
+    doc = json.loads(json.dumps({
+        "corona": _load_point_rows(CoronaNetwork),
+        "hermes": _load_point_rows(HermesNetwork),
+    }))
+    if os.environ.get("REPRO_REGEN_GOLDEN") == "1":
+        LOAD_POINTS_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return doc
+
+
+@pytest.mark.parametrize("network", ["corona", "hermes"])
+def test_load_points_match_golden(load_points, network):
+    """Corona's receiver-owned channels and HERMES's broadcast hierarchy
+    under Figure 3 traffic, pinned exactly (no driver prints either)."""
+    if not LOAD_POINTS_PATH.exists():
+        pytest.fail(f"golden file {LOAD_POINTS_PATH} is missing; generate it "
+                    "with REPRO_REGEN_GOLDEN=1 and commit it")
+    golden = json.loads(LOAD_POINTS_PATH.read_text())
+    assert [row["load"] for row in golden[network]] == list(PIN_LOADS)
+    mismatches = _diffs(load_points[network], golden[network], network)
+    assert not mismatches, (
+        "golden mismatch (intended? regenerate with REPRO_REGEN_GOLDEN=1 "
+        "and commit):\n  " + "\n  ".join(mismatches[:20])
+    )

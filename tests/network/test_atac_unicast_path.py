@@ -1,18 +1,23 @@
 """The ATAC family's unicast paths against their stage methods.
 
 ``AtacNetwork`` sends a unicast two ways: ``_send_unicast`` (per
-``send``) inlines the routing rule over per-core tables, and
-``_send_window`` (per ``send_stream`` window) also walks the ENet legs
-inline and counts per window.  Corona shares both, reading two class
-constants (the receiver's channel, after ``TOKEN_DELAY``); HERMES
-inherits them and never routes a unicast optically.  The references
-here compose the stage methods one by one -- ``_to_hub`` ->
+``send``) inlines the routing rule over per-core tables and calls the
+optical stage methods, and ``_send_window`` (per ``send_stream``
+window) also walks the ENet legs, the channel's unicast branch of
+``transmit`` and the receive-port reservation inline, counting per
+window.  Corona shares both, reading two class constants (the
+receiver's channel, after ``TOKEN_DELAY``); HERMES inherits them and
+never routes a unicast optically.  The references here compose the
+stage methods one by one -- ``_to_hub`` ->
 ``AdaptiveSWMRLink.transmit`` -> ``ReceiveNetwork.deliver_unicast`` --
 from topology calls, behind the policy's own ``use_onet`` verdict
 (ATAC, HERMES) or the cluster test (Corona), and are driven through
 ``send``.  Either fast path must leave identical counters, link state,
 receive ports and mesh port state; ``send`` must also deliver the same
-packets at the same cycles.
+packets at the same cycles.  In-window broadcasts still go through
+``transmit``, so the laser mode passes between the inline stage and
+``transmit`` inside and across windows; one case drives exactly that
+on one hub's channel.
 """
 
 import random
@@ -204,3 +209,38 @@ def test_hermes_window_kernel_equals_stage_composition(width):
     _assert_same_windowed(fast, staged, _traffic(topo.n_cores, 4000, seed=width))
     assert fast.stats.onet_unicasts == 0
     assert fast.stats.onet_broadcasts > 0
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_window_kernel_mode_transitions_across_broadcasts(width):
+    """Windows that alternate unicasts and broadcasts on hub 0's channel
+    hand the laser mode between the kernel's inline stage and
+    ``transmit`` (which serves the broadcasts) inside windows and across
+    their boundaries.  The channel stays backlogged after its first
+    message, so it sees one power-up plus one transition per
+    UNICAST<->BROADCAST change, in send order."""
+    topo = MeshTopology(width=width, cluster_width=4)
+    fast = AtacNetwork(topo, routing=ClusterRouting())
+    staged = StagedAtac(topo, routing=ClusterRouting())
+    senders = topo.cluster_cores(0)
+    far = [c for c in range(topo.n_cores) if topo.cluster_of(c) != 0]
+    rng = random.Random(width)
+    pattern = (("u", "u"), ("u", "b", "u"), ("b",))
+    windows, modes = [], []
+    for k in range(30):
+        kinds = pattern[k % len(pattern)]
+        dsts = [BROADCAST if kind == "b" else rng.choice(far) for kind in kinds]
+        srcs = [rng.choice(senders) for _ in kinds]
+        windows.append(([k] * len(kinds), srcs, dsts, CONTROL_MSG_BITS))
+        modes += kinds
+    for window in windows:
+        fast.send_stream(*window)
+        for t, src, dst in zip(*window[:3]):
+            staged.send(src, dst, CONTROL_MSG_BITS, t)
+    _assert_same_state(fast, staged)
+    changes = sum(a != b for a, b in zip(modes, modes[1:]))
+    link = fast.onet_links[0]
+    assert link.mode_transitions == 1 + changes
+    assert fast.stats.onet_mode_transitions == 1 + changes
+    assert fast.stats.onet_unicasts == modes.count("u")
+    assert fast.stats.onet_broadcasts == modes.count("b")

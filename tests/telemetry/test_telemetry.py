@@ -14,6 +14,7 @@ simulations total).  It backs three of this package's contracts:
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -22,8 +23,9 @@ from pathlib import Path
 import pytest
 
 from repro.network.registry import REGISTRY
+from repro.sim.eventq import _NO_ARG, EventQueue
 from repro.sim.system import ManycoreSystem
-from repro.telemetry.collector import TelemetryConfig
+from repro.telemetry.collector import STALL_CYCLES, TelemetryConfig
 from repro.telemetry.trace import TraceBuffer, to_perfetto
 from repro.telemetry.windows import NET_FIELDS
 from repro.workloads.splash import APP_PROFILES, generate_traces
@@ -176,6 +178,60 @@ class TestWindows:
             has_links = getattr(system.network, "onet_links", None) is not None
             windows = system.telemetry.windows
             assert all(("onet_busy" in w) == has_links for w in windows), network
+
+
+class _StaleLenQueue(EventQueue):
+    """A queue whose ``len()`` takes in the events ``run()`` dispatched
+    only when it returns: mid-run it never falls, so a heartbeat that
+    re-arms while ``len() > 0`` would re-arm forever."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.stale_len = 0
+
+    def schedule(self, time, callback, arg=_NO_ARG) -> None:
+        super().schedule(time, callback, arg)
+        self.stale_len += 1
+
+    def __len__(self) -> int:
+        return self.stale_len
+
+    def run(self, max_events=None) -> int:
+        try:
+            return super().run(max_events)
+        finally:
+            self.stale_len = self._len
+
+
+class TestStallGuard:
+    @pytest.mark.parametrize("window_cycles", [1, 1000])
+    def test_stale_queue_length_raises_with_the_stall_start(self, window_cycles):
+        """The queue never drains, so the heartbeat would re-arm without
+        bound; it raises once no counter has moved for ``STALL_CYCLES``,
+        naming the cycle the stall began (after the last real event).
+        The event budget turns a missing guard into a failure, not a
+        hang."""
+        from repro.experiments.common import spec_for
+
+        _, healthy = _run("atac+")
+        config = spec_for(APP, network="atac+", mesh_width=MESH_WIDTH).config()
+        system = ManycoreSystem(
+            config, telemetry=TelemetryConfig(window_cycles=window_cycles)
+        )
+        system.eventq = _StaleLenQueue()
+        traces = generate_traces(
+            APP_PROFILES[APP], system.topology,
+            l2_lines=config.l2_sets * config.l2_ways, scale=SCALE, seed=42,
+        )
+        budget = 10 * (healthy.completion_cycles + STALL_CYCLES) // window_cycles
+        budget += 100_000
+        with pytest.raises(RuntimeError, match=r"no counter has moved since "
+                                               r"cycle (\d+)") as raised:
+            system.run(traces, app=APP, max_events=budget)
+        start = int(re.search(r"since cycle (\d+)", str(raised.value))[1])
+        assert 0 < start <= healthy.completion_cycles + window_cycles
+        last = system.telemetry.windows[-1]["t1"]
+        assert STALL_CYCLES <= last - start < STALL_CYCLES + window_cycles
 
 
 class TestTrace:
