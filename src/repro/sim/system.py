@@ -10,6 +10,8 @@ uses, with the network as the serialization point.
 
 from __future__ import annotations
 
+import gc
+import weakref
 from dataclasses import fields
 from typing import TYPE_CHECKING
 
@@ -109,8 +111,13 @@ class ManycoreSystem:
             self._cluster_memctrl[s] for s in self.slice_of_core
         )
 
+        # The controllers refer back through a weak proxy: the system
+        # owns them, and a strong back-reference would make every chip a
+        # reference cycle that outlives its run (DESIGN.md section 9).
+        fabric = weakref.proxy(self)
         self.memctrls = {
-            pos: MemoryController(pos, self) for pos in self.memctrl_positions
+            pos: MemoryController(pos, fabric)
+            for pos in self.memctrl_positions
         }
 
         # Built after the tables above and the sequencer: the coherence
@@ -120,8 +127,8 @@ class ManycoreSystem:
         self.caches: dict[int, L2Controller] = {}
         self.directories: dict[int, DirectoryController] = {}
         for core in self.compute_cores:
-            self.caches[core] = L2Controller(core, self)
-            self.directories[core] = DirectoryController(core, self)
+            self.caches[core] = L2Controller(core, fabric)
+            self.directories[core] = DirectoryController(core, fabric)
         self.cores: dict[int, CoreModel] = {}
         self.barriers: BarrierManager | None = None
         # Per message type: the controllers (by core) that handle it on
@@ -247,23 +254,37 @@ class ManycoreSystem:
             raise ValueError(
                 f"traces supplied for non-compute cores: {sorted(extra)[:4]}"
             )
-        self.barriers = BarrierManager(len(self.compute_cores), self.eventq)
-        for core in self.compute_cores:
-            cm = CoreModel(
-                core, traces[core], self.caches[core], self.barriers, self.eventq
-            )
-            self.cores[core] = cm
-            cm.start()
-        start_run(self)
-        self.eventq.run(max_events=max_events)
-        not_done = [c for c, cm in self.cores.items() if not cm.done]
-        if not_done:
-            raise RuntimeError(
-                f"deadlock: {len(not_done)} cores never finished "
-                f"(e.g. core {not_done[0]}); event queue drained"
-            )
-        result = self._collect(app)
-        end_run(self, result)
+        # Hot-path note: the run, event loop and all, holds the cyclic
+        # collector off.  A run makes no cyclic garbage, so each pass
+        # would only rescan the live chip (8-11 % of an ocean_non_contig
+        # run at w16-w32).  The pass the run's allocations are owed then
+        # comes once the caller has dropped the system, and a probe-free
+        # chip is already freed by then, so it is short (DESIGN.md
+        # section 9).  The caller's collector state comes back even if
+        # the run raises.
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self.barriers = BarrierManager(len(self.compute_cores),
+                                           self.eventq)
+            for core in self.compute_cores:
+                cm = CoreModel(core, traces[core], self.caches[core],
+                               self.barriers, self.eventq)
+                self.cores[core] = cm
+                cm.start()
+            start_run(self)
+            self.eventq.run(max_events=max_events)
+            not_done = [c for c, cm in self.cores.items() if not cm.done]
+            if not_done:
+                raise RuntimeError(
+                    f"deadlock: {len(not_done)} cores never finished "
+                    f"(e.g. core {not_done[0]}); event queue drained"
+                )
+            result = self._collect(app)
+            end_run(self, result)
+        finally:
+            if was_enabled:
+                gc.enable()
         return result
 
     def counter_totals(self) -> tuple[tuple[int, ...], ...]:

@@ -178,14 +178,19 @@ class TestNetworkStats:
 
 def network_state(net):
     """Everything a send can change: the counters, the time-order guard,
-    mesh port state and each ONet link's state."""
+    mesh port state, each ONet link's state and each receive network's
+    port state."""
     links = [
         (l.free_at, l.last_mode, l.unicast_cycles, l.broadcast_cycles,
          l.mode_transitions)
         for l in getattr(net, "onet_links", ())
     ]
+    receive_ports = [
+        [(p.free_at, p.busy_cycles) for p in rnet._ports]
+        for rnet in getattr(net, "receive_nets", ())
+    ]
     return (asdict(net.stats), net._last_send_time, net._free_at,
-            net.port_busy(), links)
+            net.port_busy(), links, receive_ports)
 
 
 @pytest.fixture(
